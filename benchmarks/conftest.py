@@ -2,8 +2,11 @@
 
 Every benchmark regenerates one of the paper's figures at a reduced —
 but structurally identical — scale, prints the figure's rows, and
-writes them to ``benchmarks/results/<figure>.txt``.  Scale is selected
-with ``REPRO_BENCH_SCALE``:
+writes them to ``benchmarks/results/<figure>.txt``.  Tables of wall-clock
+timings differ on every run, so they go to the ignored
+``benchmarks/results/scratch_<figure>.txt`` instead: a test run leaves
+the working tree as it found it.  Scale is selected with
+``REPRO_BENCH_SCALE``:
 
 * ``quick``   — smallest sweep that still exercises every code path;
 * ``default`` — the scale EXPERIMENTS.md records (a few minutes total);
@@ -42,15 +45,23 @@ def bench_scale() -> ImageExperimentScale:
 
 @pytest.fixture(scope="session")
 def bench_report():
-    """Print a figure's rows and persist them under benchmarks/results/."""
+    """Print a figure's rows and persist them under benchmarks/results/.
+
+    ``wall_clock=True`` marks a table whose numbers are timings of this
+    machine on this run: it is written to the ignored ``scratch_`` path,
+    never to a tracked file.
+    """
 
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def report(name: str, rows: Sequence[dict], title: str = "") -> None:
+    def report(
+        name: str, rows: Sequence[dict], title: str = "", wall_clock: bool = False
+    ) -> None:
         text = format_table(rows, title=title or name)
         print()
         print(text)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        stem = f"scratch_{name}" if wall_clock else name
+        (RESULTS_DIR / f"{stem}.txt").write_text(text + "\n")
 
     return report
 

@@ -48,10 +48,12 @@ Measures the hot paths the vectorized scheduling core owns:
   32-session shared-Markov fleet (crowd prior pre-warmed to realistic
   row widths, cohorts of sessions walking a common tour): the wall
   time spent in ``decode_state`` / the stacked ``_batch_decode`` pass,
-  which is the stage ``batched_decode`` owns.  Whole-tick time is
-  dominated by the senders' refill scheduling, so this metric
-  isolates the decode stage the same way ``greedy_draws_*`` isolates
-  the draw loop.
+  which is the stage ``batched_decode`` owns.  Decode is one layer of
+  several in a whole tick (on the ``bench/`` fleet workload: Kalman
+  observe, the stacked matrices, decode, then the draw loop — the
+  senders redraw only a short ready window after a preemption, not a
+  ``lookahead`` of blocks), so this metric isolates the decode stage
+  the same way ``greedy_draws_*`` isolates the draw loop.
 
 The emitted JSON carries a ``config`` section (active sampler mode and
 the fleet's decode-batching flag) so any regression is attributable to

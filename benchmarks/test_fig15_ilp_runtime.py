@@ -20,7 +20,9 @@ def test_fig15_ilp_runtime(benchmark, bench_report):
         rounds=1,
         iterations=1,
     )
-    bench_report("fig15_ilp_runtime", rows, "Fig. 15: ILP scheduler runtime")
+    bench_report(
+        "fig15_ilp_runtime", rows, "Fig. 15: ILP scheduler runtime", wall_clock=True
+    )
 
     assert all(r["optimal"] for r in rows)
     # Runtime grows with instance size: the largest corner costs more

@@ -22,7 +22,9 @@ def test_fig16_greedy_runtime(benchmark, bench_report):
         rounds=1,
         iterations=1,
     )
-    bench_report("fig16_greedy_runtime", rows, "Fig. 16: greedy scheduler runtime")
+    bench_report(
+        "fig16_greedy_runtime", rows, "Fig. 16: greedy scheduler runtime", wall_clock=True
+    )
 
     # Runtime is (near-)independent of blocks/request: compare the two
     # block settings at the largest instance.
@@ -53,7 +55,9 @@ def test_fig16_meta_request_ablation(benchmark, bench_report):
         return with_meta + without
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    bench_report("fig16_meta_ablation", rows, "Fig. 16 ablation: meta-request")
+    bench_report(
+        "fig16_meta_ablation", rows, "Fig. 16 ablation: meta-request", wall_clock=True
+    )
 
     meta = next(r for r in rows if r["variant"] == "meta")
     no_meta = next(r for r in rows if r["variant"] == "no-meta")

@@ -17,7 +17,9 @@ def test_fig17_greedy_vs_ilp(benchmark, bench_report):
         rounds=1,
         iterations=1,
     )
-    bench_report("fig17_greedy_vs_ilp", rows, "Fig. 17: greedy vs ILP utility")
+    bench_report(
+        "fig17_greedy_vs_ilp", rows, "Fig. 17: greedy vs ILP utility", wall_clock=True
+    )
 
     # The ILP is the optimum: it never loses to greedy (tolerance for
     # the ILP solver's own gap).

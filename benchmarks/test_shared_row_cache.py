@@ -68,5 +68,6 @@ def test_blended_row_cache_speedup(benchmark, bench_report):
             }
         ],
         "shared-prior blended-row cache: hit vs re-blend (byte-identical)",
+        wall_clock=True,
     )
     assert miss_us > hit_us  # the cache must actually win

@@ -42,7 +42,7 @@ class ScheduledBlock:
     """Decision for one schedule slot: send block ``index`` of ``request``.
 
     ``slots=True``: schedulers mint one per allocated slot and senders
-    queue them by the lookahead window, so the per-instance ``__dict__``
+    queue them by the pipeline window, so the per-instance ``__dict__``
     would be pure overhead on the hot path.
     """
 
@@ -76,7 +76,7 @@ class Scheduler(Protocol):
         self, max_blocks: Optional[int] = None
     ) -> list[ScheduledBlock]:
         """Allocate up to ``max_blocks`` in one call (the sender's
-        lookahead fill pulls whole windows through this instead of
+        pipeline fill pulls each top-up through this instead of
         looping :meth:`next_block`)."""
 
     def rollback(self, blocks: Sequence[ScheduledBlock]) -> None:

@@ -15,14 +15,22 @@ it).  Three coordination concerns from the paper:
   self-limiting: the client would only ever measure the paced rate, and
   the estimate could never recover upward.  A user-configured bandwidth
   cap (§B.2) adds explicit ``size / cap`` spacing on top.
-* **Fetch-ahead** — the sender pulls a window of upcoming scheduled
-  blocks and issues backend fetches for them concurrently, so backend
-  latency (tens to hundreds of ms) overlaps transmission instead of
-  serializing with it.  The backend dedupes in-flight fetches.
+* **Fetch-ahead** — queue depth buys exactly one thing: backend fetches
+  issued early enough that their latency (tens to hundreds of ms)
+  overlaps transmission instead of serializing with it.  So the depth
+  follows demand.  While some queued request's response is not yet in
+  the backend cache the pipeline fills to ``lookahead``, issuing those
+  fetches concurrently (the backend dedupes in-flight ones); once
+  everything queued is cached it holds only :data:`READY_WINDOW` blocks,
+  topped up by one draw per send, so a send never waits on a draw and
+  nothing is drawn further ahead than the link will carry.  The draws
+  are the same ``schedule_batch`` stream either way — only how far
+  ahead of the wire it is read changes.
 * **Preemption** (§5.3.2) — when a new prediction arrives, the unsent
-  tail of the pipeline is handed back to the scheduler
+  pipeline is handed back to the scheduler
   (:meth:`GreedyScheduler.rollback`) and re-decided; blocks already on
-  the wire are not recalled.
+  the wire are not recalled.  Every block handed back was drawn for
+  nothing, which is what the short ready window keeps small.
 * **Backend throttle** (§5.4) — with a concurrency-limited backend, a
   :class:`~repro.backends.throttle.BackendThrottle` caps how many
   *distinct new* requests the pipeline may fetch at once; excess blocks
@@ -45,7 +53,12 @@ from repro.sim.bandwidth import HarmonicMeanEstimator
 from repro.clock import Clock
 from repro.sim.link import Link
 
-__all__ = ["Sender"]
+__all__ = ["Sender", "READY_WINDOW"]
+
+#: Pipeline depth while every queued response is already in the backend
+#: cache.  Refill-on-send keeps it topped up, so it only has to cover
+#: the sends between two pumps; ``lookahead`` below it still caps.
+READY_WINDOW = 4
 
 
 class Sender:
@@ -92,6 +105,12 @@ class Sender:
         # popleft / clear so _admit's "already holds a slot" membership
         # test is O(1) instead of an O(lookahead) scan.
         self._pipeline_counts: dict[int, int] = {}
+        # Queued requests still awaiting the backend: added when a block
+        # enters the pipeline uncached, dropped when its fetch completes
+        # (or the request leaves the pipeline), so the fill's depth rule
+        # is a truth test, not a scan per pump.
+        self._awaiting: set[int] = set()
+        self._ready_depth = min(lookahead, READY_WINDOW)
         self._next_send_time = 0.0
         self._send_scheduled = False
         self._idle_timer = None
@@ -129,6 +148,7 @@ class Sender:
         blocks = list(self._pipeline)
         self._pipeline.clear()
         self._pipeline_counts.clear()
+        self._awaiting.clear()
         return blocks
 
     def resume(self) -> None:
@@ -151,12 +171,14 @@ class Sender:
     # -- pipeline ------------------------------------------------------
 
     def _fill_pipeline(self) -> None:
-        """Pull a whole lookahead window in one scheduler call.
+        """Top the pipeline up to the depth the backend's state calls for.
 
-        ``schedule_batch`` draws the window on the scheduler's
-        vectorized fast path (bit-identical to a ``next_block`` loop),
-        so the per-block Python round-trip is paid once per window, not
-        once per block.
+        The target is ``lookahead`` while a queued request still awaits
+        the backend and the ready window otherwise; it is re-read after
+        every pull, so an uncached draw landing in a shallow pipeline
+        deepens it within the same call.  Each pull is one
+        ``schedule_batch`` (bit-identical to a ``next_block`` loop, so
+        how the stream is cut into pulls never changes it).
 
         Applies the §5.4 throttle: a block needing a *new* backend fetch
         is only admitted while backend slots remain; otherwise it — and
@@ -164,8 +186,11 @@ class Sender:
         rescheduling and the fill stops (the schedule is ordered —
         skipping ahead would reorder the stream).
         """
-        while len(self._pipeline) < self.lookahead:
-            want = self.lookahead - len(self._pipeline)
+        while True:
+            depth = self.lookahead if self._awaiting else self._ready_depth
+            want = depth - len(self._pipeline)
+            if want <= 0:
+                break
             if self.throttle is not None:
                 # A deferral rolls the window's tail back, and rollback
                 # cannot cross a batch reset (the reset clears the
@@ -203,6 +228,7 @@ class Sender:
             counts[block.request] = remaining
         else:
             del counts[block.request]
+            self._awaiting.discard(block.request)
         return block
 
     def _admit(self, block: ScheduledBlock) -> bool:
@@ -231,9 +257,11 @@ class Sender:
             # fetch(), which only sees uncached/in-flight requests).
             self.backend.stats.cache_hits += 1
             return
+        self._awaiting.add(request)
         self.backend.fetch(request, self._on_fetched)
 
-    def _on_fetched(self, _response: ProgressiveResponse) -> None:
+    def _on_fetched(self, response: ProgressiveResponse) -> None:
+        self._awaiting.discard(response.request)
         self._pump()
 
     def _pump(self) -> None:

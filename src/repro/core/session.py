@@ -62,6 +62,12 @@ class SessionConfig:
     prediction_interval_s: float = 0.150
     rate_report_interval_s: float = 0.150
     gamma: float = 1.0
+    #: Cap on the sender's pipeline depth, reached only while queued
+    #: blocks await backend fetches (depth is what overlaps fetch latency
+    #: with transmission).  With everything queued already in the backend
+    #: cache the sender holds just its short ready window
+    #: (:data:`repro.core.sender.READY_WINDOW`); a smaller value here
+    #: caps that too.
     lookahead: int = 32
     scheduler_seed: int = 0
     meta_request: bool = True

@@ -322,9 +322,11 @@ class GridLayout:
                 row_sum = 1.0
             residual[j] = 1.0 - row_sum
         if len(ids) == self.num_requests:
-            scale = probs.sum(axis=1, keepdims=True)
-            scale[scale == 0] = 1.0
-            probs = probs / scale
+            # No pool left to carry a residual: renormalize over the
+            # cells.  A horizon whose mass lies wholly off the layout
+            # carries no information — uniform, like an empty window.
+            probs[probs.sum(axis=1) == 0] = 1.0 / n
+            probs = probs / probs.sum(axis=1, keepdims=True)
             residual = np.zeros(k)
         return RequestDistribution(
             n=self.num_requests,

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.sender as sender_module
 from repro.backends import BackendThrottle, FileSystemBackend
 from repro.core import (
     GainTable,
@@ -24,15 +25,23 @@ def make_world(
     C=12,
     throttle_capacity=None,
     hedge=False,
+    lookahead=4,
+    warm=(),
+    backend_cls=FileSystemBackend,
+    mirrored=True,
 ):
     sim = Simulator()
     assets = {i: ImageAsset(image_id=i, size_bytes=nb * block) for i in range(n)}
     encoder = ProgressiveImageEncoder(assets, block_size_bytes=block)
-    backend = FileSystemBackend(sim, encoder, fetch_delay_s=fetch_delay)
+    backend = backend_cls(sim, encoder, fetch_delay_s=fetch_delay)
+    if warm:  # responses the backend already holds when the sender starts
+        for request in warm:
+            backend.fetch(request, lambda _response: None)
+        sim.run(until=fetch_delay + 1e-6)
     link = FixedRateLink(sim, bytes_per_second=bw)
     estimator = HarmonicMeanEstimator(bw)
     gains = GainTable(LinearUtility(), [nb] * n)
-    mirror = RingBufferCache(C)
+    mirror = RingBufferCache(C) if mirrored else None
     scheduler = GreedyScheduler(
         gains, cache_blocks=C, mirror=mirror, hedge_when_idle=hedge, seed=0
     )
@@ -51,9 +60,35 @@ def make_world(
         deliver=lambda b: received.append((b, sim.now)),
         mirror=mirror,
         throttle=throttle,
-        lookahead=4,
+        lookahead=lookahead,
     )
     return sim, scheduler, sender, backend, received, mirror
+
+
+class LoadedBackend(FileSystemBackend):
+    """A store that slows under concurrent reads: a fetch takes the base
+    delay plus a tenth of it per read already in flight, so a burst's
+    completions spread out in issue order instead of landing at once."""
+
+    def _delay_s(self, request):
+        return self.fetch_delay_s * (1.0 + 0.1 * self.active_requests)
+
+
+def track_depth(sender):
+    """Pipeline depth after every append (the fill's high-water marks)."""
+    depths = []
+    append = sender._append_pipeline
+
+    def tracked(block):
+        append(block)
+        depths.append(len(sender._pipeline))
+
+    sender._append_pipeline = tracked
+    return depths
+
+
+def sent(received):
+    return [(b.request, b.index) for b, t in received]
 
 
 class TestSending:
@@ -295,6 +330,170 @@ class TestPipelineCounts:
         # in-flight fetch holding the only slot; none were deferred.
         assert sender._pipeline_counts.get(2, 0) >= 2
         assert sender.blocks_deferred == 0
+
+
+class TestDemandSizedWindow:
+    """Depth follows cached-ness: ``lookahead`` only while a queued
+    request awaits the backend, :data:`READY_WINDOW` otherwise."""
+
+    READY = sender_module.READY_WINDOW
+
+    def test_cached_backend_sends_the_prefix_of_a_deep_fill(self):
+        """What reaches the wire is the head of the same draw stream a
+        ``lookahead``-deep fill reads — only the discarded tail differs."""
+        world = dict(n=16, nb=3, C=48, hedge=True, lookahead=32, warm=range(16))
+        sim, sched, sender, backend, received, _ = make_world(**world)
+        _, reference, *_ = make_world(**world)
+        dist = RequestDistribution.uniform(16)
+        for scheduler in (sched, reference):
+            scheduler.update_distribution(dist, 0.05)
+        deep_fill = [(b.request, b.index) for b in reference.schedule_batch(32)]
+
+        depths = track_depth(sender)
+        start = sim.now
+        sender.start()
+        sim.run(until=start + 0.5)  # ~10 sends at 50 ms per block
+        k = sender.blocks_sent
+        assert 8 <= k < 32
+        sender.stop()
+        sim.run(until=start + 1.0)  # land what is on the wire
+        assert sent(received) == deep_fill[:k]
+        assert max(depths) == self.READY
+        # The preemption hands back a ready window, not a lookahead.
+        unsent = sender.take_pipeline()
+        assert len(unsent) == self.READY
+        assert [(b.request, b.index) for b in unsent] == deep_fill[k : k + self.READY]
+        sched.rollback(unsent)
+        assert sched.position == k
+
+    def test_uncached_backend_matches_a_lookahead_deep_window(self, monkeypatch):
+        """Every draw a new request, its 75+ ms fetch outlasting the
+        50 ms between sends: something queued always awaits the backend,
+        the window stays at ``lookahead``, and sends and fetch-issue
+        times are those of a sender whose ready window *is*
+        ``lookahead``."""
+
+        def run(ready_window):
+            monkeypatch.setattr(sender_module, "READY_WINDOW", ready_window)
+            sim, sched, sender, backend, received, _ = make_world(
+                n=200, nb=1, C=200, fetch_delay=0.075, hedge=True, lookahead=8,
+                backend_cls=LoadedBackend,
+            )
+            issued = []
+            fetch = backend.fetch
+
+            def recording_fetch(request, on_complete):
+                issued.append((sim.now, request))
+                fetch(request, on_complete)
+
+            backend.fetch = recording_fetch
+            depths = track_depth(sender)
+            sched.update_distribution(RequestDistribution.uniform(200), 0.05)
+            sender.start()
+            sim.run(until=2.0)
+            return [(b.request, b.index, t) for b, t in received], issued, depths
+
+        got, got_issued, depths = run(self.READY)
+        want, want_issued, _ = run(8)
+        assert len(got) > 30
+        assert got == want
+        assert got_issued == want_issued
+        assert depths[:8] == list(range(1, 9))  # the opening fill ...
+        assert set(depths[8:]) == {8}  # ... and one refill per send after it
+
+    def test_uncached_draw_deepens_within_the_same_pump(self):
+        sim, sched, sender, backend, received, _ = make_world(
+            n=4, nb=20, C=60, fetch_delay=0.2, lookahead=16, warm=[0]
+        )
+        sched.update_distribution(RequestDistribution.point(4, 0), 0.05)
+        sender.start()
+        assert len(sender._pipeline) == self.READY
+        assert not sender._awaiting
+
+        sched.update_distribution(RequestDistribution.point(4, 1), 0.05)
+        sender.refresh()  # one _pump: shallow pull, uncached, deepen
+        assert len(sender._pipeline) == 16
+        assert sender._awaiting == {1}
+        assert backend.is_inflight(1)
+
+        # Once the fetch lands the deep queue drains without drawing,
+        # then rides the ready window again.
+        depths = track_depth(sender)
+        sim.run(until=sim.now + 1.5)
+        assert not sender._awaiting
+        assert len(sender._pipeline) <= self.READY
+        assert max(depths, default=0) <= self.READY
+
+    def test_awaiting_is_the_uncached_part_of_the_pipeline(self):
+        """The incrementally kept set equals the scan it replaces."""
+        sim, sched, sender, backend, received, _ = make_world(
+            n=12, nb=2, C=12, fetch_delay=0.12, hedge=True, lookahead=8, warm=[0, 1, 2]
+        )
+        sched.update_distribution(RequestDistribution.uniform(12), 0.05)
+        sender.start()
+        seen_deep = seen_shallow = False
+        for step in range(1, 120):
+            sim.run(until=0.12 + step * 0.013)
+            if step == 40:
+                sender.refresh()
+            queued = set(sender._pipeline_counts)
+            assert sender._awaiting == {r for r in queued if not backend.is_cached(r)}
+            seen_deep |= bool(sender._awaiting)
+            seen_shallow |= not sender._awaiting
+        assert seen_deep and seen_shallow
+
+    def test_throttle_deferral_rolls_back_from_a_shallow_window(self):
+        """§5.4 from the ready window: cached draws queue, the first
+        draw needing a slot is deferred with the rest of its pull, and
+        the scheduler's books still match the pipeline."""
+        sim, sched, sender, backend, received, _ = make_world(
+            n=8, nb=3, C=24, fetch_delay=5.0, throttle_capacity=1, hedge=True,
+            warm=[0, 1, 2, 3], lookahead=16,
+        )
+        sender.throttle = BackendThrottle(1, active=lambda: 1)  # a peer holds the slot
+        depths = track_depth(sender)
+        sched.update_distribution(RequestDistribution.uniform(8), 0.05)
+        sender.start()
+        for step in range(1, 60):
+            sim.run(until=5.0 + step * 0.01)
+            assert sum(sched._pending.values()) == len(sender._pipeline)
+        assert sender.blocks_deferred > 0
+        assert sender.blocks_sent > 0
+        assert {r for r, _ in sent(received)} <= {0, 1, 2, 3}
+        assert max(depths) <= self.READY
+
+    def test_shallow_window_survives_batch_reset_boundary(self):
+        """``C`` below the ready window, no mirror (per-batch counts
+        clear on reset), deferrals on a cached backend: no pull, hence
+        no rollback, may straddle a reset."""
+        C = 3
+        sim, sched, sender, backend, received, _ = make_world(
+            n=8, nb=3, C=C, fetch_delay=5.0, throttle_capacity=1, hedge=True,
+            warm=[0, 1, 2, 3], lookahead=8, mirrored=False,
+        )
+        sender.throttle = BackendThrottle(1, active=lambda: 1)  # a peer holds the slot
+        assert C < self.READY < sender.lookahead
+        depths = track_depth(sender)
+        sched.update_distribution(RequestDistribution.uniform(8), 0.05)
+        sender.start()
+        sim.run(until=8.0)  # rollback raises if a pull crossed a reset
+        assert sender.blocks_deferred > 0
+        assert sender.blocks_sent > 3 * C
+        assert max(depths) <= self.READY
+
+    @pytest.mark.parametrize("lookahead", [1, 2])
+    @pytest.mark.parametrize("fetch_delay", [0.0, 0.2])
+    def test_lookahead_below_the_ready_window_still_caps(self, lookahead, fetch_delay):
+        assert lookahead < self.READY
+        sim, sched, sender, backend, received, _ = make_world(
+            n=8, hedge=True, fetch_delay=fetch_delay, lookahead=lookahead
+        )
+        depths = track_depth(sender)
+        sched.update_distribution(RequestDistribution.uniform(8), 0.05)
+        sender.start()
+        sim.run(until=1.5)
+        assert sender.blocks_sent > 5
+        assert max(depths) == lookahead
 
 
 class TestValidation:

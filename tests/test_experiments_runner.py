@@ -225,6 +225,23 @@ class TestRunFleet:
         assert a.diagnostics == b.diagnostics
 
 
+    def test_default_drain_survives_a_trace_that_ends_mid_saccade(self):
+        """Trace 65 of this corpus stops while the pointer is moving; fed
+        no more samples the Kalman filter extrapolates off the 12x12
+        layout through the 3 s drain, its far horizons cover every cell
+        and its nearest one none — the decode must stay a distribution
+        (it raised "each horizon must sum to 1")."""
+        small = ImageExplorationApp(rows=12, cols=12)
+        generator = MouseTraceGenerator(small.layout, seed=2)
+        traces = [generator.generate(5.0, trace_id=i) for i in (64, 65)]
+        fleet_env = FleetEnvironment(
+            num_sessions=2, env=DEFAULT_ENV.with_bandwidth(2 * 500_000)
+        )
+        result = run_fleet(small, traces, fleet_env)  # drain_s left at its default
+        assert result.summary.num_sessions == 2
+        assert result.diagnostics["blocks_sent"] > 0
+
+
 class TestRunFleetChurn:
     @pytest.fixture(scope="class")
     def churn_result(self, app):

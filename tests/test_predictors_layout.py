@@ -125,6 +125,31 @@ class TestGridGaussianDistribution:
         )
         assert dist.dense_at(0.05).sum() == pytest.approx(1.0, abs=1e-6)
 
+    def test_off_layout_horizon_beside_an_all_cells_horizon_is_uniform(self):
+        """One horizon's window covers every cell (no pool, residual 0)
+        while another's mass lies wholly off the layout: that row used
+        to stay all-zero and fail the sums-to-1 check.  It carries no
+        information, so it reads uniform — on both decode paths."""
+        grid = GridLayout(12, 12, 20.0, 20.0)
+        means = [(600.0, 120.0), (1500.0, 120.0)]
+        stds = [(5.0, 5.0), (600.0, 600.0)]
+        deltas = [0.05, 0.5]
+        single = grid.gaussian_distribution(means, stds, deltas)
+        assert single.num_explicit == grid.num_requests
+        np.testing.assert_array_equal(single.residual, [0.0, 0.0])
+        np.testing.assert_allclose(single.dense_at(0.05), 1.0 / 144, rtol=1e-12)
+        assert single.dense_at(0.5).sum() == pytest.approx(1.0, abs=1e-9)
+        assert single.dense_at(0.5).max() > single.dense_at(0.5).min()
+
+        # A well-behaved neighbour state must not change the bytes.
+        neighbour = ([(100.0, 100.0), (110.0, 100.0)], [(10.0, 10.0), (40.0, 40.0)], ())
+        batch = grid.gaussian_distribution_batch(
+            [neighbour, (means, stds, ()), neighbour], deltas
+        )[1]
+        np.testing.assert_array_equal(batch.explicit_ids, single.explicit_ids)
+        assert batch.explicit_probs.tobytes() == single.explicit_probs.tobytes()
+        assert batch.residual.tobytes() == single.residual.tobytes()
+
     def test_mismatched_lengths_rejected(self):
         grid = self.make()
         with pytest.raises(ValueError):
