@@ -9,7 +9,7 @@ the working tree as it found it.  Scale is selected with
 ``REPRO_BENCH_SCALE``:
 
 * ``quick``   — smallest sweep that still exercises every code path;
-* ``default`` — the scale EXPERIMENTS.md records (a few minutes total);
+* ``default`` — the scale ``benchmarks/results/`` records (a few minutes total);
 * ``paper``   — the paper's full configuration (10k thumbnails,
   3-minute traces, 14 users; hours of simulation — not for CI).
 """

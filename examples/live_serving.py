@@ -129,7 +129,6 @@ def spawn_server(args) -> tuple[subprocess.Popen, int]:
         "--host", args.host, "--port", "0",
         "--scale", args.scale,
         "--predictor", args.predictor,
-        "--sampler", args.sampler,
     ]
     if args.disconnect_at > 0:
         # Server-side fault injection: abort this session's socket
@@ -193,8 +192,6 @@ def main(argv=None) -> int:
                         help="spawned server's grid scale (default: quick)")
     parser.add_argument("--predictor", default="kalman",
                         help="spawned server's predictor (default: kalman)")
-    parser.add_argument("--sampler", default="vectorized",
-                        help="spawned server's draw kernel (default: vectorized)")
     args = parser.parse_args(argv)
 
     if args.disconnect_at > 0 and not args.spawn_server:

@@ -242,12 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "shared-markov (default: kalman)",
     )
     serve.add_argument(
-        "--sampler",
-        default="vectorized",
-        help="greedy draw kernel: reference / vectorized / fenwick "
-        "(default: vectorized)",
-    )
-    serve.add_argument(
         "--bandwidth",
         type=float,
         default=None,
@@ -570,7 +564,6 @@ def _run_serve_command(args) -> int:
         rows=scale.rows,
         cols=scale.cols,
         predictor=args.predictor,
-        sampler=args.sampler,
         host=args.host,
         port=args.port,
         prior=prior,

@@ -24,44 +24,16 @@ tracking for the rest of the batch.  Disable with
 ``meta_request=False`` to measure the difference (the paper reports
 13× on its 10k-request benchmark).
 
-**Sampler modes.**  ``sampler`` selects how :meth:`schedule_batch`
-draws:
-
-* ``"reference"`` — the scalar Listing-1 loop (:meth:`next_block`),
-  re-deriving the per-draw weight vector from the pending/mirror
-  dictionaries every call.
-* ``"vectorized"`` (default) — the production fast path: per-request
-  block counts and next-block gains live in incrementally-maintained
-  numpy arrays (fed by allocations, ``on_sent`` confirmations,
-  rollbacks, and mirror evictions), so each draw is a handful of
-  vectorized kernels over the materialized requests.  Consumes the
-  same RNG stream as the reference and produces **bit-identical**
-  schedules at every seed — the scalar path is the specification the
-  fast path is property-tested against.
-* ``"fenwick"`` — sublinear draws via the **horizon forest**.  Every
-  slot's probability row is a convex combination of the distribution's
-  ``k`` horizon rows (:meth:`RequestDistribution.horizon_weights`), so
-  the whole remaining-batch matrix factors into ``k`` fixed
-  per-horizon mass vectors weighted by per-slot scalar coefficients
-  (their reverse cumulative sum).  The sampler therefore keeps one
-  Fenwick (binary indexed) tree per horizon over ``gain x per-horizon
-  mass`` — a forest of at most ``k`` trees, maintained by the same
-  allocation / ``on_sent`` / rollback / mirror-evict hooks that feed
-  the gain arrays, and rebuilt lazily on the first draw after a
-  distribution swap — and answers *every* draw, head and tail alike,
-  with one O(k log m) prefix descent over the coefficient-weighted
-  trees plus one O(k log m) point update.  Past the last horizon only
-  one coefficient survives, so tail draws degenerate to the single
-  tree of PR 4; trees whose horizon has expired (no remaining slot
-  references it) skip their point updates.  No draw ever falls back to
-  the O(m) vectorized kernel — ``draw_counts`` records which kernel
-  served each draw so tests can assert exactly that.  **RNG-stream
-  tradeoff**: the forest consumes uniforms against differently-rounded
-  totals than the cumsum path, so fenwick schedules are
-  *statistically* equivalent (chi-squared-tested per-draw frequencies
-  for head and tail draws, utility within epsilon on the Fig. 16/17
-  workloads) but not bit-identical to the other two modes — pick it
-  for throughput, not for replaying golden schedules.
+**Draw kernels.**  :meth:`GreedyScheduler.next_block` is the scalar
+Listing-1 specification, re-deriving the per-draw weight vector from
+the pending/mirror dictionaries on every call.
+:meth:`GreedyScheduler.schedule_batch` is the production kernel — block
+counts and next-block gains live in incrementally-maintained numpy
+arrays (fed by allocations, ``on_sent`` confirmations, rollbacks, and
+mirror evictions) — and it consumes the same RNG stream, so its
+schedules are **bit-identical** to the specification's at every seed,
+which is what the scalar path is kept to property-test (DESIGN.md,
+*Draw kernels: why two*).
 
 Deviation from Listing 1, documented in DESIGN.md §5: the pseudocode
 resets per-request block counts ``B`` to zero every batch and ignores
@@ -83,10 +55,7 @@ from .cache import RingBufferCache
 from .distribution import RequestDistribution
 from .scheduler import GainTable, ScheduledBlock
 
-__all__ = ["GreedyScheduler", "probability_matrices", "SAMPLER_MODES"]
-
-#: Valid ``GreedyScheduler(sampler=...)`` values (see module docstring).
-SAMPLER_MODES = ("reference", "vectorized", "fenwick")
+__all__ = ["GreedyScheduler", "probability_matrices"]
 
 
 def probability_matrices(
@@ -152,10 +121,6 @@ class GreedyScheduler:
         uniformly random incomplete requests instead of idling — §3.4:
         "use the remaining bandwidth to push random images for the
         client to cache".
-    sampler:
-        Which draw kernel :meth:`schedule_batch` uses — one of
-        :data:`SAMPLER_MODES` (see the module docstring for the
-        bit-identical vs statistically-equivalent contract).
     seed:
         Sampling is stochastic (Listing 1 line 17); fixed seed for
         reproducibility.
@@ -169,17 +134,12 @@ class GreedyScheduler:
         mirror: Optional[RingBufferCache] = None,
         meta_request: bool = True,
         hedge_when_idle: bool = True,
-        sampler: str = "vectorized",
         seed: int = 0,
     ) -> None:
         if cache_blocks < 1:
             raise ValueError("cache must hold at least one block")
         if not 0 <= gamma <= 1:
             raise ValueError("gamma must lie in [0, 1]")
-        if sampler not in SAMPLER_MODES:
-            raise ValueError(f"sampler {sampler!r} not in {SAMPLER_MODES}")
-        self.sampler = sampler
-        self._fenwick = sampler == "fenwick"
         self.gains = gains
         self.C = cache_blocks
         self.gamma = gamma
@@ -215,35 +175,6 @@ class GreedyScheduler:
         self._cbuf = np.empty(0)
         self._mlen = 0
         self._pos_of: dict[int, int] = {}
-        # Horizon-forest state (inert unless sampler == "fenwick"): one
-        # Fenwick tree per prediction horizon over gain x per-horizon
-        # mass, the per-slot coefficient rows that combine them, and
-        # per-horizon expiry slots past which a tree skips updates.
-        # Rebuilt lazily (on the first draw after `_forest_dirty`).
-        self._fen_trees: list[list[float]] = []
-        self._fen_leaves: list[list[float]] = []
-        self._fen_base: list[list[float]] = []
-        self._fen_totals: list[float] = []
-        self._fen_size = 0
-        self._uni_h: list[float] = []
-        self._slot_pairs: list[tuple] = []
-        self._slot_uni: list[float] = []
-        self._live_pairs: tuple = ()
-        self._forest_dirty = True
-        self._tail_start = 0
-        # Tail fast path: once every non-final horizon has expired the
-        # active set is a single tree for the rest of the epoch, so the
-        # per-draw pair indirection is hoisted into direct references.
-        self._tail_mode = False
-        self._tail_h = -1
-        self._tail_tree: list[float] = []
-        self._tail_leaves: list[float] = []
-        self._tail_base: list[float] = []
-        self._tail_uni = 0.0
-        #: Draws served per kernel ("reference" scalar loop, "vectorized"
-        #: cumsum kernel, "forest" Fenwick descent) — lets tests assert
-        #: the fenwick mode never falls back to an O(m) draw.
-        self.draw_counts = {"reference": 0, "vectorized": 0, "forest": 0}
         if mirror is not None:
             mirror.add_evict_listener(self._on_mirror_evict)
         self._recompute_probabilities()
@@ -314,7 +245,6 @@ class GreedyScheduler:
         """
         if self._t >= self.C:
             self._reset_batch()
-        self.draw_counts["reference"] += 1
         ids = self._all_ids()
         weights = self._utility_gains(ids)
         meta_weight = self._meta_weight()
@@ -342,29 +272,22 @@ class GreedyScheduler:
     def schedule_batch(self, max_blocks: Optional[int] = None) -> list[ScheduledBlock]:
         """Allocate up to ``max_blocks`` (default: the rest of the batch).
 
-        This is Listing 1's inner loop with ``bs = max_blocks``, drawn
-        through the configured ``sampler`` kernel.  On the default
-        vectorized path the weight vector's gain factor is materialized
-        once per distribution epoch and only the sampled request's
-        entry changes between draws, so each allocation costs a few
-        numpy kernels over the materialized requests instead of a
-        Python walk over the pending/mirror dicts; the fenwick path
-        drops even that to O(log m) for tail draws.  The sender's
-        lookahead fill and the standalone micro-benchmarks (Fig. 16)
-        call it directly.
+        This is Listing 1's inner loop with ``bs = max_blocks``.  The
+        weight vector's gain factor is materialized once per
+        distribution epoch and only the sampled request's entry changes
+        between draws, so each allocation costs a few numpy kernels
+        over the materialized requests instead of :meth:`next_block`'s
+        Python walk over the pending/mirror dicts — with the same RNG
+        consumption, hence the same schedule.  The sender's lookahead
+        fill and the standalone micro-benchmarks (Fig. 16) call it
+        directly.
         """
         limit = self.C - self._t if max_blocks is None else max_blocks
-        if self._fenwick:
-            draw = self._next_block_fenwick
-        elif self.sampler == "reference":
-            draw = self.next_block
-        else:
-            draw = self._next_block_fast
         out: list[ScheduledBlock] = []
         while len(out) < limit:
             if self._t >= self.C:
                 self._reset_batch()
-            block = draw()
+            block = self._next_block_fast()
             if block is None:
                 break
             out.append(block)
@@ -534,11 +457,6 @@ class GreedyScheduler:
                     count=mlen,
                 )
             self._gain[:mlen] = self.gains.gain_vector(ids[:mlen], self._have[:mlen])
-        if self._fenwick:
-            # Lazy: the forest (trees, slot coefficients, expiries) is
-            # rebuilt on the first draw that needs it, so back-to-back
-            # distribution swaps with no draws in between pay nothing.
-            self._forest_dirty = True
 
     def _refresh_entry(self, request: int) -> None:
         """Re-derive one materialized request's block count and gain."""
@@ -548,8 +466,6 @@ class GreedyScheduler:
         effective = self._effective_blocks(request)
         self._have[pos] = effective
         self._gain[pos] = self.gains.gain(request, effective)
-        if self._fenwick:
-            self._fen_update(pos)
 
     def _on_mirror_evict(self, request: Optional[int]) -> None:
         """Mirror replaced a live block: that request's prefix may have
@@ -589,7 +505,6 @@ class GreedyScheduler:
         lengths, same elementwise kernels, same RNG consumption) so the
         sampled schedule is bit-identical to the scalar path.
         """
-        self.draw_counts["vectorized"] += 1
         t = min(self._t, self.C - 1)
         m = len(self._ids)
         mlen = self._mlen
@@ -614,322 +529,6 @@ class GreedyScheduler:
         np.cumsum(wv, out=cv)
         pos = int(np.searchsorted(cv, u, side="right"))
         if pos < mlen:
-            request = int(self._mat_ids[pos])
-        else:
-            request = self._sample_uniform_request()
-            if request is None:
-                return None
-            self._promote(request)
-        return self._allocate(request)
-
-    # -- horizon-forest sampler -------------------------------------------
-    #
-    # Every slot's probability row is a convex combination of the k
-    # horizon rows (``RequestDistribution.horizon_weights``), so the
-    # remaining-batch mass ``Pmat[t] = sum_h A[t, h] * probs[h]`` where
-    # ``A`` is the reverse cumulative sum of the per-slot coefficient
-    # rows (discounted by gamma like the matrices themselves).  One
-    # Fenwick tree per horizon over ``gain x probs[h]`` therefore
-    # answers *any* slot's draw: the per-request weight at slot t is the
-    # coefficient-weighted sum of the trees' leaves, prefix sums add,
-    # and a descent over the combined node values finds the sampled
-    # leaf in O(k log m).  Past the last horizon a single coefficient
-    # survives and — since only proportions matter to the draw — it is
-    # dropped entirely, recovering PR 4's one-tree tail arithmetic.
-    # The trees live in plain Python lists: descents index them
-    # scalar-by-scalar, where list access is several times cheaper than
-    # numpy scalar indexing.
-
-    def _forest_build(self) -> None:
-        """(Re)build trees, slot coefficients, and expiries — O(k(m + C))."""
-        self._forest_dirty = False
-        self._tail_mode = False
-        dist = self._dist
-        C, t0 = self.C, self._t
-        k = len(dist.deltas_s)
-        m, mlen = len(self._ids), self._mlen
-        pool = self.gains.n - m
-        uni = dist.residual / pool if pool > 0 else np.zeros(k)
-        self._uni_h = uni.tolist()
-        gain = self._gain[:mlen]
-        trees: list[list[float]] = []
-        leaves: list[list[float]] = []
-        base_rows: list[list[float]] = []
-        totals: list[float] = []
-        idx = np.arange(1, mlen + 1)
-        low = idx - (idx & -idx)
-        row = np.empty(mlen)
-        for h in range(k):
-            row[:m] = dist.explicit_probs[h]
-            if mlen > m:
-                row[m:] = uni[h]
-            base_rows.append(row.tolist())
-            values = gain * row
-            prefix = np.concatenate(([0.0], np.cumsum(values)))
-            trees.append([0.0] + (prefix[idx] - prefix[low]).tolist())
-            leaves.append(values.tolist())
-            totals.append(float(prefix[mlen]))
-        self._fen_trees = trees
-        self._fen_leaves = leaves
-        self._fen_base = base_rows
-        self._fen_totals = totals
-        self._fen_size = mlen
-        rem = C - t0
-        if rem <= 0:
-            self._slot_pairs = [()] * max(C, 1)
-            self._slot_uni = [0.0] * max(C, 1)
-            self._live_pairs = ()
-            self._tail_start = C
-            return
-        offsets = (np.arange(t0, C) - t0 + 1) * self._slot_duration_s
-        coeff = dist.horizon_weights(offsets)
-        if self.gamma < 1.0:
-            coeff = coeff * (self.gamma ** np.arange(t0, C))[:, None]
-        A = np.zeros((C, k))
-        A[t0:] = np.cumsum(coeff[::-1], axis=0)[::-1]
-        # Per-slot active (horizon, coefficient) pairs plus the slot's
-        # uniform-request probability, built once per epoch so a draw is
-        # pure lookups.  Because the coefficients are suffix sums, a
-        # horizon is in slot t's pairs iff some slot >= t references it
-        # — the pairs double as the point-update live set.  Single-pair
-        # slots drop the common coefficient (only proportions matter),
-        # which recovers PR 4's raw one-tree tail arithmetic.
-        uni_list = self._uni_h
-        pairs_list: list[tuple] = [()] * C
-        slot_uni = [0.0] * C
-        for t, row in enumerate(A[t0:].tolist(), start=t0):
-            pairs = tuple((h, c) for h, c in enumerate(row) if c > 0.0)
-            pairs_list[t] = pairs
-            if len(pairs) == 1:
-                slot_uni[t] = uni_list[pairs[0][0]]
-            else:
-                slot_uni[t] = sum(c * uni_list[h] for h, c in pairs)
-        self._slot_pairs = pairs_list
-        self._slot_uni = slot_uni
-        self._live_pairs = pairs_list[min(t0, C - 1)]
-        _head, tail = dist.clamp_split(offsets)
-        self._tail_start = t0 + tail
-
-    def _fen_prefix(self, h: int, i: int) -> float:
-        tree = self._fen_trees[h]
-        s = 0.0
-        while i > 0:
-            s += tree[i]
-            i -= i & -i
-        return s
-
-    def _fen_update(self, pos: int) -> None:
-        """Refresh leaf ``pos`` in every live tree, O(k log m).
-
-        ``_live_pairs`` is the last drawn slot's active set: a horizon
-        appears in ``_slot_pairs[t]`` iff some slot ``>= t`` still
-        references it (the coefficients are suffix sums), and ``t`` is
-        nondecreasing between rebuilds, so the set is always a superset
-        of every later slot's — expired trees go stale safely (their
-        coefficient is exactly zero wherever they would be read).  Tail
-        slots therefore pay a single-tree update, like PR 4.
-        """
-        if self._forest_dirty or pos >= self._fen_size:
-            return
-        g = float(self._gain[pos])
-        n = self._fen_size
-        i0 = pos + 1
-        if self._tail_mode:
-            # Single live tree with hoisted references: PR 4's raw
-            # one-tree update, no pair iteration or forest indexing.
-            value = g * self._tail_base[pos]
-            leaves = self._tail_leaves
-            delta = value - leaves[pos]
-            if delta == 0.0:
-                return
-            leaves[pos] = value
-            tree = self._tail_tree
-            i = i0
-            while i <= n:
-                tree[i] += delta
-                i += i & -i
-            self._fen_totals[self._tail_h] += delta
-            return
-        for h, _c in self._live_pairs:
-            value = g * self._fen_base[h][pos]
-            leaves = self._fen_leaves[h]
-            delta = value - leaves[pos]
-            if delta == 0.0:
-                continue
-            leaves[pos] = value
-            tree = self._fen_trees[h]
-            i = i0
-            while i <= n:
-                tree[i] += delta
-                i += i & -i
-            self._fen_totals[h] += delta
-
-    def _fen_append(self, h: int, value: float) -> None:
-        """Append a leaf to tree ``h`` at index ``_fen_size + 1``.
-
-        The caller bumps ``_fen_size`` once after appending to every
-        tree (leaf counts must stay aligned across the forest).
-        """
-        i = self._fen_size + 1
-        low = i & -i
-        s = value
-        if low > 1:
-            # Node i covers leaves (i-low, i]; fold in the ones that
-            # already exist.
-            s += self._fen_prefix(h, i - 1) - self._fen_prefix(h, i - low)
-        self._fen_trees[h].append(s)
-        self._fen_leaves[h].append(value)
-        self._fen_totals[h] += value
-
-    def _forest_sample(self, u: float, pairs: list[tuple[int, float]]) -> int:
-        """Leaf index (0-based) whose combined prefix interval holds ``u``.
-
-        ``pairs`` is the slot's active ``(horizon, coefficient)`` list;
-        node values are the coefficient-weighted sums across trees.
-        Returns ``_fen_size`` when ``u`` lies at or beyond the true
-        prefix sum — the separately-accumulated totals can drift a few
-        ULP above it, and such a draw must fall through to the meta
-        branch exactly as the cumsum kernel's ``searchsorted`` overshoot
-        does (clamping it to the last leaf could allocate a block for a
-        zero-weight, fully-cached request).
-        """
-        trees = self._fen_trees
-        n = self._fen_size
-        pos = 0
-        bit = 1 << (n.bit_length() - 1)
-        if len(pairs) == 1:
-            # Tail (or single-horizon) slots: one live tree, and the
-            # caller already dropped the common coefficient.
-            tree = trees[pairs[0][0]]
-            while bit:
-                nxt = pos + bit
-                if nxt <= n and tree[nxt] <= u:
-                    u -= tree[nxt]
-                    pos = nxt
-                bit >>= 1
-            return pos
-        while bit:
-            nxt = pos + bit
-            if nxt <= n:
-                s = 0.0
-                for h, c in pairs:
-                    s += c * trees[h][nxt]
-                if s <= u:
-                    u -= s
-                    pos = nxt
-            bit >>= 1
-        return pos
-
-    def _enter_tail(self, t: int) -> None:
-        """Hoist the tail's single live tree into direct references.
-
-        ``_t`` is nondecreasing between rebuilds, so once a draw lands
-        at or past ``_tail_start`` every later draw of the epoch does
-        too: the slot's pair set is the final horizon alone (with its
-        common coefficient already dropped) and its uniform probability
-        is constant.  Caching them turns each remaining draw and point
-        update into PR 4's single-tree arithmetic — same totals, same
-        descent, identical RNG consumption — with zero per-draw
-        indirection through ``_slot_pairs``/``_live_pairs``.
-        """
-        pairs = self._slot_pairs[t]
-        if len(pairs) != 1:  # defensive: tail slots always have one pair
-            return
-        self._live_pairs = pairs
-        h = pairs[0][0]
-        self._tail_h = h
-        self._tail_tree = self._fen_trees[h]
-        self._tail_leaves = self._fen_leaves[h]
-        self._tail_base = self._fen_base[h]
-        self._tail_uni = self._slot_uni[t]
-        self._tail_mode = True
-
-    def _next_block_fenwick_tail(self) -> Optional[ScheduledBlock]:
-        """Tail-epoch draw: one tree, no coefficient pairs (PR 4 path)."""
-        self.draw_counts["forest"] += 1
-        gains = self.gains
-        total_explicit = self._fen_totals[self._tail_h]
-        meta_weight = 0.0
-        if self.meta_request:
-            n_meta = gains.n - len(self._ids) - len(self._promoted)
-            if n_meta > 0:
-                meta_weight = self._tail_uni * n_meta * gains.mean_first_gain
-        total = total_explicit + meta_weight
-        if total <= 1e-15:
-            if not self.hedge_when_idle:
-                return None
-            request = self._sample_incomplete_request()
-            if request is None:
-                return None
-            return self._allocate(request)
-        u = self._rng.random() * total
-        n = self._fen_size
-        pos = n
-        if u < total_explicit and n:
-            tree = self._tail_tree
-            pos = 0
-            bit = 1 << (n.bit_length() - 1)
-            while bit:
-                nxt = pos + bit
-                if nxt <= n and tree[nxt] <= u:
-                    u -= tree[nxt]
-                    pos = nxt
-                bit >>= 1
-        if pos < n:
-            request = int(self._mat_ids[pos])
-        else:
-            request = self._sample_uniform_request()
-            if request is None:
-                return None
-            self._promote(request)
-        return self._allocate(request)
-
-    def _next_block_fenwick(self) -> Optional[ScheduledBlock]:
-        """One draw via the horizon forest — head and tail alike.
-
-        Statistically equivalent to :meth:`next_block` — each draw
-        samples the same per-request weight proportions — but consumes
-        the RNG stream against differently-rounded totals, so the
-        realized schedule differs (see the module docstring).
-        """
-        if self._forest_dirty:
-            self._forest_build()
-        if self._tail_mode:
-            return self._next_block_fenwick_tail()
-        t = min(self._t, self.C - 1)
-        if t >= self._tail_start:
-            self._enter_tail(t)
-            if self._tail_mode:
-                return self._next_block_fenwick_tail()
-        self.draw_counts["forest"] += 1
-        pairs = self._slot_pairs[t]
-        self._live_pairs = pairs
-        totals = self._fen_totals
-        uni_prob = self._slot_uni[t]
-        if len(pairs) == 1:
-            total_explicit = totals[pairs[0][0]]
-        else:
-            total_explicit = 0.0
-            for h, c in pairs:
-                total_explicit += c * totals[h]
-        meta_weight = 0.0
-        if self.meta_request:
-            n_meta = self._num_uniform()
-            if n_meta > 0:
-                meta_weight = uni_prob * n_meta * self.gains.mean_first_gain
-        total = total_explicit + meta_weight
-        if total <= 1e-15:
-            if not self.hedge_when_idle:
-                return None
-            request = self._sample_incomplete_request()
-            if request is None:
-                return None
-            return self._allocate(request)
-        u = self._rng.random() * total
-        pos = self._fen_size
-        if u < total_explicit and self._fen_size:
-            pos = self._forest_sample(u, pairs)
-        if pos < self._fen_size:
             request = int(self._mat_ids[pos])
         else:
             request = self._sample_uniform_request()
@@ -988,12 +587,6 @@ class GreedyScheduler:
         self._gain[i] = self.gains.gain(request, effective)
         self._pos_of[request] = i
         self._mlen += 1
-        if self._fenwick and not self._forest_dirty:
-            g = float(self._gain[i])
-            for h, uni in enumerate(self._uni_h):
-                self._fen_base[h].append(uni)
-                self._fen_append(h, g * uni)
-            self._fen_size += 1
 
     def _sample_incomplete_request(self) -> Optional[int]:
         """Random request that still has unsent blocks (idle hedging)."""
@@ -1014,8 +607,6 @@ class GreedyScheduler:
         if pos is not None:
             self._have[pos] = index + 1
             self._gain[pos] = self.gains.gain(request, index + 1)
-            if self._fenwick:
-                self._fen_update(pos)
         self._t += 1
         self.blocks_allocated += 1
         return ScheduledBlock(request=request, index=index)

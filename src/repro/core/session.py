@@ -71,11 +71,6 @@ class SessionConfig:
     lookahead: int = 32
     scheduler_seed: int = 0
     meta_request: bool = True
-    #: Greedy draw kernel: "reference" | "vectorized" | "fenwick" (see
-    #: :data:`repro.core.greedy.SAMPLER_MODES`).  The default keeps the
-    #: bit-identical-schedules contract; "fenwick" trades that for
-    #: O(log m) draws (statistically equivalent schedules).
-    sampler: str = "vectorized"
     initial_bandwidth_bytes_per_s: float = 1_000_000.0
     bandwidth_cap_bytes_per_s: Optional[float] = None
     backend_concurrency: Optional[int] = None
@@ -121,7 +116,6 @@ class KhameleonSession:
             gamma=cfg.gamma,
             mirror=self.mirror,
             meta_request=cfg.meta_request,
-            sampler=cfg.sampler,
             seed=cfg.scheduler_seed,
         )
         self.estimator = HarmonicMeanEstimator(

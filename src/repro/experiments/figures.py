@@ -7,8 +7,8 @@ plots (list of dicts), and the benchmark harness prints them with
 Scale: the paper's full configuration (10k thumbnails, 3-minute traces,
 14 users) takes hours in a pure-Python simulator, so every driver takes
 an :class:`ImageExperimentScale` whose defaults are a reduced — but
-structurally identical — configuration.  EXPERIMENTS.md records results
-at the scales used.
+structurally identical — configuration.  ``benchmarks/results/`` records
+the tables at the scales used.
 """
 
 from __future__ import annotations

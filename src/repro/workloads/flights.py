@@ -81,7 +81,8 @@ class FlightsDataset:
     The paper's scales are ``small`` (1M rows) and ``big`` (7M); the
     benchmark harness uses row counts reduced by a constant factor —
     latency is simulated from the paper's measurements either way, so
-    only in-process histogram cost changes (EXPERIMENTS.md).
+    only in-process histogram cost changes (the scales run are in
+    ``benchmarks/results/fig14_falcon.txt``).
     """
 
     SMALL_ROWS = 1_000_000

@@ -85,7 +85,9 @@ class ImageExplorationApp:
     rows, cols:
         Mosaic dimensions.  The paper's full scale is 100 × 100; the
         benchmark harness defaults to a reduced grid so sweeps finish
-        in CI time (EXPERIMENTS.md records both scales).
+        in CI time (``benchmarks/results/`` holds the reduced-scale
+        tables; the ``single10k_kalman`` workload README reports runs
+        the full grid).
     cell_px:
         Thumbnail edge length in pixels (drives mouse→request mapping).
     block_bytes:

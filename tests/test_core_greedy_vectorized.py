@@ -1,6 +1,6 @@
 """Vectorized scheduling core: equivalence and regression tests.
 
-Three guarantees from the perf refactor are pinned here:
+Four guarantees from the perf refactor are pinned here:
 
 1. ``GreedyScheduler.schedule_batch`` (the incremental-gain fast path)
    produces **bit-identical** schedules to a ``next_block`` loop (the
@@ -14,12 +14,16 @@ Three guarantees from the perf refactor are pinned here:
 3. The vectorized ``expected_utility`` and
    ``RequestDistribution.explicit_matrix`` agree with their scalar
    references.
+4. ``schedule_batch(1)`` first-draw frequencies match the reference
+   weight vector (chi-squared over repeated draw/rollback trials), for
+   slots past the last prediction horizon and for interpolated ones.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.core import (
     GainTable,
@@ -103,6 +107,48 @@ def test_bit_identity_under_mirror_evictions():
         fast = drive(30, seed + 1, 16, seed, True, True, use_fast=True, mirror_cap=5)
         slow = drive(30, seed + 1, 16, seed, True, True, use_fast=False, mirror_cap=5)
         assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "deltas, seed",
+    [
+        # One 50 ms horizon: every slot is clamped past it (all tail).
+        pytest.param((0.05,), 11, id="tail"),
+        # Last horizon past the batch end: every slot is interpolated.
+        pytest.param((0.05, 0.25), 13, id="head"),
+    ],
+)
+def test_first_draw_frequencies_match_reference_weights(deltas, seed):
+    """Chi-squared: ``schedule_batch(1)`` samples request ``i`` with
+    probability proportional to the reference weight ``P_0[i] · g_i``
+    (explicit ids, plus one bucket for the meta-request)."""
+    n, explicit, residual, trials = 60, 10, 0.2, 4000
+    rng = np.random.default_rng(2)
+    ids = np.sort(rng.choice(n, size=explicit, replace=False)).astype(np.int64)
+    raw = rng.random((len(deltas), explicit)) + 0.05
+    dist = RequestDistribution(
+        n=n,
+        deltas_s=np.asarray(deltas, dtype=float),
+        explicit_ids=ids,
+        explicit_probs=(1.0 - residual) * raw / raw.sum(axis=1, keepdims=True),
+        residual=np.full(len(deltas), residual),
+    )
+    gains = GainTable(LinearUtility(), [3] * n)
+    sched = GreedyScheduler(gains, cache_blocks=24, seed=seed)
+    sched.update_distribution(dist, 0.01)
+    weights = np.concatenate(
+        [sched._Pmat[0, :explicit] * sched._gain[:explicit], [sched._meta_weight()]]
+    )
+    bucket = {int(r): i for i, r in enumerate(ids)}
+    counts = np.zeros(len(weights))
+    for _ in range(trials):
+        batch = sched.schedule_batch(1)
+        assert len(batch) == 1
+        counts[bucket.get(batch[0].request, explicit)] += 1
+        sched.rollback(batch)
+    expected = trials * weights / weights.sum()
+    assert (expected > 5).all()  # chi-squared validity
+    assert stats.chisquare(counts, expected).pvalue > 1e-3
 
 
 class TestGoldenSchedules:
