@@ -13,6 +13,10 @@ Measures the hot paths the vectorized scheduling core owns:
   short-slot workload (1 ms slots against the 4 paper horizons) where
   *every* draw lands before the last prediction horizon, so the
   interpolated head rows are gated as well as the clamped tail;
+* ``kalman_observe_us`` — microseconds per mouse sample through the
+  client's Kalman filter over a fixed 1k-sample trace.  The filter is
+  a few dozen scalar operations per sample; per-sample matrix algebra
+  costs 40x that, which the 2x gate catches;
 * ``fleet_tick_N<N>`` — mean wall time per 150 ms fleet prediction
   interval for a batched static fleet at N in {8, 32} sessions
   (prediction collect + stacked recompute + the scheduling it
@@ -45,9 +49,9 @@ Measures the hot paths the vectorized scheduling core owns:
   row widths, cohorts of sessions walking a common tour): the wall
   time spent in ``decode_state`` / the stacked ``_batch_decode`` pass,
   which is the stage ``batched_decode`` owns.  Decode is one layer of
-  several in a whole tick (on the ``bench/`` fleet workload: Kalman
-  observe, the stacked matrices, decode, then the draw loop — the
-  senders redraw only a short ready window after a preemption, not a
+  several in a whole tick (on the ``bench/`` fleet workload: the
+  stacked matrices, the draw loop, decode, then the senders — which
+  redraw only a short ready window after a preemption, not a
   ``lookahead`` of blocks), so this metric isolates the decode stage
   the same way ``greedy_draws_*`` isolates the draw loop.
 
@@ -60,7 +64,9 @@ the only tracked perf JSON is the committed baseline,
 ``--update-baseline`` rewrites.  Raw milliseconds are emitted for
 humans; the regression gate compares *normalized* scores (metric / a
 fixed numpy probe measured on the same machine) so the committed
-baseline transfers across hardware.
+baseline transfers across hardware.  The ``metrics_ms`` section holds
+milliseconds except for keys ending ``_us`` (microseconds) and ``_x``
+(ratios).
 
 Usage::
 
@@ -102,6 +108,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 GREEDY_CASES = [(1_000, 100), (1_000, 500), (10_000, 100), (10_000, 500)]
 #: The acceptance cell for the draws-only metrics.
 DRAWS_CASE = (10_000, 500)
+KALMAN_SAMPLES = 1_000
 #: Slot durations for the tail-dominated (Fig. 16) and head-dominated
 #: draws-only workloads.  At 1 ms slots every offset in a 500-block
 #: batch stays below the 0.5 s final horizon: all draws are head draws.
@@ -225,6 +232,26 @@ def _draws_only(slot_s: float) -> float:
     return best
 
 
+def bench_kalman_observe() -> dict[str, float]:
+    """Per-sample cost of the client predictor's filter."""
+    from repro.predictors.kalman import ConstantVelocityKalman
+    from repro.workloads.image_app import ImageExplorationApp
+    from repro.workloads.mouse import MouseTraceGenerator
+
+    app = ImageExplorationApp(rows=12, cols=12)
+    events = MouseTraceGenerator(app.layout, seed=100).generate(duration_s=10.0).events
+    samples = [(e.time_s, e.x, e.y) for e in events[:KALMAN_SAMPLES]]
+    assert len(samples) == KALMAN_SAMPLES
+    best = float("inf")
+    for _ in range(REPEATS):
+        kf = ConstantVelocityKalman()
+        start = time.perf_counter()
+        for t, x, y in samples:
+            kf.observe(t, x, y)
+        best = min(best, time.perf_counter() - start)
+    return {"kalman_observe_us": best / KALMAN_SAMPLES * 1e6}
+
+
 def _tick_cost(app, traces, env) -> float:
     from repro.experiments.runner import run_fleet
 
@@ -329,8 +356,8 @@ def _markov_fleet_fixtures():
 def bench_fleet_markov(batched_decode: bool) -> dict[str, float]:
     """Predictor-decode work per tick for the shared-Markov fleet.
 
-    Wraps ``decode_state`` and the service's stacked collect/decode
-    hooks with wall-clock accumulation: the metric is exactly the
+    Wraps ``decode_state`` and the service's stacked decode hook with
+    wall-clock accumulation: the metric is exactly the
     stage ``batched_decode`` owns, on a workload whose cohort overlap
     and pre-warmed crowd rows resemble a long-lived fleet.
     """
@@ -351,7 +378,6 @@ def bench_fleet_markov(batched_decode: bool) -> dict[str, float]:
     targets = [
         (KhameleonServer, "decode_state"),
         (FleetScheduleService, "_batch_decode"),
-        (FleetScheduleService, "_batch_states"),
     ]
     saved = [(c, name, getattr(c, name)) for c, name in targets]
 
@@ -567,6 +593,7 @@ def alloc_probe() -> dict[str, float]:
 def measure(batched_decode: bool = True, shards: int = 2) -> dict:
     probe = machine_probe_ms()
     metrics = bench_greedy()
+    metrics.update(bench_kalman_observe())
     metrics.update(bench_fleet_tick(batched_decode))
     metrics.update(bench_fleet_sharded(shards))
     metrics.update(bench_fleet_checkpoint(shards))
@@ -678,8 +705,9 @@ def main() -> int:
         if key.endswith("_x"):
             print(f"  {key:<34} {result['metrics_ms'][key]:8.3f} x")
         else:
+            unit = "us" if key.endswith("_us") else "ms"
             print(
-                f"  {key:<34} {result['metrics_ms'][key]:8.2f} ms   "
+                f"  {key:<34} {result['metrics_ms'][key]:8.2f} {unit}   "
                 f"(normalized {result['normalized'][key]:.3f})"
             )
     print(f"wrote {RESULT_PATH}")

@@ -19,10 +19,6 @@ from repro.clock import Clock
 
 __all__ = ["PredictorManager"]
 
-#: Distinguishes "no precomputed state supplied" from a predictor that
-#: legitimately returned ``None``.
-_COMPUTE = object()
-
 
 class PredictorManager:
     """Periodic state shipper wrapping a client predictor component.
@@ -33,12 +29,10 @@ class PredictorManager:
     Under a fleet, the coalesced prediction tick
     (:class:`~repro.fleet.schedule_service.FleetScheduleService`)
     replaces the periodic task (``autostart=False``) and drives
-    :meth:`poll` itself — optionally handing in a state produced by a
-    stacked per-family pass (the Kalman extrapolation batch) — so the
-    dedup and accounting stay per-session here no matter which path
-    computed the state.  One manager exists per live session and is
-    polled every 150 ms; ``__slots__`` keeps the fleet's N-session
-    footprint flat.
+    :meth:`poll` itself, so the snapshot, dedup and accounting stay
+    per-session here whoever owns the cadence.  One manager exists per
+    live session and is polled every 150 ms; ``__slots__`` keeps the
+    fleet's N-session footprint flat.
     """
 
     __slots__ = (
@@ -87,19 +81,15 @@ class PredictorManager:
         """Forward an issued request to the predictor."""
         self.client_predictor.observe_request(self.sim.now, request)
 
-    def poll(self, state: Any = _COMPUTE) -> Any:
+    def poll(self) -> Any:
         """The state that should ship now, or None (unchanged / not ready).
 
-        Does everything one periodic tick does — snapshot, dedup
-        against the last shipped state, accounting — except the actual
-        send, so an external driver can transport the state itself.
-        ``state`` lets that driver supply a precomputed snapshot (the
-        fleet's stacked predictor pass); it must equal what
-        ``client_predictor.state(sim.now)`` would return, so the dedup
-        and accounting semantics are unchanged.
+        Does everything one periodic tick does — snapshot
+        (``client_predictor.state(sim.now)``), dedup against the last
+        shipped state, accounting — except the actual send, so an
+        external driver can transport the state itself.
         """
-        if state is _COMPUTE:
-            state = self.client_predictor.state(self.sim.now)
+        state = self.client_predictor.state(self.sim.now)
         if state is None:
             return None
         if not self.send_unchanged and state == self._last_state:

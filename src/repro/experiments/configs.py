@@ -123,8 +123,8 @@ class FleetEnvironment:
     weighted_backend: bool = False
     batched_prediction: bool = True
     #: Batch the predictor decode inside the coalesced prediction tick
-    #: (stacked Kalman extrapolation + truncated-Gaussian passes, and
-    #: one pass per Markov / shared-chain group, instead of N
+    #: (one truncated-Gaussian pass per Kalman layout and one pass
+    #: per Markov / shared-chain group, instead of N
     #: per-session loops).  Byte-identical distributions; see
     #: :class:`repro.fleet.FleetConfig`.
     batched_decode: bool = True

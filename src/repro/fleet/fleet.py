@@ -92,16 +92,15 @@ class FleetConfig:
         for static fleets, one sim event per tick instead of N).  Set
         False to fall back to per-session periodic ticks.
     batched_decode:
-        Within the coalesced tick, also batch the predictor stack —
-        every stock family: one stacked ``(N·k, 4)`` Kalman state
-        extrapolation at collect time plus one truncated-Gaussian
-        block-mass pass per layout at apply time, and one
-        ``decode_batch`` pass per Markov / shared-chain group (chain
-        rows gathered once per version, crowd blends vectorized, cold
-        sessions sharing distributions) — instead of N per-session
-        predict/decode loops (default True — byte-identical
-        distributions; custom or subclassed predictors fall back per
-        session).  Ignored when ``batched_prediction`` is off.
+        Within the coalesced tick, also batch the server-side decode —
+        every stock family: one truncated-Gaussian block-mass pass per
+        Kalman layout, and one ``decode_batch`` pass per Markov /
+        shared-chain group (chain rows gathered once per version, crowd
+        blends vectorized, cold sessions sharing distributions) —
+        instead of N per-session decode loops (default True —
+        byte-identical distributions; custom or subclassed predictors
+        fall back per session).  Ignored when ``batched_prediction`` is
+        off.
     arrival:
         The session arrival/departure process.  ``None`` (or any
         :class:`ArrivalConfig` whose ``is_static`` holds) is the

@@ -12,7 +12,9 @@ scheduling cost (the ROADMAP's "scheduler-side scaling" item).
 
 * **one tick event** polls every registered session's predictor
   manager (:meth:`~repro.core.predictor_manager.PredictorManager.poll`
-  keeps the dedup and accounting semantics), and
+  takes the snapshot and keeps the dedup and accounting semantics —
+  nothing is stacked on the client side: the Kalman snapshot is scalar
+  arithmetic, cheaper per session than any batch that gathers it), and
 * **one apply event** per uplink latency class preempts the affected
   senders, decodes every changed session's state in one stacked pass
   per predictor family (Kalman truncated-Gaussian block masses, Markov
@@ -30,6 +32,10 @@ same elementwise blend/discount/cumsum arithmetic, just stacked along
 a session axis (padded to the widest explicit set; the zero padding
 and the zeroed rows past each session's remaining slots drop out of
 the reverse cumulative sum exactly).
+
+``batched_decode`` governs the decode step of the apply event only
+(stacked per family vs ``server.decode_state`` per session); the tick
+event and the stacked matrices are the same either way.
 
 Timing semantics vs the per-session path: states are still collected
 on the prediction interval and applied one uplink latency later, so a
@@ -184,45 +190,35 @@ class FleetScheduleService:
         self.interval_s = interval_s
         self.batched_decode = batched_decode
         self._sessions: list["KhameleonSession"] = []
-        # session -> (batchable-collect, decode family) where the decode
-        # family is "kalman" | "markov" | "shared" | None, classified
-        # once at registration (exact types only — a subclass may
-        # override state()/decode(), and the stacked passes would
+        # session -> decode family, "kalman" | "markov" | "shared" |
+        # None, classified once at registration (exact types only — a
+        # subclass may override decode(), and the stacked passes would
         # silently bypass that) so the per-tick loops do no type scans.
-        self._families: dict["KhameleonSession", tuple[bool, Optional[str]]] = {}
+        self._families: dict["KhameleonSession", Optional[str]] = {}
         self._task = sim.every(interval_s, self._tick)
         self.ticks = 0
         self.states_collected = 0
         self.batched_recomputes = 0
         self.sessions_recomputed = 0
-        self.predict_batches = 0
         self.decode_batches = 0
 
     # -- membership ----------------------------------------------------
 
     @staticmethod
-    def _classify(session: "KhameleonSession") -> tuple[bool, Optional[str]]:
-        """Which stacked collect/decode passes (if any) serve a session."""
-        from repro.predictors.kalman import (
-            KalmanClientPredictor,
-            KalmanServerPredictor,
-        )
+    def _classify(session: "KhameleonSession") -> Optional[str]:
+        """Which stacked decode pass (if any) serves a session."""
+        from repro.predictors.kalman import KalmanServerPredictor
         from repro.predictors.markov import MarkovServerPredictor
         from repro.predictors.shared import SharedMarkovServerPredictor
 
-        collect = (
-            type(session.predictor_manager.client_predictor)
-            is KalmanClientPredictor
-        )
         sp = session.server.predictor_server
-        decode: Optional[str] = None
         if type(sp) is KalmanServerPredictor:
-            decode = "kalman"
-        elif type(sp) is MarkovServerPredictor:
-            decode = "markov"
-        elif type(sp) is SharedMarkovServerPredictor:
-            decode = "shared"
-        return collect, decode
+            return "kalman"
+        if type(sp) is MarkovServerPredictor:
+            return "markov"
+        if type(sp) is SharedMarkovServerPredictor:
+            return "shared"
+        return None
 
     def register(self, session: "KhameleonSession") -> None:
         if session not in self._sessions:
@@ -249,7 +245,6 @@ class FleetScheduleService:
             "batched_recomputes": self.batched_recomputes,
             "sessions_recomputed": self.sessions_recomputed,
             "batched_decode": self.batched_decode,
-            "predict_batches": self.predict_batches,
             "decode_batches": self.decode_batches,
         }
 
@@ -260,22 +255,18 @@ class FleetScheduleService:
 
         Grouping by uplink latency preserves per-session delivery
         timing while keeping one apply event per latency class (a
-        homogeneous fleet has exactly one).  With ``batched_decode``,
-        Kalman sessions' per-horizon state snapshots are produced by
-        one stacked :func:`~repro.predictors.kalman.predict_gaussians`
-        pass instead of N per-session predict loops (bit-identical
-        states; each manager still owns its dedup/accounting via
-        :meth:`~repro.core.predictor_manager.PredictorManager.poll`).
+        homogeneous fleet has exactly one).  Each manager's
+        :meth:`~repro.core.predictor_manager.PredictorManager.poll`
+        takes its own snapshot: a Kalman state is a few dozen scalar
+        operations per horizon, less than stacking it with its
+        neighbours' would cost.
         """
         self.ticks += 1
-        live = [s for s in list(self._sessions) if s.active]
-        precomputed = self._batch_states(live) if self.batched_decode else {}
         by_latency: dict[float, list] = {}
-        for session in live:
-            if session in precomputed:
-                state = session.predictor_manager.poll(state=precomputed[session])
-            else:
-                state = session.predictor_manager.poll()
+        for session in list(self._sessions):
+            if not session.active:
+                continue
+            state = session.predictor_manager.poll()
             if state is None:
                 continue
             self.states_collected += 1
@@ -284,20 +275,6 @@ class FleetScheduleService:
             )
         for latency in sorted(by_latency):
             self.sim.schedule(latency, self._apply, by_latency[latency])
-
-    def _batch_states(self, sessions: list) -> dict:
-        """Stacked Kalman state snapshots for every batchable session."""
-        families = self._families
-        kalman = [s for s in sessions if families.get(s, (False, None))[0]]
-        if not kalman:
-            return {}
-        from repro.predictors.kalman import KalmanClientPredictor
-
-        states = KalmanClientPredictor.batch_states(
-            [s.predictor_manager.client_predictor for s in kalman], self.sim.now
-        )
-        self.predict_batches += 1
-        return dict(zip(kalman, states))
 
     def _apply(self, group: list) -> None:
         """Server side of the batch: decode, preempt, recompute, resume.
@@ -368,7 +345,7 @@ class FleetScheduleService:
         for session, state in group:
             if not session.active:
                 continue
-            family = families.get(session, (False, None))[1]
+            family = families.get(session)
             sp = session.server.predictor_server
             if family == "kalman":
                 key = (id(sp.layout), sp.truncate_sigmas, session.server.deltas_s)

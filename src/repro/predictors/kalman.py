@@ -12,10 +12,17 @@ little.
 
 The filter is *anytime*: prediction to an arbitrary future time is a
 closed-form extrapolation that doesn't mutate filter state.
+
+It is also *cheap*, as a predictor that runs on every mouse sample
+must be: the model's structure (see :class:`ConstantVelocityKalman`)
+reduces the 4×4 matrix recursion to seven floats and a few dozen
+scalar operations, with no numpy call per sample and none per shipped
+horizon.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
@@ -32,56 +39,9 @@ __all__ = [
     "KalmanServerPredictor",
     "KalmanState",
     "make_kalman_predictor",
-    "predict_gaussians",
 ]
 
 Layout = Union[GridLayout, ChartLayout]
-
-
-def predict_gaussians(
-    xs: np.ndarray, Ps: np.ndarray, dts: np.ndarray, qs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked constant-velocity extrapolation (pure).
-
-    ``xs`` is ``(N, 4)`` state vectors ``[x, y, vx, vy]``, ``Ps`` the
-    matching ``(N, 4, 4)`` covariances, ``dts`` non-negative horizons
-    and ``qs`` per-row white-acceleration intensities.  Returns
-    ``(means, covs)`` of shapes ``(N, 4)`` / ``(N, 4, 4)``.
-
-    The transition ``F(dt)`` only mixes position with velocity, so
-    ``F x`` and ``F P F^T + Q(dt)`` are written in closed form with
-    elementwise numpy ops.  Elementwise kernels compute each output
-    independently of the batch shape, so a row of an ``N``-row call is
-    **bit-identical** to the same row passed alone — the property that
-    lets the fleet's one-pass predictor tick replace per-session
-    :meth:`ConstantVelocityKalman.predict_at` calls without perturbing
-    a single schedule.
-    """
-    dts = np.asarray(dts, dtype=float)
-    dcol = dts[:, None]
-    means = np.array(xs, dtype=float, copy=True)
-    means[:, 0] += dts * xs[:, 2]
-    means[:, 1] += dts * xs[:, 3]
-    # A = F P: row 0 += dt * row 2, row 1 += dt * row 3.
-    A = np.array(Ps, dtype=float, copy=True)
-    A[:, 0, :] += dcol * Ps[:, 2, :]
-    A[:, 1, :] += dcol * Ps[:, 3, :]
-    # C = A F^T: col 0 += dt * col 2, col 1 += dt * col 3.
-    covs = A.copy()
-    covs[:, :, 0] += dcol * A[:, :, 2]
-    covs[:, :, 1] += dcol * A[:, :, 3]
-    # Discretized white-acceleration noise (zero where dt == 0, so the
-    # "skip Q at dt = 0" special case needs no branch).
-    q2 = np.asarray(qs, dtype=float) ** 2
-    d4 = dts**4 / 4.0 * q2
-    d3 = dts**3 / 2.0 * q2
-    d2 = dts**2 * q2
-    for axis in (0, 1):
-        covs[:, axis, axis] += d4
-        covs[:, axis, axis + 2] += d3
-        covs[:, axis + 2, axis] += d3
-        covs[:, axis + 2, axis + 2] += d2
-    return means, covs
 
 
 @dataclass(frozen=True)
@@ -111,7 +71,57 @@ class ConstantVelocityKalman:
     State vector ``[x, y, vx, vy]``; observations are positions.
     ``process_noise`` is the white-acceleration intensity (px/s²),
     ``measurement_noise`` the per-axis observation stddev (px).
+
+    **Why three covariance numbers suffice.**  Order the state as
+    ``(x, vx | y, vy)``.  The transition ``F(dt)`` moves each position
+    by ``dt`` times *its own* velocity, the process noise ``Q(dt)`` is
+    the same 2×2 white-acceleration block on each axis, ``H`` reads the
+    two positions, ``R = r² I`` and the initial ``P`` is
+    ``diag(position_var, velocity_var)`` on each axis.  Every one of
+    those is block-diagonal with two *equal* 2×2 blocks, and predict
+    (``F P Fᵀ + Q``) and update (``(I − K H) P`` with
+    ``K = P Hᵀ (H P Hᵀ + R)⁻¹``) keep it so: the axes never couple and
+    their blocks stay equal, because the covariance recursion never
+    sees a measurement.  The whole 4×4 ``P`` is therefore one symmetric
+    block ``[[p_pp, p_pv], [p_pv, p_vv]]`` — three floats — and the
+    filter is those plus the four state floats.
+
+    **One sample** (:meth:`observe`), per axis, with ``q² = q·q``:
+
+    * predict over ``dt``: ``x += dt·vx`` and, writing
+      ``a = p_pv + dt·p_vv`` (the off-diagonal of ``F P``),
+      ``p_pp ← (p_pp + dt·p_pv) + dt·a + q²·dt⁴/4``,
+      ``p_pv ← a + q²·dt³/2``, ``p_vv ← p_vv + q²·dt²``;
+    * update with innovation ``e = z − x``: the innovation covariance
+      ``S = H P Hᵀ + R`` is ``s·I`` with ``s = p_pp + r²``, so the gain
+      is ``k_p = p_pp / s``, ``k_v = p_pv / s`` (computed as one
+      reciprocal and two products, the way ``P Hᵀ S⁻¹`` rounds in the
+      matrix form); the state moves by ``x += k_p·e``, ``vx += k_v·e``,
+      and ``(I − K H) P`` reads ``p_pp ← (1 − k_p)·p_pp``,
+      ``p_vv ← p_vv − k_v·p_pv``, with the off-diagonal coming out
+      twice — ``(1 − k_p)·p_pv`` from the position row and
+      ``p_pv − k_v·p_pp`` from the velocity row;
+    * symmetrize: the two are equal in exact arithmetic (both are
+      ``p_pv − p_pp·p_pv / s``) and differ by rounding, so their mean
+      is stored — what ``½ (P + Pᵀ)`` does in the matrix form, which
+      keeps the recursion from drifting off the symmetric PSD cone.
+
+    The matrix form lives on as the oracle in
+    ``tests/test_predictors_kalman.py``.
     """
+
+    __slots__ = (
+        "q",
+        "r",
+        "_last_t",
+        "_x",
+        "_y",
+        "_vx",
+        "_vy",
+        "_pp",
+        "_pv",
+        "_vv",
+    )
 
     def __init__(
         self,
@@ -122,87 +132,86 @@ class ConstantVelocityKalman:
     ) -> None:
         self.q = process_noise
         self.r = measurement_noise
-        self._x: Optional[np.ndarray] = None
-        self._P = np.diag(
-            [initial_position_var, initial_position_var, initial_velocity_var, initial_velocity_var]
-        ).astype(float)
-        self._init_P = self._P.copy()
         self._last_t: Optional[float] = None
-        self._H = np.zeros((2, 4))
-        self._H[0, 0] = self._H[1, 1] = 1.0
-        self._R = np.eye(2) * measurement_noise**2
+        self._x = self._y = self._vx = self._vy = 0.0
+        self._pp = float(initial_position_var)
+        self._pv = 0.0
+        self._vv = float(initial_velocity_var)
 
     @property
     def initialized(self) -> bool:
-        return self._x is not None
-
-    @staticmethod
-    def _F(dt: float) -> np.ndarray:
-        F = np.eye(4)
-        F[0, 2] = F[1, 3] = dt
-        return F
-
-    def _Q(self, dt: float) -> np.ndarray:
-        # Discretized white-acceleration model (per axis):
-        # [[dt^4/4, dt^3/2], [dt^3/2, dt^2]] * q^2
-        q2 = self.q**2
-        d4, d3, d2 = dt**4 / 4.0, dt**3 / 2.0, dt**2
-        Q = np.zeros((4, 4))
-        for axis in (0, 1):
-            Q[axis, axis] = d4 * q2
-            Q[axis, axis + 2] = Q[axis + 2, axis] = d3 * q2
-            Q[axis + 2, axis + 2] = d2 * q2
-        return Q
+        return self._last_t is not None
 
     def observe(self, time_s: float, x: float, y: float) -> None:
         """Fold one position sample into the filter."""
-        z = np.array([x, y], dtype=float)
-        if self._x is None:
-            self._x = np.array([x, y, 0.0, 0.0])
-            self._P = self._init_P.copy()
-            self._last_t = time_s
-            # First measurement collapses position uncertainty.
-            self._update(z)
-            return
-        dt = max(0.0, time_s - self._last_t)
-        if dt > 0:
-            F = self._F(dt)
-            self._x = F @ self._x
-            self._P = F @ self._P @ F.T + self._Q(dt)
+        if self._last_t is None:
+            # Anchored on the sample, under the initial covariance: the
+            # update below collapses the position uncertainty.
+            px, py, vx, vy = float(x), float(y), 0.0, 0.0
+            pp, pv, vv = self._pp, self._pv, self._vv
+        else:
+            px, py, vx, vy, pp, pv, vv = self._extrapolate(time_s)
         self._last_t = time_s
-        self._update(z)
+        inv_s = 1.0 / (pp + self.r * self.r)
+        k_p = pp * inv_s
+        k_v = pv * inv_s
+        ex = x - px
+        ey = y - py
+        self._x = px + k_p * ex
+        self._y = py + k_p * ey
+        self._vx = vx + k_v * ex
+        self._vy = vy + k_v * ey
+        self._pp = (1.0 - k_p) * pp
+        self._pv = 0.5 * ((1.0 - k_p) * pv + (pv - k_v * pp))
+        self._vv = vv - k_v * pv
 
-    def _update(self, z: np.ndarray) -> None:
-        H, R = self._H, self._R
-        y = z - H @ self._x
-        S = H @ self._P @ H.T + R
-        K = self._P @ H.T @ np.linalg.inv(S)
-        self._x = self._x + K @ y
-        self._P = (np.eye(4) - K @ H) @ self._P
-        # Symmetrize to keep the covariance numerically PSD.
-        self._P = 0.5 * (self._P + self._P.T)
+    def _extrapolate(self, time_s: float) -> tuple[float, ...]:
+        """``(x, y, vx, vy, p_pp, p_pv, p_vv)`` at absolute ``time_s`` (pure).
+
+        The predict step; at or before the last sample (``dt = 0``)
+        every term it adds is zero and it returns the filter's own
+        state.
+        """
+        last_t = self._last_t
+        if last_t is None:
+            raise RuntimeError("filter has no observations yet")
+        dt = max(0.0, time_s - last_t)
+        q2 = self.q * self.q
+        vx, vy, pv, vv = self._vx, self._vy, self._pv, self._vv
+        a = pv + dt * vv
+        return (
+            self._x + dt * vx,
+            self._y + dt * vy,
+            vx,
+            vy,
+            (self._pp + dt * pv) + dt * a + dt**4 / 4.0 * q2,
+            a + dt**3 / 2.0 * q2,
+            vv + dt**2 * q2,
+        )
 
     def predict_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
         """Predicted (mean, covariance) at absolute ``time_s`` (pure).
 
-        Delegates to :func:`predict_gaussians` with a batch of one, so
-        a per-filter call and the fleet's stacked pass produce the same
-        floats bit-for-bit.
+        ``mean`` is ``[x, y, vx, vy]`` and ``covariance`` the 4×4 in
+        that order: the shared per-axis block laid out twice, cross-axis
+        terms exactly zero.
         """
-        if self._x is None:
-            raise RuntimeError("filter has no observations yet")
-        dt = max(0.0, time_s - self._last_t)
-        means, covs = predict_gaussians(
-            self._x[None, :], self._P[None, :, :], np.array([dt]), np.array([self.q])
-        )
-        return means[0], covs[0]
+        x, y, vx, vy, pp, pv, vv = self._extrapolate(time_s)
+        cov = np.zeros((4, 4))
+        cov[0, 0] = cov[1, 1] = pp
+        cov[0, 2] = cov[2, 0] = cov[1, 3] = cov[3, 1] = pv
+        cov[2, 2] = cov[3, 3] = vv
+        return np.array([x, y, vx, vy]), cov
 
 
 class KalmanClientPredictor(ClientPredictor):
     """Client half: runs the filter, emits :class:`KalmanState`.
 
     ``uniform_after_s`` marks horizons at or beyond that offset as
-    uniform (paper default: the 500 ms horizon).
+    uniform (paper default: the 500 ms horizon).  ``filter_factory`` is
+    an extension point: any object with ``observe`` / ``predict_at`` /
+    ``initialized`` works, subclasses of :class:`ConstantVelocityKalman`
+    included.
     """
 
     def __init__(
@@ -221,86 +230,30 @@ class KalmanClientPredictor(ClientPredictor):
 
     def state(self, time_s: float) -> Optional[KalmanState]:
         """Per-horizon Gaussians; None before any mouse sample."""
-        if not self.filter.initialized:
+        f = self.filter
+        if not f.initialized:
             return None
-        means, stds, uniform = [], [], []
-        for delta in self.deltas_s:
-            mean, cov = self.filter.predict_at(time_s + delta)
-            means.append((float(mean[0]), float(mean[1])))
-            stds.append(
-                (float(np.sqrt(max(cov[0, 0], 0.0))), float(np.sqrt(max(cov[1, 1], 0.0))))
-            )
-            uniform.append(delta >= self.uniform_after_s)
-        return KalmanState(tuple(means), tuple(stds), tuple(uniform))
+        means, stds = [], []
+        # Exact type check: a subclass may override the dynamics, and
+        # reading the stock filter's scalars would silently bypass that.
+        if type(f) is ConstantVelocityKalman:
+            for delta in self.deltas_s:
+                x, y, _vx, _vy, pp, _pv, _vv = f._extrapolate(time_s + delta)
+                std = math.sqrt(max(pp, 0.0))
+                means.append((x, y))
+                stds.append((std, std))
+        else:
+            for delta in self.deltas_s:
+                mean, cov = f.predict_at(time_s + delta)
+                means.append((float(mean[0]), float(mean[1])))
+                stds.append(
+                    (math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0)))
+                )
+        uniform = tuple(delta >= self.uniform_after_s for delta in self.deltas_s)
+        return KalmanState(tuple(means), tuple(stds), uniform)
 
     def state_size_bytes(self, state: Any) -> int:
         return state.size_bytes if isinstance(state, KalmanState) else 1
-
-    @staticmethod
-    def batch_states(
-        clients: Sequence["KalmanClientPredictor"], time_s: float
-    ) -> list[Optional[KalmanState]]:
-        """:meth:`state` for many predictors in one stacked pass.
-
-        All clients' ``(x, P)`` pairs are stacked into ``(N*k, 4)`` /
-        ``(N*k, 4, 4)`` arrays (one row per client x horizon) and
-        extrapolated with a single :func:`predict_gaussians` call —
-        the fleet tick's replacement for N separate per-horizon
-        ``predict_at`` loops.  Results are **bit-identical** to calling
-        each client's :meth:`state` (same elementwise kernels, same
-        float conversions).  Clients with a custom (non
-        :class:`ConstantVelocityKalman`) filter fall back to their own
-        :meth:`state`; uninitialized filters yield ``None``.
-        """
-        out: list[Optional[KalmanState]] = [None] * len(clients)
-        rows: list[tuple[int, "KalmanClientPredictor"]] = []
-        for i, client in enumerate(clients):
-            f = client.filter
-            # Exact type check: a subclass may override the dynamics
-            # (filter_factory is a public extension point), and the
-            # stacked kernel would silently bypass that override.
-            if type(f) is not ConstantVelocityKalman:
-                out[i] = client.state(time_s)
-            elif f.initialized:
-                rows.append((i, client))
-        if not rows:
-            return out
-        ks = [len(c.deltas_s) for _i, c in rows]
-        xs = np.concatenate(
-            [np.broadcast_to(c.filter._x, (k, 4)) for (_i, c), k in zip(rows, ks)]
-        )
-        Ps = np.concatenate(
-            [np.broadcast_to(c.filter._P, (k, 4, 4)) for (_i, c), k in zip(rows, ks)]
-        )
-        dts = np.concatenate(
-            [
-                np.array(
-                    [max(0.0, time_s + d - c.filter._last_t) for d in c.deltas_s]
-                )
-                for _i, c in rows
-            ]
-        )
-        qs = np.concatenate(
-            [np.full(k, c.filter.q) for (_i, c), k in zip(rows, ks)]
-        )
-        means_all, covs_all = predict_gaussians(xs, Ps, dts, qs)
-        start = 0
-        for (i, client), k in zip(rows, ks):
-            means, stds, uniform = [], [], []
-            for j, delta in enumerate(client.deltas_s):
-                mean = means_all[start + j]
-                cov = covs_all[start + j]
-                means.append((float(mean[0]), float(mean[1])))
-                stds.append(
-                    (
-                        float(np.sqrt(max(cov[0, 0], 0.0))),
-                        float(np.sqrt(max(cov[1, 1], 0.0))),
-                    )
-                )
-                uniform.append(delta >= client.uniform_after_s)
-            out[i] = KalmanState(tuple(means), tuple(stds), tuple(uniform))
-            start += k
-        return out
 
 
 class KalmanServerPredictor(ServerPredictor):

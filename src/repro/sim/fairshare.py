@@ -168,6 +168,10 @@ class SharedDownlink:
         self._vtime = 0.0
         self._wire_wait = None  # pending dispatch event, if any
         self._observed_rate: Optional[float] = None
+        # Total weight of the backlogged ports, or None when a port's
+        # backlog has crossed zero (or the port set changed) since it
+        # was last summed; see _backlogged_weight.
+        self._backlogged_total: Optional[float] = None
         self.payloads_dispatched = 0
         self.ports_opened = 0
         self.ports_retired = 0
@@ -177,6 +181,7 @@ class SharedDownlink:
         """Create a new session port with the given fair-share weight."""
         port = FairSharePort(self, weight, label or f"port{self.ports_opened}")
         self.ports.append(port)
+        self._backlogged_total = None
         self.ports_opened += 1
         return port
 
@@ -184,6 +189,7 @@ class SharedDownlink:
         """Remove a closed port from arbitration (its backlog is gone)."""
         if port in self.ports:
             self.ports.remove(port)
+        self._backlogged_total = None
         self.ports_retired += 1
         self.bytes_dropped += port.bytes_dropped
 
@@ -201,7 +207,14 @@ class SharedDownlink:
     # -- arbiter internals ---------------------------------------------
 
     def _backlogged_weight(self, include: Optional[FairSharePort] = None) -> float:
-        total = sum(p.weight for p in self.ports if p._queued_bytes > 0)
+        # Senders ask once per block (queue_delay), the set of
+        # backlogged ports changes far less often: keep the sum, and
+        # re-add in port order so it is the same float every time.
+        total = self._backlogged_total
+        if total is None:
+            total = self._backlogged_total = sum(
+                p.weight for p in self.ports if p._queued_bytes > 0
+            )
         if include is not None and include._queued_bytes == 0:
             total += include.weight
         return total if total > 0 else (include.weight if include else 1.0)
@@ -212,6 +225,8 @@ class SharedDownlink:
         tag = max(self._vtime, port._last_tag) + nbytes / port.weight
         port._last_tag = tag
         port._queue.append(_QueuedPayload(nbytes, deliver, payload, tag))
+        if port._queued_bytes == 0:
+            self._backlogged_total = None
         port._queued_bytes += nbytes
         self._dispatch()
 
@@ -232,6 +247,8 @@ class SharedDownlink:
         port = min(candidates, key=lambda p: p._queue[0].finish_tag)
         item = port._queue.popleft()
         port._queued_bytes -= item.nbytes
+        if port._queued_bytes == 0:
+            self._backlogged_total = None
         self._vtime = max(self._vtime, item.finish_tag)
         self.link.send(item.nbytes, self._deliver, (port, item))
         self.payloads_dispatched += 1

@@ -1,11 +1,12 @@
-"""Fleet-batched Kalman predict/decode: byte-identity and plumbing.
+"""Fleet-batched Kalman decode: byte-identity and plumbing.
 
-The coalesced prediction tick can additionally batch the *predictor*
-work: one stacked state extrapolation
-(:func:`~repro.predictors.kalman.predict_gaussians`) at collect time
-and one truncated-Gaussian block-mass pass per layout at apply time.
+The coalesced prediction tick batches the *server-side* predictor
+work: one truncated-Gaussian block-mass pass per layout at apply time.
 The contract is byte-identity — flipping ``batched_decode`` must not
-change a single probability, matrix, schedule, or metric.
+change a single probability, matrix, schedule, or metric.  The client
+side is not batched: each session's :meth:`KalmanClientPredictor.state`
+is scalar arithmetic on the stock filter and a ``predict_at`` loop on
+any other, and the two must produce the same state.
 """
 
 import numpy as np
@@ -15,9 +16,10 @@ from repro.experiments.configs import DEFAULT_ENV, FleetEnvironment
 from repro.experiments.runner import run_fleet
 from repro.predictors import GridLayout, MouseEvent
 from repro.predictors.kalman import (
+    ConstantVelocityKalman,
     KalmanClientPredictor,
     KalmanServerPredictor,
-    predict_gaussians,
+    KalmanState,
 )
 from repro.predictors.layout import BoundingBox, ChartLayout
 from repro.workloads.image_app import ImageExplorationApp
@@ -26,11 +28,11 @@ from repro.workloads.mouse import MouseTraceGenerator
 DELTAS = (0.05, 0.15, 0.25, 0.5)
 
 
-def driven_clients(num, samples=25, seed=0):
+def driven_clients(num, samples=25, seed=0, filter_factory=ConstantVelocityKalman):
     rng = np.random.default_rng(seed)
     clients = []
     for i in range(num):
-        client = KalmanClientPredictor(deltas_s=DELTAS)
+        client = KalmanClientPredictor(deltas_s=DELTAS, filter_factory=filter_factory)
         for j in range(int(rng.integers(2, samples))):
             client.observe_event(
                 j * 0.02,
@@ -40,75 +42,121 @@ def driven_clients(num, samples=25, seed=0):
     return clients
 
 
+class StoppingKalman(ConstantVelocityKalman):
+    """Overrides the dynamics: the pointer stays where it was last seen."""
+
+    def predict_at(self, time_s):
+        return super().predict_at(self._last_t)
+
+
 class TestPredictGaussians:
+    """The per-horizon Gaussians :meth:`KalmanClientPredictor.state` ships."""
+
     def test_matches_scalar_predict_at_bitwise(self):
-        """A row of an N-row call equals the same row passed alone —
-        the property the fleet's stacked predictor pass rests on."""
-        clients = driven_clients(10, seed=3)
-        xs = np.stack([c.filter._x for c in clients])
-        Ps = np.stack([c.filter._P for c in clients])
-        dts = np.linspace(0.0, 0.6, len(clients))
-        qs = np.array([c.filter.q for c in clients])
-        means, covs = predict_gaussians(xs, Ps, dts, qs)
-        for i, c in enumerate(clients):
-            mean_1, cov_1 = predict_gaussians(
-                xs[i : i + 1], Ps[i : i + 1], dts[i : i + 1], qs[i : i + 1]
-            )
-            np.testing.assert_array_equal(means[i], mean_1[0])
-            np.testing.assert_array_equal(covs[i], cov_1[0])
-            # predict_at routes through the same kernel: identical at
-            # the dt it derives from an absolute timestamp.
-            t_abs = c.filter._last_t + dts[i]
-            dt_rt = max(0.0, t_abs - c.filter._last_t)
-            mean_rt, cov_rt = predict_gaussians(
-                xs[i : i + 1], Ps[i : i + 1], np.array([dt_rt]), qs[i : i + 1]
-            )
-            mean_s, cov_s = c.filter.predict_at(t_abs)
-            np.testing.assert_array_equal(mean_rt[0], mean_s)
-            np.testing.assert_array_equal(cov_rt[0], cov_s)
+        """``state()`` reads the stock filter's scalars directly; a
+        subclass that overrides nothing goes through the generic
+        ``predict_at`` loop.  Same samples, same floats."""
+
+        class Unchanged(ConstantVelocityKalman):
+            pass
+
+        stock = driven_clients(10, seed=3)
+        generic = driven_clients(10, seed=3, filter_factory=Unchanged)
+        for now in (0.0, 0.31, 0.9):
+            for a, b in zip(stock, generic):
+                state = a.state(now)
+                assert state == b.state(now)
+                for j, delta in enumerate(DELTAS):
+                    mean, cov = a.filter.predict_at(now + delta)
+                    assert state.means[j] == (mean[0], mean[1])
+                    assert state.stds[j] == (np.sqrt(cov[0, 0]), np.sqrt(cov[1, 1]))
 
     def test_zero_dt_adds_no_noise(self):
-        clients = driven_clients(1, seed=5)
-        f = clients[0].filter
-        mean, cov = f.predict_at(f._last_t)
-        np.testing.assert_array_equal(mean, f._x)
-        np.testing.assert_array_equal(cov, f._P)
+        """At (or before) the last sample time the extrapolation is the
+        filter's own state: nothing moves, no process noise is added."""
+        f = ConstantVelocityKalman()
+        for last_t, x, y in ((0.0, 40.0, 90.0), (0.02, 55.0, 80.0), (0.04, 75.0, 64.0)):
+            f.observe(last_t, x, y)
+        mean, cov = f.predict_at(last_t)
+        earlier_mean, earlier_cov = f.predict_at(last_t - 0.5)
+        np.testing.assert_array_equal(mean, earlier_mean)
+        np.testing.assert_array_equal(cov, earlier_cov)
+        _, later_cov = f.predict_at(last_t + 1e-3)
+        assert later_cov[0, 0] > cov[0, 0]
 
 
-class TestBatchStates:
-    def test_bit_identical_to_per_client_state(self):
-        clients = driven_clients(8, seed=1)
-        clients.append(KalmanClientPredictor(deltas_s=DELTAS))  # uninitialized
-        now = 0.9
-        batched = KalmanClientPredictor.batch_states(clients, now)
-        for client, state in zip(clients, batched):
-            assert client.state(now) == state
+class TestFilterExtensionSeam:
+    """``filter_factory`` is public: whatever it builds is honoured, by
+    ``state()`` and by a fleet tick alike."""
 
-    def test_custom_filter_falls_back_to_scalar_state(self):
+    def test_custom_filter_is_asked_per_horizon(self):
         class FakeFilter:
             initialized = True
 
-        client = KalmanClientPredictor(filter_factory=FakeFilter)
-        sentinel = []
-        client.state = lambda t: sentinel  # type: ignore[method-assign]
-        out = KalmanClientPredictor.batch_states([client], 0.0)
-        assert out[0] is sentinel
+            def __init__(self):
+                self.asked = []
 
-    def test_subclassed_filter_falls_back_to_scalar_state(self):
+            def observe(self, time_s, x, y):
+                pass
+
+            def predict_at(self, time_s):
+                self.asked.append(time_s)
+                return np.array([time_s, -time_s, 0.0, 0.0]), np.eye(4) * 9.0
+
+        client = KalmanClientPredictor(deltas_s=DELTAS, filter_factory=FakeFilter)
+        state = client.state(2.0)
+        assert client.filter.asked == [2.0 + d for d in DELTAS]
+        assert state == KalmanState(
+            means=tuple((2.0 + d, -(2.0 + d)) for d in DELTAS),
+            stds=((3.0, 3.0),) * 4,
+            uniform=(False, False, False, True),
+        )
+
+    def test_subclassed_filter_override_is_not_bypassed(self):
         """A ConstantVelocityKalman subclass may override the dynamics;
-        the stacked kernel must not silently bypass that override."""
-        from repro.predictors.kalman import ConstantVelocityKalman
+        the scalar path is for the exact stock type only."""
+        client = KalmanClientPredictor(deltas_s=DELTAS, filter_factory=StoppingKalman)
+        stock = KalmanClientPredictor(deltas_s=DELTAS)
+        for c in (client, stock):
+            c.observe_event(0.0, MouseEvent(10.0, 10.0))
+            c.observe_event(0.02, MouseEvent(30.0, 50.0))
+        state = client.state(0.5)
+        assert len(set(state.means)) == 1 and len(set(state.stds)) == 1
+        assert state.means[0] == stock.state(-1.0).means[0]
+        assert len(set(stock.state(0.5).means)) == len(DELTAS)
 
-        class StoppingKalman(ConstantVelocityKalman):
-            def predict_at(self, time_s):  # ignores velocity entirely
-                mean, cov = super().predict_at(self._last_t)
-                return mean, cov
+    def test_fleet_tick_honours_a_subclassed_filter(self, monkeypatch):
+        """Through ``run_fleet``: every state the fleet tick ships from a
+        StoppingKalman session has one centroid for all horizons."""
+        from repro.core.predictor_manager import PredictorManager
+        from repro.predictors import Predictor
 
-        client = KalmanClientPredictor(filter_factory=StoppingKalman)
-        client.observe_event(0.0, MouseEvent(10.0, 10.0))
-        client.observe_event(0.02, MouseEvent(30.0, 50.0))
-        out = KalmanClientPredictor.batch_states([client], 0.5)
-        assert out[0] == client.state(0.5)
+        app = ImageExplorationApp(rows=8, cols=8)
+        monkeypatch.setattr(
+            app,
+            "make_predictor",
+            lambda name, trace=None: Predictor(
+                name="kalman",
+                client=KalmanClientPredictor(
+                    deltas_s=DELTAS, filter_factory=StoppingKalman
+                ),
+                server=KalmanServerPredictor(app.layout),
+                deltas_s=DELTAS,
+            ),
+        )
+        shipped = []
+        original = PredictorManager.poll
+
+        def recording(self):
+            state = original(self)
+            if state is not None:
+                shipped.append(state)
+            return state
+
+        monkeypatch.setattr(PredictorManager, "poll", recording)
+        result = run_kalman_fleet(batched_decode=True, num=2, duration=0.8, app=app)
+        assert result.diagnostics["prediction"]["states_collected"] == len(shipped) > 0
+        assert all(len(set(state.means)) == 1 for state in shipped)
 
 
 class TestDecodeBatch:
@@ -149,8 +197,8 @@ class TestDecodeBatch:
             np.testing.assert_array_equal(want.explicit_probs, got.explicit_probs)
 
 
-def run_kalman_fleet(batched_decode, num=4, duration=1.2):
-    app = ImageExplorationApp(rows=8, cols=8)
+def run_kalman_fleet(batched_decode, num=4, duration=1.2, app=None):
+    app = app or ImageExplorationApp(rows=8, cols=8)
     traces = [
         MouseTraceGenerator(app.layout, seed=40 + i).generate(duration_s=duration)
         for i in range(num)
@@ -167,9 +215,7 @@ class TestStaticFleetByteIdentity:
         byte-identical results under batched vs per-session decode."""
         a = run_kalman_fleet(batched_decode=False)
         b = run_kalman_fleet(batched_decode=True)
-        assert b.diagnostics["prediction"]["predict_batches"] > 0
         assert b.diagnostics["prediction"]["decode_batches"] > 0
-        assert a.diagnostics["prediction"]["predict_batches"] == 0
         assert a.diagnostics["prediction"]["decode_batches"] == 0
         for key in ("blocks_sent", "bytes_sent", "blocks_deferred"):
             assert a.diagnostics[key] == b.diagnostics[key], key

@@ -120,6 +120,38 @@ class TestQueueDelay:
         saturate(sim, a, 100_000, 2, got)
         assert b.queue_delay() <= a.queue_delay()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_backlogged_weight_equals_the_port_order_sum(self, seed):
+        """The arbiter keeps the backlogged ports' total weight between
+        the zero crossings of their backlogs; after every step of a
+        random open / send / dispatch / close sequence it must be the
+        very float a fresh sum in port order gives."""
+        import random
+
+        rng = random.Random(seed)
+        sim, shared = make_shared(bw=1_000_000)
+        live = []
+
+        def check():
+            fresh = sum(p.weight for p in shared.ports if p._queued_bytes > 0)
+            assert shared._backlogged_weight() == (fresh if fresh > 0 else 1.0)
+            for p in live:
+                want = fresh if p._queued_bytes > 0 else fresh + p.weight
+                assert shared._backlogged_weight(include=p) == want
+
+        for _ in range(400):
+            op = rng.random()
+            if not live or op < 0.1:
+                live.append(shared.port(weight=rng.uniform(0.1, 3.7)))
+            elif op < 0.6:
+                rng.choice(live).send(rng.choice((0, 1, 700, 20_000)), lambda p: None)
+            elif op < 0.9:
+                sim.run(until=sim.now + rng.uniform(0.0, 0.03))
+            else:
+                live.pop(rng.randrange(len(live))).close()
+            check()
+        assert shared.ports_retired > 0 and shared.payloads_dispatched > 0
+
     def test_trace_driven_link_rate_is_learned(self):
         sim = Simulator()
         trace = MahimahiTrace.constant_rate(1_500_000)
