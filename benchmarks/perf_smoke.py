@@ -7,19 +7,25 @@ Measures the hot paths the vectorized scheduling core owns:
   {1k, 10k} requests x {100, 500} cache blocks (the Fig. 16
   configuration; the 10k x 500 cell is the acceptance metric);
 * ``greedy_draws_10000x500`` — draw-loop-only time (``schedule_batch``
-  excluding the distribution install), so a draw-kernel regression is
-  not masked by the install it follows;
+  excluding the distribution install, including the tail probability
+  rows the scheduler appends as the draws reach them), so a draw-kernel
+  regression is not masked by the install it follows;
 * ``greedy_draws_head_10000x500`` — the same draw-loop time on a
   short-slot workload (1 ms slots against the 4 paper horizons) where
   *every* draw lands before the last prediction horizon, so the
   interpolated head rows are gated as well as the clamped tail;
+* ``greedy_install_us`` — microseconds per ``update_distribution`` at
+  the ``bench/`` fleet workload's shape (C = 1000, 144 explicit ids,
+  the four paper horizons, 33 ms slots): 15 interpolated head rows and
+  a rank-1 tail.  Rebuilding the dense 1000-row matrix costs several
+  times that, which the 2x gate catches;
 * ``kalman_observe_us`` — microseconds per mouse sample through the
   client's Kalman filter over a fixed 1k-sample trace.  The filter is
   a few dozen scalar operations per sample; per-sample matrix algebra
   costs 40x that, which the 2x gate catches;
 * ``fleet_tick_N<N>`` — mean wall time per 150 ms fleet prediction
   interval for a batched static fleet at N in {8, 32} sessions
-  (prediction collect + stacked recompute + the scheduling it
+  (prediction collect + decode + install + the scheduling it
   triggers);
 * ``fleet_tick_churn_N<N>`` — the same per-tick cost under session
   churn (Poisson arrivals, lognormal dwells, admission cap), so the
@@ -49,8 +55,8 @@ Measures the hot paths the vectorized scheduling core owns:
   row widths, cohorts of sessions walking a common tour): the wall
   time spent in ``decode_state`` / the stacked ``_batch_decode`` pass,
   which is the stage ``batched_decode`` owns.  Decode is one layer of
-  several in a whole tick (on the ``bench/`` fleet workload: the
-  stacked matrices, the draw loop, decode, then the senders — which
+  several in a whole tick (on the ``bench/`` fleet workload: the draw
+  loop, decode, the distribution install, then the senders — which
   redraw only a short ready window after a preemption, not a
   ``lookahead`` of blocks), so this metric isolates the decode stage
   the same way ``greedy_draws_*`` isolates the draw loop.
@@ -109,6 +115,9 @@ GREEDY_CASES = [(1_000, 100), (1_000, 500), (10_000, 100), (10_000, 500)]
 #: The acceptance cell for the draws-only metrics.
 DRAWS_CASE = (10_000, 500)
 KALMAN_SAMPLES = 1_000
+# requests, cache blocks, explicit ids, slot: the bench/ fleet shape.
+INSTALL_CASE = (10_000, 1_000, 144, 0.033)
+INSTALL_DISTRIBUTIONS = 50
 #: Slot durations for the tail-dominated (Fig. 16) and head-dominated
 #: draws-only workloads.  At 1 ms slots every offset in a 500-block
 #: batch stays below the 0.5 s final horizon: all draws are head draws.
@@ -230,6 +239,40 @@ def _draws_only(slot_s: float) -> float:
         best = min(best, time.perf_counter() - start)
         assert len(schedule) == cache
     return best
+
+
+def bench_greedy_install() -> dict[str, float]:
+    """Per-prediction cost of installing a distribution mid-batch."""
+    from repro.core.distribution import RequestDistribution
+    from repro.core.greedy import GreedyScheduler
+    from repro.core.scheduler import GainTable
+    from repro.core.utility import LinearUtility
+
+    n, cache, explicit, slot_s = INSTALL_CASE
+    rng = np.random.default_rng(0)
+    dists = []
+    for _ in range(INSTALL_DISTRIBUTIONS):
+        raw = rng.random((4, explicit))
+        probs = 0.9 * raw / raw.sum(axis=1, keepdims=True)
+        dists.append(
+            RequestDistribution(
+                n=n,
+                deltas_s=np.array([0.05, 0.15, 0.25, 0.5]),
+                explicit_ids=np.sort(rng.choice(n, explicit, replace=False)),
+                explicit_probs=probs,
+                residual=1.0 - probs.sum(axis=1),
+            )
+        )
+    scheduler = GreedyScheduler(
+        GainTable(LinearUtility(), [50] * n), cache_blocks=cache, seed=0
+    )
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for dist in dists:
+            scheduler.update_distribution(dist, slot_duration_s=slot_s)
+        best = min(best, time.perf_counter() - start)
+    return {"greedy_install_us": best / len(dists) * 1e6}
 
 
 def bench_kalman_observe() -> dict[str, float]:
@@ -593,6 +636,7 @@ def alloc_probe() -> dict[str, float]:
 def measure(batched_decode: bool = True, shards: int = 2) -> dict:
     probe = machine_probe_ms()
     metrics = bench_greedy()
+    metrics.update(bench_greedy_install())
     metrics.update(bench_kalman_observe())
     metrics.update(bench_fleet_tick(batched_decode))
     metrics.update(bench_fleet_sharded(shards))

@@ -197,9 +197,7 @@ class RequestDistribution:
 
         Same clamping semantics as the scalar helper, and the same IEEE
         arithmetic for ``w``, so downstream blends are bit-identical to
-        per-horizon :meth:`explicit_at` calls.  Shared by
-        :meth:`explicit_matrix` and the fleet's batched probability
-        recompute so both paths interpolate identically.
+        per-horizon :meth:`explicit_at` calls.
         """
         qs = np.asarray(deltas_s, dtype=float)
         deltas = self.deltas_s
@@ -219,38 +217,16 @@ class RequestDistribution:
             w[mid] = (qs[mid] - deltas[lo_mid]) / (deltas[hi_mid] - deltas[lo_mid])
         return lo, hi, w
 
-    def clamp_split(self, offsets_s: np.ndarray) -> tuple[int, int]:
-        """Split increasing offsets into clamped head / interior / tail.
-
-        Returns ``(head, tail)``: offsets before index ``head`` lie at
-        or below the first horizon (their rows are copies of horizon 0),
-        offsets at or past ``tail`` lie at or beyond the last horizon
-        (copies of horizon ``k-1``), and only ``offsets_s[head:tail]``
-        pay the interpolation blend.  Uses the same boundary comparisons
-        as :meth:`interp_weights_vec`, so the split is exactly the
-        clamped set that helper produces.  With a single horizon every
-        row is a copy, so ``head == tail == 0`` — the whole range is
-        tail.  Used by the fleet's stacked probability pass, which
-        writes the clamped rows as copies instead of blending them.
-        """
-        offsets = np.asarray(offsets_s, dtype=float)
-        if len(self.deltas_s) == 1:
-            return 0, 0
-        head = int(np.searchsorted(offsets, self.deltas_s[0], side="right"))
-        tail = int(np.searchsorted(offsets, self.deltas_s[-1], side="left"))
-        return head, max(head, tail)
-
     def explicit_matrix(self, deltas_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`explicit_at` over many horizons.
 
         Returns ``(probs, residual)`` with shapes ``(len(deltas_s), m)``
-        and ``(len(deltas_s),)``.  Used by the scheduler to materialize
-        its probability matrix in one shot.  One blend over all horizons
-        instead of a Python loop calling :meth:`explicit_at` per row;
-        rows clamped outside the horizon range (``lo == hi``) are plain
-        row copies — what :meth:`explicit_at` returns there — which
-        skips the arithmetic entirely for the (typically dominant)
-        beyond-last-horizon slots.
+        and ``(len(deltas_s),)``.  Used by the scheduler to blend the
+        probability rows before the last horizon in one shot, and by
+        ``expected_utility``.  One blend over all horizons instead of a
+        Python loop calling :meth:`explicit_at` per row; rows clamped
+        outside the horizon range (``lo == hi``) are plain row copies —
+        what :meth:`explicit_at` returns there.
         """
         lo, hi, w = self.interp_weights_vec(deltas_s)
         out = np.empty((len(lo), len(self.explicit_ids)))

@@ -10,11 +10,21 @@ client cache size), it repeatedly
 2. samples a request proportionally to those gains, allocating it the
    next block.
 
-The remaining-batch probability ``P_{i,t} = Σ_{k=t}^{C-1} P(q_i | k)``
-is precomputed as a matrix per distribution update (a reverse
-cumulative sum approximating the paper's trapezoidal Riemann sum), so
-each allocation is a vectorized dot-and-sample over the explicit
-requests.
+The remaining-batch probability ``P_{i,t} = Σ_{k=t}^{C-1} γ^k P(q_i | k)``
+(a reverse cumulative sum approximating the paper's trapezoidal Riemann
+sum) is held as rows, one per slot from the position ``t0`` the
+distribution was installed at, so each allocation is a vectorized
+dot-and-sample over the explicit requests.  Only the rows a draw can
+reach are materialized.  Past the predictor's last horizon the
+distribution stops changing, so every slot there contributes the same
+vector ``probs[-1]`` and row ``r`` is ``D[r] · probs[-1]`` with
+``D[r] = Σ_{k=r}^{C-1} γ^k`` a per-scheduler constant (``C − r`` at
+γ = 1).  An install therefore blends and reverse-cumsums only the *head*
+— the ``H`` slots whose offset lies before the last horizon (15 of
+1000 at the paper's 500 ms horizon and a 33 ms slot) — and adds the
+tail's mass ``D[t0 + H] · probs[-1]`` to those rows as one rank-1 term:
+O(H·m) instead of O((C − t0)·m).  Tail rows are appended to the same
+block in chunks when a draw first reaches them.
 
 **Meta-request optimization** (§5.3.1): with 10k possible requests,
 most share the same ≈ 0 probability.  Those pool into one
@@ -55,47 +65,11 @@ from .cache import RingBufferCache
 from .distribution import RequestDistribution
 from .scheduler import GainTable, ScheduledBlock
 
-__all__ = ["GreedyScheduler", "probability_matrices"]
+__all__ = ["GreedyScheduler"]
 
 
-def probability_matrices(
-    dist: RequestDistribution,
-    cache_blocks: int,
-    position: int,
-    slot_duration_s: float,
-    gamma: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize ``(Pmat, Pres)`` for a batch's remaining slots.
-
-    Row ``k`` of ``Pmat`` holds the γ-discounted probability mass of
-    each explicit request over slots ``k..C-1``, where slot ``k`` maps
-    to wall-clock offset ``(k − position + 1) · slot_duration``;
-    ``Pres`` is the matching residual-mass column (Listing 1 lines
-    6–11).  Rows before ``position`` are zero — those slots were
-    already decided.
-
-    Module-level so the fleet's batched recompute
-    (:class:`~repro.fleet.FleetScheduleService`) can produce the same
-    matrices in one stacked pass; its output must stay bit-identical
-    to this per-scheduler path.
-    """
-    C, t = cache_blocks, position
-    remaining = C - t
-    m = len(dist.explicit_ids)
-    if remaining <= 0:
-        return np.zeros((C, m)), np.zeros(C)
-    deltas = (np.arange(t, C) - t + 1) * slot_duration_s
-    probs, residual = dist.explicit_matrix(deltas)
-    if gamma < 1.0:
-        discount = gamma ** np.arange(t, C)
-        probs = probs * discount[:, None]
-        residual = residual * discount
-    # Reverse cumulative sum: row k = mass over slots k..C-1.
-    pmat = np.zeros((C, probs.shape[1]))
-    pres = np.zeros(C)
-    pmat[t:] = np.cumsum(probs[::-1], axis=0)[::-1]
-    pres[t:] = np.cumsum(residual[::-1])[::-1]
-    return pmat, pres
+#: Fewest tail rows appended when a draw runs past the materialized block.
+_TAIL_CHUNK = 32
 
 
 class GreedyScheduler:
@@ -157,10 +131,15 @@ class GreedyScheduler:
         # mirror then carries them); without one, pending *is* Listing
         # 1's B and resets with the batch.
         self._pending: dict[int, int] = {}
-        # Distribution-derived state.
+        # Tail weights D[r] = Σ_{k=r}^{C-1} γ^k, with D[C] = 0.
+        powers = gamma ** np.arange(cache_blocks)
+        self._D = np.append(np.cumsum(powers[::-1])[::-1], 0.0)
+        # Distribution-derived state.  Row i of the probability block
+        # belongs to slot _t0 + i (see _recompute_probabilities).
         self._ids = np.empty(0, dtype=np.int64)
-        self._Pmat = np.empty((0, 0))
-        self._Pres = np.empty(0)
+        self._t0 = 0
+        self._rows = np.empty((0, 0))
+        self._res = np.empty(0)
         self._explicit_set: set[int] = set()
         self._explicit_ids_ref: Optional[np.ndarray] = None
         self._promoted: list[int] = []
@@ -201,40 +180,6 @@ class GreedyScheduler:
         self._slot_duration_s = slot_duration_s
         self._recompute_probabilities()
 
-    def install_distribution(
-        self,
-        dist: RequestDistribution,
-        slot_duration_s: float,
-        pmat: np.ndarray,
-        pres: np.ndarray,
-    ) -> None:
-        """:meth:`update_distribution` with externally computed matrices.
-
-        The fleet's :class:`~repro.fleet.FleetScheduleService` computes
-        every registered session's probability matrices in one stacked
-        pass and installs them here.  ``(pmat, pres)`` must equal what
-        :func:`probability_matrices` would return for this scheduler's
-        current ``(C, position, slot_duration)`` — the caller owns that
-        contract (it is equivalence-tested in the fleet suite).
-        """
-        if dist.n != self.gains.n:
-            raise ValueError(f"distribution over {dist.n} requests, expected {self.gains.n}")
-        if slot_duration_s <= 0:
-            raise ValueError("slot duration must be positive")
-        expected = (self.C, len(dist.explicit_ids))
-        if pmat.shape != expected or pres.shape != (self.C,):
-            # Reject before touching any state: a half-installed epoch
-            # (new ids, old matrices) would corrupt later draws.
-            raise ValueError(
-                f"matrices shaped {pmat.shape}/{pres.shape}, "
-                f"expected {expected}/{(self.C,)}"
-            )
-        self._dist = dist
-        self._slot_duration_s = slot_duration_s
-        self._refresh_epoch()
-        self._Pmat = pmat
-        self._Pres = pres
-
     def next_block(self) -> Optional[ScheduledBlock]:
         """Sample the next allocation (Listing 1 lines 14–19).
 
@@ -246,8 +191,9 @@ class GreedyScheduler:
         if self._t >= self.C:
             self._reset_batch()
         ids = self._all_ids()
-        weights = self._utility_gains(ids)
-        meta_weight = self._meta_weight()
+        row = self._row()
+        weights = self._utility_gains(ids, row)
+        meta_weight = self._meta_weight(row)
         total = weights.sum() + meta_weight
         if total <= 1e-15:
             if not self.hedge_when_idle:
@@ -303,10 +249,11 @@ class GreedyScheduler:
         hands back the unsent tail; we rewind ``t`` and the per-request
         counts so the slots are re-decided under the new distribution.
 
-        ``recompute=False`` skips re-materializing the probability
-        matrices and fast-path arrays; it is for callers that install a
-        fresh distribution immediately afterwards (the fleet service's
-        batched tick) — no draws may happen in between.
+        ``recompute=False`` skips re-materializing the probability rows
+        and fast-path arrays; it is for callers that install a fresh
+        distribution immediately afterwards (a prediction's arrival:
+        :meth:`~repro.core.server.KhameleonServer.apply_distribution`)
+        — no draws may happen in between.
         """
         for block in blocks:
             have = self._pending.get(block.request, 0)
@@ -331,8 +278,8 @@ class GreedyScheduler:
                 self._pending[block.request] = have - 1
             self._t = max(0, self._t - 1)
             self.blocks_allocated -= 1
-        # The rewound slots need probability rows again (they were only
-        # materialized from the position at the last distribution update).
+        # The rewound slots need probability rows again (the block only
+        # starts at the position of the last distribution update).
         if blocks and recompute:
             self._recompute_probabilities()
 
@@ -394,11 +341,58 @@ class GreedyScheduler:
         self._recompute_probabilities()
 
     def _recompute_probabilities(self) -> None:
-        """Start a distribution epoch: refresh ids/arrays, rebuild P."""
+        """Start a distribution epoch: refresh ids/arrays, rebuild P's head.
+
+        Slot ``k ≥ t0`` sits at wall-clock offset ``(k − t0 + 1) · slot``
+        (Listing 1 lines 6–11).  The ``H`` slots before the last horizon
+        are interpolated, discounted and reverse-cumsummed; everything
+        after them is the rank-1 tail (module docstring).
+        """
         self._refresh_epoch()
-        self._Pmat, self._Pres = probability_matrices(
-            self._dist, self.C, self._t, self._slot_duration_s, self.gamma
+        if self._t >= self.C:
+            # Batch complete: no slot is left to weigh, and the next draw
+            # resets the batch before reading anything.  Slot C − 1 is
+            # the one a reader still clamps to.
+            self._t0 = self.C - 1
+            self._rows = np.zeros((1, len(self._ids)))
+            self._res = np.zeros(1)
+            return
+        dist, slot = self._dist, self._slot_duration_s
+        t0 = self._t0 = self._t
+        last = dist.deltas_s[-1]
+        # A lone horizon clamps every slot to itself: no head at all.
+        reach = int(last / slot) + 1 if len(dist.deltas_s) > 1 else 0
+        offsets = np.arange(1, min(self.C - t0, reach) + 1) * slot
+        H = int(np.searchsorted(offsets, last, side="left"))
+        probs, residual = dist.explicit_matrix(offsets[:H])
+        if self.gamma < 1.0:
+            discount = self.gamma ** np.arange(t0, t0 + H)
+            probs = probs * discount[:, None]
+            residual = residual * discount
+        tail = self._D[t0 + H]
+        self._rows = (
+            np.cumsum(probs[::-1], axis=0)[::-1] + tail * dist.explicit_probs[-1]
         )
+        self._res = np.cumsum(residual[::-1])[::-1] + tail * dist.residual[-1]
+
+    def _row(self) -> int:
+        """Block row of the slot being drawn, materializing it if need be.
+
+        Rows past the head are ``D[r] · probs[-1]``; they are appended in
+        chunks that at least double the block, so a batch drawn to its
+        end without a new prediction copies O(C·m) in total.
+        """
+        i = min(self._t, self.C - 1) - self._t0
+        n = len(self._res)
+        if i >= n:
+            stop = min(self.C - self._t0, max(i + 1, n + max(n, _TAIL_CHUNK)))
+            weights = self._D[self._t0 + n : self._t0 + stop]
+            dist = self._dist
+            self._rows = np.concatenate(
+                [self._rows, weights[:, None] * dist.explicit_probs[-1]]
+            )
+            self._res = np.concatenate([self._res, weights * dist.residual[-1]])
+        return i
 
     def _refresh_epoch(self) -> None:
         """Re-derive the materialized-request state from the distribution.
@@ -485,14 +479,13 @@ class GreedyScheduler:
         base = self.mirror.prefix_len(request) if self.mirror is not None else 0
         return base + self._pending.get(request, 0)
 
-    def _utility_gains(self, ids: np.ndarray) -> np.ndarray:
+    def _utility_gains(self, ids: np.ndarray, row: int) -> np.ndarray:
         """Line 16: u = P_t · g[B] over explicit + promoted requests."""
-        t = min(self._t, self.C - 1)
         m = len(self._ids)
         if len(ids) == 0:
             return np.empty(0)
-        probs = np.full(len(ids), self._uniform_request_prob(t))
-        probs[:m] = self._Pmat[t, :m]
+        probs = np.full(len(ids), self._uniform_request_prob(row))
+        probs[:m] = self._rows[row]
         have = np.fromiter(
             (self._effective_blocks(int(r)) for r in ids), dtype=np.int64, count=len(ids)
         )
@@ -505,17 +498,17 @@ class GreedyScheduler:
         lengths, same elementwise kernels, same RNG consumption) so the
         sampled schedule is bit-identical to the scalar path.
         """
-        t = min(self._t, self.C - 1)
+        row = self._row()
         m = len(self._ids)
         mlen = self._mlen
         wv = self._wbuf[:mlen]
         if m:
-            np.multiply(self._Pmat[t, :m], self._gain[:m], out=wv[:m])
+            np.multiply(self._rows[row], self._gain[:m], out=wv[:m])
         if mlen > m:
             np.multiply(
-                self._gain[m:mlen], self._uniform_request_prob(t), out=wv[m:mlen]
+                self._gain[m:mlen], self._uniform_request_prob(row), out=wv[m:mlen]
             )
-        meta_weight = self._meta_weight()
+        meta_weight = self._meta_weight(row)
         total = (wv.sum() if mlen else 0.0) + meta_weight
         if total <= 1e-15:
             if not self.hedge_when_idle:
@@ -540,21 +533,20 @@ class GreedyScheduler:
     def _num_uniform(self) -> int:
         return self.gains.n - len(self._ids) - len(self._promoted)
 
-    def _uniform_request_prob(self, t: int) -> float:
+    def _uniform_request_prob(self, row: int) -> float:
         pool = self.gains.n - len(self._ids)
         if pool <= 0:
             return 0.0
-        return float(self._Pres[t]) / pool
+        return float(self._res[row]) / pool
 
-    def _meta_weight(self) -> float:
+    def _meta_weight(self, row: int) -> float:
         """Pooled weight of all still-uniform requests (§5.3.1)."""
         if not self.meta_request:
             return 0.0
         n_meta = self._num_uniform()
         if n_meta <= 0:
             return 0.0
-        t = min(self._t, self.C - 1)
-        share = self._uniform_request_prob(t) * n_meta
+        share = self._uniform_request_prob(row) * n_meta
         return share * self.gains.mean_first_gain
 
     def _sample_uniform_request(self) -> Optional[int]:

@@ -79,8 +79,13 @@ class Scheduler(Protocol):
         pipeline fill pulls each top-up through this instead of
         looping :meth:`next_block`)."""
 
-    def rollback(self, blocks: Sequence[ScheduledBlock]) -> None:
-        """Un-allocate blocks that were scheduled but never sent."""
+    def rollback(
+        self, blocks: Sequence[ScheduledBlock], recompute: bool = True
+    ) -> None:
+        """Un-allocate blocks that were scheduled but never sent.
+
+        ``recompute=False``: the caller installs a new distribution
+        before the next draw, so derived state need not be rebuilt."""
 
     def on_sent(self, block: ScheduledBlock) -> None:
         """Confirm a block reached the wire (cache-mirror bookkeeping)."""

@@ -129,7 +129,10 @@ class Sender:
         self._pump()
 
     def refresh(self) -> None:
-        """New prediction arrived: reschedule the unsent tail (§5.3.2)."""
+        """Re-decide the unsent tail under the scheduler's current
+        distribution.  A new prediction goes through
+        :meth:`~repro.core.server.KhameleonServer.apply_distribution`,
+        which installs it between the two halves of this."""
         blocks = self.take_pipeline()
         if blocks:
             self.scheduler.rollback(blocks)
@@ -138,10 +141,8 @@ class Sender:
     def take_pipeline(self) -> list[ScheduledBlock]:
         """Hand back the unsent pipeline without rescheduling.
 
-        The fleet's batched prediction tick preempts every affected
-        sender first, rolls the blocks back itself (deferring the
-        probability recompute), then installs the new distributions in
-        one stacked pass and calls :meth:`resume`.
+        First half of a preemption (§5.3.2): the caller rolls the blocks
+        back, installs whatever changed, and calls :meth:`resume`.
         """
         if not self._pipeline:
             return []

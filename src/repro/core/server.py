@@ -1,7 +1,7 @@
 """Khameleon server assembly (§3.2).
 
-Glues the server-side pieces together: predictor decoding → scheduler
-update → sender refresh, plus bandwidth-estimate reports from the
+Glues the server-side pieces together: predictor decoding → sender
+preemption → scheduler update, plus bandwidth-estimate reports from the
 client.  The server's *slot duration* — how long one block occupies
 the wire — is derived from the nominal block size and the current
 bandwidth estimate; it is what maps schedule slots onto the
@@ -84,17 +84,28 @@ class KhameleonServer:
         The single definition of the server-side state-receive step,
         shared by the per-session uplink path below and the fleet's
         batched :class:`~repro.fleet.schedule_service.FleetScheduleService`
-        (which applies the resulting distribution itself, in a stacked
-        recompute).
+        (which decodes a whole delivery group before applying any of it).
         """
         self.record_state_received()
         return self.predictor_server.decode(state, self.deltas_s)
 
+    def apply_distribution(self, dist: RequestDistribution) -> None:
+        """Preempt the sender and re-decide its unsent tail (§5.3.2).
+
+        The one way a prediction takes effect, per-session or fleet:
+        the unsent pipeline goes back to the scheduler first, so the new
+        distribution's probability rows are built once, at the rewound
+        position.
+        """
+        blocks = self.sender.take_pipeline()
+        if blocks:
+            self.scheduler.rollback(blocks, recompute=False)
+        self.scheduler.update_distribution(dist, self.slot_duration_s)
+        self.sender.resume()
+
     def on_predictor_state(self, state: Any) -> None:
         """Uplink delivery of a client predictor state."""
-        dist = self.decode_state(state)
-        self.scheduler.update_distribution(dist, self.slot_duration_s)
-        self.sender.refresh()
+        self.apply_distribution(self.decode_state(state))
 
     def on_rate_report(self, bytes_per_s: float) -> None:
         """Uplink delivery of a client receive-rate measurement (§5.4)."""

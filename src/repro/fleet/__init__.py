@@ -21,8 +21,8 @@ structure (see ``examples/fleet_serving.py``).
 
 :mod:`repro.fleet.schedule_service` keeps the fleet's scheduling cost
 sublinear in N: a :class:`FleetScheduleService` coalesces every
-session's 150 ms prediction tick into one sim event and recomputes all
-changed probability matrices in a single stacked numpy pass
+session's 150 ms prediction tick into one sim event and decodes all
+changed predictor states in one stacked pass per predictor family
 (bit-identical to the per-session path for static fleets).
 """
 
@@ -36,7 +36,7 @@ from .checkpoint import (
 from .fleet import FleetConfig, KhameleonFleet
 from .lifecycle import ArrivalConfig, SessionManager, SessionPlan, SessionRecord
 from .ring import HashRing
-from .schedule_service import FleetScheduleService, batch_probability_matrices
+from .schedule_service import FleetScheduleService
 from .sharding import (
     ShardChannel,
     ShardError,
@@ -70,7 +70,6 @@ __all__ = [
     "SessionPlan",
     "SessionRecord",
     "FleetScheduleService",
-    "batch_probability_matrices",
     "ShardChannel",
     "ShardError",
     "ShardRecovery",

@@ -87,10 +87,10 @@ class FleetConfig:
     batched_prediction:
         Coalesce the per-session 150 ms prediction ticks into one
         :class:`~repro.fleet.schedule_service.FleetScheduleService`
-        event that recomputes every changed session's probability
-        matrices in a single stacked pass (default True — bit-identical
-        for static fleets, one sim event per tick instead of N).  Set
-        False to fall back to per-session periodic ticks.
+        event that polls every session and applies the changed
+        predictions together, one uplink latency later (default True —
+        bit-identical for static fleets, one sim event per tick instead
+        of N).  Set False to fall back to per-session periodic ticks.
     batched_decode:
         Within the coalesced tick, also batch the server-side decode —
         every stock family: one truncated-Gaussian block-mass pass per

@@ -1,41 +1,35 @@
-"""Fleet-coalesced prediction ticks and batched probability recompute.
+"""Fleet-coalesced prediction ticks.
 
 In a per-session fleet, every :class:`~repro.core.predictor_manager.
-PredictorManager` owns its own 150 ms periodic task, ships its state
-over its uplink, and the receiving server re-materializes that
-session's ``(C, m)`` probability matrix — N sim events and N
-independent numpy passes per prediction interval.  At fleet scale the
-event dispatch and the per-session matrix setup dominate the server's
+PredictorManager` owns its own 150 ms periodic task and ships its state
+over its uplink — N tick events and N uplink deliveries per prediction
+interval, and one state decoded at a time.  At fleet scale that event
+dispatch and the per-state decode setup dominate the server's
 scheduling cost (the ROADMAP's "scheduler-side scaling" item).
 
-:class:`FleetScheduleService` coalesces all of it:
+:class:`FleetScheduleService` coalesces it:
 
 * **one tick event** polls every registered session's predictor
   manager (:meth:`~repro.core.predictor_manager.PredictorManager.poll`
   takes the snapshot and keeps the dedup and accounting semantics —
   nothing is stacked on the client side: the Kalman snapshot is scalar
   arithmetic, cheaper per session than any batch that gathers it), and
-* **one apply event** per uplink latency class preempts the affected
-  senders, decodes every changed session's state in one stacked pass
-  per predictor family (Kalman truncated-Gaussian block masses, Markov
-  chain rows, shared-chain crowd blends — see :meth:`_batch_decode`),
-  computes *all* changed sessions' probability matrices in a single
-  stacked blend + reverse-cumsum pass
-  (:func:`batch_probability_matrices`), installs them
-  (:meth:`~repro.core.greedy.GreedyScheduler.install_distribution`),
-  and resumes the senders.
+* **one apply event** per uplink latency class decodes every changed
+  session's state in one stacked pass per predictor family (Kalman
+  truncated-Gaussian block masses, Markov chain rows, shared-chain
+  crowd blends — see :meth:`_batch_decode`), then hands each session
+  its distribution through the same
+  :meth:`~repro.core.server.KhameleonServer.apply_distribution` the
+  per-session uplink path ends in.
 
-The batched pass is **bit-identical** to the per-scheduler
-:func:`~repro.core.greedy.probability_matrices` path: it reuses the
-distribution's own vectorized interpolation weights and performs the
-same elementwise blend/discount/cumsum arithmetic, just stacked along
-a session axis (padded to the widest explicit set; the zero padding
-and the zeroed rows past each session's remaining slots drop out of
-the reverse cumulative sum exactly).
+Nothing is stacked on the scheduler side either: installing a
+distribution blends only the handful of probability rows before the
+predictor's last horizon (:mod:`repro.core.greedy`), which is less work
+per session than padding it into a fleet-wide array was.
 
 ``batched_decode`` governs the decode step of the apply event only
 (stacked per family vs ``server.decode_state`` per session); the tick
-event and the stacked matrices are the same either way.
+event is the same either way.
 
 Timing semantics vs the per-session path: states are still collected
 on the prediction interval and applied one uplink latency later, so a
@@ -47,126 +41,24 @@ deviation, traded for O(1) events per interval.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from repro.core.distribution import RequestDistribution
 from repro.clock import Clock
 
 if TYPE_CHECKING:  # fleet assembles sessions; import for typing only
     from repro.core.session import KhameleonSession
 
-__all__ = ["FleetScheduleService", "batch_probability_matrices"]
-
-#: Soft cap on the stacked blend's transient (sessions × slots × ids)
-#: element count; larger groups are processed in session chunks.
-_MAX_STACK_ELEMENTS = 4_000_000
+__all__ = ["FleetScheduleService"]
 
 
-def batch_probability_matrices(
-    specs: Sequence[tuple[RequestDistribution, int, int, float, float]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stacked :func:`~repro.core.greedy.probability_matrices`.
+def batch_probability_matrices() -> None:
+    """Nothing: the stacked matrix pass is gone, and nothing calls this.
 
-    ``specs`` holds one ``(dist, cache_blocks, position, slot_duration_s,
-    gamma)`` tuple per scheduler; the result list is parallel.  Sessions
-    are grouped by ``(cache_blocks, num_horizons)`` (identical across a
-    homogeneous fleet), padded to the group's widest explicit set, and
-    blended/discounted/reverse-cumsummed in one numpy pass per group.
+    The frozen ``bench/layers.py`` names it as the only target of its
+    ``schedule_service.matrices`` span, and ``bench/test_bench.py``
+    requires every span name to resolve; the span counts zero calls.
+    Goes with the next ``[benchmark]`` PR (ROADMAP).
     """
-    out: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(specs)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (dist, C, t, _slot, _gamma) in enumerate(specs):
-        if C - t <= 0:
-            out[i] = (np.zeros((C, len(dist.explicit_ids))), np.zeros(C))
-        else:
-            groups.setdefault((C, len(dist.deltas_s)), []).append(i)
-    for (C, _k), indices in groups.items():
-        # Explicit-set sizes are the skewed dimension (a cold session
-        # may track 0 ids while a hot one tracks hundreds); the stack
-        # pads to the chunk maximum, so sort by m and cut a new chunk
-        # when the padding waste would exceed 2x (or the element budget
-        # is hit).
-        indices.sort(
-            key=lambda i: (len(specs[i][0].explicit_ids), specs[i][1] - specs[i][2]),
-            reverse=True,
-        )
-        start = 0
-        while start < len(indices):
-            m_top = max(1, len(specs[indices[start]][0].explicit_ids))
-            budget = max(1, _MAX_STACK_ELEMENTS // (C * m_top))
-            end = start + 1
-            while (
-                end < len(indices)
-                and end - start < budget
-                and 2 * max(1, len(specs[indices[end]][0].explicit_ids)) >= m_top
-            ):
-                end += 1
-            _stacked_pass(specs, indices[start:end], out)
-            start = end
-    return out  # type: ignore[return-value]
-
-
-def _stacked_pass(
-    specs: Sequence[tuple[RequestDistribution, int, int, float, float]],
-    indices: list[int],
-    out: list,
-) -> None:
-    """One ``(session, explicit-id, slot)`` stack: fill, discount, cumsum.
-
-    Layout is ``(S, m, rows)`` so the reverse cumulative sum runs along
-    the contiguous last axis.  Slots clamped outside a distribution's
-    horizon range are constant rows (exact copies of the edge horizon —
-    the same values :meth:`RequestDistribution.explicit_at` returns
-    there), so only the interior slots pay the interpolation blend; the
-    cumsum accumulates per ``(session, id)`` lane in the same order as
-    the per-scheduler path, keeping results bit-identical.
-    """
-    S = len(indices)
-    ms = [len(specs[i][0].explicit_ids) for i in indices]
-    rems = [specs[i][1] - specs[i][2] for i in indices]
-    m_max = max(ms)
-    rows_max = max(rems)
-    blended = np.zeros((S, m_max, rows_max))
-    res = np.zeros((S, rows_max))
-    for s, i in enumerate(indices):
-        dist, C, t, slot, gamma = specs[i]
-        m, rem = ms[s], rems[s]
-        offsets = np.arange(1, rem + 1) * slot
-        probs = dist.explicit_probs
-        residual = dist.residual
-        # Offsets are increasing, so the clamped slots form a head
-        # (before the first horizon) and a tail (past the last).
-        head, tail = dist.clamp_split(offsets)
-        lane = blended[s, :m, :rem]
-        if m:
-            lane[:, :head] = probs[0][:, None]
-            lane[:, tail:] = probs[-1][:, None]
-        res[s, :head] = residual[0]
-        res[s, tail:rem] = residual[-1]
-        if tail > head:
-            lo, hi, w = dist.interp_weights_vec(offsets[head:tail])
-            if m:
-                wc = w[:, None]
-                lane[:, head:tail] = ((1 - wc) * probs[lo] + wc * probs[hi]).T
-            res[s, head:tail] = (1 - w) * residual[lo] + w * residual[hi]
-        if gamma < 1.0:
-            discount = gamma ** np.arange(t, C)
-            if m:
-                lane *= discount[None, :]
-            res[s, :rem] *= discount
-    rev_probs = np.cumsum(blended[:, :, ::-1], axis=2)[:, :, ::-1]
-    rev_res = np.cumsum(res[:, ::-1], axis=1)[:, ::-1]
-    for s, i in enumerate(indices):
-        _dist, C, t, _slot, _gamma = specs[i]
-        rem = rems[s]
-        pmat = np.zeros((C, ms[s]))
-        pres = np.zeros(C)
-        pmat[t:] = rev_probs[s, : ms[s], :rem].T
-        pres[t:] = rev_res[s, :rem]
-        out[i] = (pmat, pres)
-
 
 class FleetScheduleService:
     """One prediction tick for a whole fleet (see module docstring).
@@ -277,14 +169,12 @@ class FleetScheduleService:
             self.sim.schedule(latency, self._apply, by_latency[latency])
 
     def _apply(self, group: list) -> None:
-        """Server side of the batch: decode, preempt, recompute, resume.
+        """Server side of the batch: decode the group, then apply each.
 
-        Mirrors the per-session ``on_predictor_state`` → ``refresh``
-        sequence, but defers every scheduler's probability recompute
-        into one stacked pass at the post-preemption positions (the
-        per-session path computes matrices twice — once on update, once
-        on the rollback — and only the second survives; the batch
-        computes exactly that surviving one).
+        Every state is decoded before any distribution is applied (the
+        shared-chain families learn in group order), and each session
+        then takes its distribution exactly as the per-session
+        ``on_predictor_state`` does.
         """
         decoded = self._batch_decode(group) if self.batched_decode else {}
         entries = []
@@ -297,22 +187,11 @@ class FleetScheduleService:
                 dist = decoded[session]
             else:
                 dist = server.decode_state(state)
-            entries.append((session, dist, server.slot_duration_s))
+            entries.append((server, dist))
         if not entries:
             return
-        for session, _dist, _slot in entries:
-            blocks = session.sender.take_pipeline()
-            if blocks:
-                session.scheduler.rollback(blocks, recompute=False)
-        specs = [
-            (dist, session.scheduler.C, session.scheduler.position, slot,
-             session.scheduler.gamma)
-            for session, dist, slot in entries
-        ]
-        matrices = batch_probability_matrices(specs)
-        for (session, dist, slot), (pmat, pres) in zip(entries, matrices):
-            session.scheduler.install_distribution(dist, slot, pmat, pres)
-            session.sender.resume()
+        for server, dist in entries:
+            server.apply_distribution(dist)
         self.batched_recomputes += 1
         self.sessions_recomputed += len(entries)
 

@@ -17,6 +17,10 @@ Four guarantees from the perf refactor are pinned here:
 4. ``schedule_batch(1)`` first-draw frequencies match the reference
    weight vector (chi-squared over repeated draw/rollback trials), for
    slots past the last prediction horizon and for interpolated ones.
+5. The scheduler's structured probability rows (interpolated head plus
+   rank-1 tail, materialized lazily) agree with the dense ``(C, m)``
+   reverse-cumsum matrix they replaced — kept here as the oracle — and
+   never grow back to its size.
 """
 
 import numpy as np
@@ -33,8 +37,42 @@ from repro.core import (
     RingBufferCache,
     ssim_image_utility,
 )
-from repro.core.greedy import probability_matrices
 from repro.core.scheduler import ScheduledBlock, expected_utility, expected_utility_scalar
+
+
+def probability_matrices(dist, cache_blocks, position, slot_duration_s, gamma=1.0):
+    """Dense oracle: ``(Pmat, Pres)`` for a batch's remaining slots.
+
+    What ``GreedyScheduler`` materialized per install before it kept
+    only the rows a draw can reach.  Row ``k`` of ``Pmat`` holds the
+    γ-discounted probability mass of each explicit request over slots
+    ``k..C-1``, where slot ``k`` maps to wall-clock offset
+    ``(k − position + 1) · slot_duration``; ``Pres`` is the matching
+    residual-mass column (Listing 1 lines 6–11).  Rows before
+    ``position`` are zero — those slots were already decided.
+    """
+    C, t = cache_blocks, position
+    m = len(dist.explicit_ids)
+    if C - t <= 0:
+        return np.zeros((C, m)), np.zeros(C)
+    deltas = (np.arange(t, C) - t + 1) * slot_duration_s
+    probs, residual = dist.explicit_matrix(deltas)
+    if gamma < 1.0:
+        discount = gamma ** np.arange(t, C)
+        probs = probs * discount[:, None]
+        residual = residual * discount
+    pmat = np.zeros((C, m))
+    pres = np.zeros(C)
+    pmat[t:] = np.cumsum(probs[::-1], axis=0)[::-1]
+    pres[t:] = np.cumsum(residual[::-1])[::-1]
+    return pmat, pres
+
+
+def scheduler_row(sched, r):
+    """The scheduler's probability row for slot ``r`` (>= its position)."""
+    sched._t = r
+    i = sched._row()
+    return sched._rows[i], sched._res[i]
 
 
 def drive(n, nb_seed, C, seed, meta, use_mirror, use_fast, mirror_cap=None):
@@ -136,8 +174,12 @@ def test_first_draw_frequencies_match_reference_weights(deltas, seed):
     gains = GainTable(LinearUtility(), [3] * n)
     sched = GreedyScheduler(gains, cache_blocks=24, seed=seed)
     sched.update_distribution(dist, 0.01)
+    pmat, pres = probability_matrices(dist, 24, 0, 0.01)
     weights = np.concatenate(
-        [sched._Pmat[0, :explicit] * sched._gain[:explicit], [sched._meta_weight()]]
+        [
+            pmat[0] * gains.gain_vector(ids, np.zeros(explicit, dtype=np.int64)),
+            [pres[0] * gains.mean_first_gain],  # nothing promoted: the whole pool
+        ]
     )
     bucket = {int(r): i for i, r in enumerate(ids)}
     counts = np.zeros(len(weights))
@@ -247,35 +289,168 @@ class TestCachedSets:
         assert set(sched._promoted) == sched._promoted_set == set()
 
 
+def random_distribution(rng, n, m, k, last_s=0.5):
+    """``k`` horizons ending at ``last_s`` over ``m`` explicit ids of ``n``."""
+    deltas = np.sort(rng.uniform(0.01, last_s, size=k))
+    deltas[-1] = last_s
+    deltas = np.unique(deltas)
+    ids = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
+    if m:
+        raw = rng.random((len(deltas), m))
+        probs = rng.uniform(0.3, 0.95) * raw / raw.sum(axis=1, keepdims=True)
+    else:
+        probs = np.empty((len(deltas), 0))
+    return RequestDistribution(
+        n=n, deltas_s=deltas, explicit_ids=ids,
+        explicit_probs=probs, residual=1.0 - probs.sum(axis=1),
+    )
+
+
+PAPER_DELTAS = (0.05, 0.15, 0.25, 0.5)
+
+
+def paper_distribution(rng, n, m):
+    """The paper's four horizons to 500 ms over ``m`` explicit ids."""
+    raw = rng.random((4, m))
+    probs = 0.9 * raw / raw.sum(axis=1, keepdims=True)
+    return RequestDistribution(
+        n=n,
+        deltas_s=np.array(PAPER_DELTAS),
+        explicit_ids=np.arange(m, dtype=np.int64),
+        explicit_probs=probs,
+        residual=1.0 - probs.sum(axis=1),
+    )
+
+
 class TestProbabilityMatrices:
-    def test_install_rejects_shape_mismatch_without_mutating(self):
-        gains = GainTable(LinearUtility(), [4] * 10)
-        sched = GreedyScheduler(gains, cache_blocks=6, seed=0)
-        dense = np.random.default_rng(0).random((1, 10)) + 1e-9
-        dist = RequestDistribution.from_dense(dense, deltas_s=[0.05], threshold=0.02)
-        before = sched._dist
-        with pytest.raises(ValueError):
-            sched.install_distribution(dist, 0.01, np.zeros((6, 1)), np.zeros(6))
-        assert sched._dist is before  # rejected install left no residue
-        good = probability_matrices(dist, 6, 0, 0.01)
-        sched.install_distribution(dist, 0.01, *good)
-        assert sched._dist is dist
+    @settings(deadline=None, max_examples=120)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        C=st.integers(min_value=1, max_value=1200),
+        k=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=0, max_value=24),
+        slot=st.sampled_from([0.003, 0.01, 0.033, 0.12, 0.5, 1.0]),
+        gamma=st.sampled_from([1.0, 0.99, 0.9]),
+        at_end=st.booleans(),
+    )
+    def test_structured_rows_match_dense_oracle(self, seed, C, k, m, slot, gamma, at_end):
+        """Every row a draw can reach equals the dense matrix's row —
+        head rows (3 ms slot: longer than most batch remainders), tail
+        rows (1 s slot or one horizon: no head at all), m = 0, and an
+        install on a complete batch (``C − t = 0``: nothing to compare,
+        and the one readable row is zero as the dense matrix had it)."""
+        rng = np.random.default_rng(seed)
+        n = 60
+        dist = random_distribution(rng, n, m, k)
+        position = C if at_end else int(rng.integers(0, C + 1))
+        sched = GreedyScheduler(
+            GainTable(LinearUtility(), [2] * n), cache_blocks=C, gamma=gamma, seed=0
+        )
+        sched._t = position
+        sched.update_distribution(dist, slot)
+        pmat, pres = probability_matrices(dist, C, position, slot, gamma)
+        # Out of order on purpose: lazily appended rows depend on
+        # nothing but their own slot.
+        for r in rng.permutation(np.arange(position, C)):
+            row, res = scheduler_row(sched, int(r))
+            np.testing.assert_allclose(row, pmat[r], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(res, pres[r], rtol=1e-12, atol=0)
+        if position == C:
+            row, res = scheduler_row(sched, C)
+            assert not row.any() and res == 0.0
 
     def test_zero_remaining_slots(self):
-        dist = RequestDistribution.uniform(5)
-        pmat, pres = probability_matrices(dist, 4, 4, 0.01)
-        assert pmat.shape == (4, 0)
-        np.testing.assert_array_equal(pres, np.zeros(4))
+        """A prediction landing on a complete batch installs, weighs
+        nothing, and the next draw opens a fresh batch under it."""
+        n, C = 5, 4
+        sched = GreedyScheduler(GainTable(LinearUtility(), [3] * n), cache_blocks=C, seed=0)
+        assert len(sched.schedule_batch()) == C and sched.position == C
+        dist = RequestDistribution.point(n, 2)
+        sched.update_distribution(dist, 0.01)
+        row = sched._row()
+        assert sched._meta_weight(row) == 0.0
+        assert not sched._utility_gains(sched._all_ids(), row).any()
+        assert sched.next_block() == ScheduledBlock(request=2, index=0)
+        assert sched.position == 1
 
     def test_rows_before_position_are_zero(self):
+        """Slots before the install position were already decided: the
+        dense matrix zeroed their rows, the block just starts at the
+        position and never holds more than the batch's remainder."""
         dense = np.random.default_rng(1).random((2, 8)) + 1e-9
         dist = RequestDistribution.from_dense(dense, deltas_s=[0.05, 0.2])
         pmat, pres = probability_matrices(dist, 6, 2, 0.05)
         np.testing.assert_array_equal(pmat[:2], 0.0)
         np.testing.assert_array_equal(pres[:2], 0.0)
-        assert (pmat[2:] >= 0).all()
+        sched = GreedyScheduler(GainTable(LinearUtility(), [4] * 8), cache_blocks=6, seed=0)
+        sched.schedule_batch(2)
+        sched.update_distribution(dist, 0.05)
+        row, res = scheduler_row(sched, 2)
+        np.testing.assert_allclose(row, pmat[2], rtol=1e-12)
+        last_row, last_res = scheduler_row(sched, 5)
+        assert len(sched._res) == len(sched._rows) <= 6 - 2
         # Row t aggregates all remaining slots; later rows shed mass.
-        assert pres[2] >= pres[5]
+        assert (last_row >= 0).all() and res >= last_res
+
+    def test_state_is_head_plus_a_chunk_not_the_batch(self):
+        """The memory win, deterministically: at the paper's shape the
+        install holds the 15 rows before the 500 ms horizon, not 1000."""
+        C, m, slot = 1000, 144, 0.033
+        dist = paper_distribution(np.random.default_rng(0), 10_000, m)
+        sched = GreedyScheduler(GainTable(LinearUtility(), [30] * 10_000), cache_blocks=C)
+        sched.update_distribution(dist, slot)
+        head = sum(1 for j in range(1, C + 1) if j * slot < PAPER_DELTAS[-1])
+        assert head == 15 == len(sched._rows)
+        held = sched._rows.size + sched._res.size + sched._D.size
+        assert held < (head + 64) * m < C * m
+        # ... and a tick's worth of draws past the head stays that small.
+        sched.schedule_batch(head + 10)
+        assert sched._rows.size + sched._res.size + sched._D.size < (head + 64) * m
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.95])
+    def test_lazy_extension_keeps_batch_and_scalar_paths_identical(self, gamma):
+        """One ``schedule_batch`` that runs past the head, to the end of
+        the batch and across two resets with no new distribution draws
+        the ``next_block`` stream, and the appended rows are the
+        oracle's."""
+        n, C, slot = 400, 90, 0.033
+        dist = paper_distribution(np.random.default_rng(5), n, 12)
+        gains = GainTable(LinearUtility(), [6] * n)
+        fast = GreedyScheduler(gains, cache_blocks=C, gamma=gamma, seed=9)
+        slow = GreedyScheduler(gains, cache_blocks=C, gamma=gamma, seed=9)
+        for sched in (fast, slow):
+            sched.schedule_batch(7)
+            sched.update_distribution(dist, slot)
+        assert len(fast._rows) == 15  # the head only, so far
+        batch = fast.schedule_batch(2 * C + 20)
+        assert batch == [slow.next_block() for _ in range(2 * C + 20)]
+        assert fast.schedules_generated == 2 and fast.position == 27
+        assert 15 < len(fast._rows) < C  # grown past the head, from slot 0
+        pmat, pres = probability_matrices(dist, C, 0, slot, gamma)
+        for r in (27, 40, C - 1):
+            row, res = scheduler_row(fast, r)
+            np.testing.assert_allclose(row, pmat[r], rtol=1e-12)
+            np.testing.assert_allclose(res, pres[r], rtol=1e-12)
+
+    def test_rollback_below_install_position_reanchors_rows(self):
+        n, C, slot = 80, 60, 0.033
+        dist = paper_distribution(np.random.default_rng(3), n, 10)
+        gains = GainTable(LinearUtility(), [5] * n)
+        fast = GreedyScheduler(gains, cache_blocks=C, seed=4)
+        slow = GreedyScheduler(gains, cache_blocks=C, seed=4)
+        for sched in (fast, slow):
+            drawn = sched.schedule_batch(10)
+            sched.update_distribution(dist, slot)
+            drawn += sched.schedule_batch(5)
+            sched.rollback(drawn[7:])  # to slot 7, below the install at 10
+            assert sched.position == 7 == sched._t0
+        pmat, pres = probability_matrices(dist, C, 7, slot)
+        for r in (7, 9, 30):
+            row, res = scheduler_row(fast, r)
+            np.testing.assert_allclose(row, pmat[r], rtol=1e-12)
+            np.testing.assert_allclose(res, pres[r], rtol=1e-12)
+        fast._t = 7
+        assert fast.schedule_batch(40) == [slow.next_block() for _ in range(40)]
 
 
 class TestExplicitMatrixEquivalence:

@@ -225,28 +225,24 @@ class TestStaticFleetByteIdentity:
             s.as_dict() if s is not None else None for s in sa.per_session
         ] == [s.as_dict() if s is not None else None for s in sb.per_session]
 
-    def test_probability_matrices_byte_identical(self):
-        """Directly compare the installed scheduler matrices: collect
-        every (Pmat, Pres) install across the run in both modes."""
-        captured = {}
+    def test_probability_matrices_byte_identical(self, monkeypatch):
+        """Directly compare the probability rows every scheduler holds
+        after each install across the run in both modes."""
         from repro.core.greedy import GreedyScheduler
 
-        original = GreedyScheduler.install_distribution
-
+        captured = {}
+        original = GreedyScheduler.update_distribution
         for mode in (False, True):
             log = []
 
-            def recording(self, dist, slot, pmat, pres, _log=log):
-                _log.append((pmat.tobytes(), pres.tobytes()))
-                return original(self, dist, slot, pmat, pres)
+            def recording(self, dist, slot, _log=log):
+                original(self, dist, slot)
+                _log.append((self._t0, self._rows.tobytes(), self._res.tobytes()))
 
-            GreedyScheduler.install_distribution = recording
-            try:
-                run_kalman_fleet(batched_decode=mode, num=3, duration=0.8)
-            finally:
-                GreedyScheduler.install_distribution = original
+            monkeypatch.setattr(GreedyScheduler, "update_distribution", recording)
+            run_kalman_fleet(batched_decode=mode, num=3, duration=0.8)
             captured[mode] = log
-        assert captured[True]  # matrices were actually installed
+        assert len(captured[True]) > 3  # predictions, not just the start-up uniform
         assert captured[False] == captured[True]
 
 

@@ -1,18 +1,15 @@
-"""Tests for the fleet-batched prediction tick and probability recompute."""
+"""Tests for the fleet-coalesced prediction tick."""
 
-import numpy as np
 import pytest
 
 from repro.backends import FileSystemBackend
-from repro.core import LinearUtility, RequestDistribution, SessionConfig
-from repro.core.greedy import probability_matrices
+from repro.core import LinearUtility, SessionConfig
 from repro.encoding import ImageAsset, ProgressiveImageEncoder
 from repro.fleet import (
     ArrivalConfig,
     FleetConfig,
     FleetScheduleService,
     KhameleonFleet,
-    batch_probability_matrices,
 )
 from repro.predictors.simple import make_point_predictor
 from repro.sim import ControlChannel, FixedRateLink, Simulator
@@ -77,49 +74,6 @@ def run_static(num_sessions, batched, until=1.0):
     sent = tuple((s.sender.blocks_sent, s.sender.bytes_sent) for s in fleet.sessions)
     states = tuple(s.server.states_received for s in fleet.sessions)
     return sim, fleet, streams, sent, states
-
-
-class TestBatchProbabilityMatrices:
-    def _random_spec(self, rng, C):
-        n = int(rng.integers(4, 60))
-        m = int(rng.integers(0, min(n, 20)))
-        deltas = np.unique(np.sort(rng.random(int(rng.integers(1, 5))) + 0.01))
-        k = len(deltas)
-        ids = rng.choice(n, size=m, replace=False).astype(np.int64)
-        if m:
-            raw = rng.random((k, m))
-            probs = rng.uniform(0.2, 0.9) * raw / raw.sum(axis=1, keepdims=True)
-        else:
-            probs = np.empty((k, 0))
-        residual = 1.0 - probs.sum(axis=1)
-        dist = RequestDistribution(
-            n=n, deltas_s=deltas, explicit_ids=ids,
-            explicit_probs=probs, residual=residual,
-        )
-        t = int(rng.integers(0, C + 1))
-        slot = float(rng.uniform(0.001, 0.4))
-        gamma = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.8, 1.0))
-        return (dist, C, t, slot, gamma)
-
-    def test_matches_per_scheduler_path_bitwise(self):
-        rng = np.random.default_rng(7)
-        for trial in range(30):
-            C = int(rng.integers(1, 40))
-            specs = [self._random_spec(rng, C) for _ in range(int(rng.integers(1, 12)))]
-            batched = batch_probability_matrices(specs)
-            for spec, (pmat, pres) in zip(specs, batched):
-                ref_pmat, ref_pres = probability_matrices(*spec)
-                np.testing.assert_array_equal(pmat, ref_pmat)
-                np.testing.assert_array_equal(pres, ref_pres)
-
-    def test_mixed_cache_sizes_grouped_correctly(self):
-        rng = np.random.default_rng(11)
-        specs = [self._random_spec(rng, C) for C in (4, 9, 4, 17, 9)]
-        batched = batch_probability_matrices(specs)
-        for spec, (pmat, pres) in zip(specs, batched):
-            ref_pmat, ref_pres = probability_matrices(*spec)
-            np.testing.assert_array_equal(pmat, ref_pmat)
-            np.testing.assert_array_equal(pres, ref_pres)
 
 
 class TestStaticFleetEquivalence:
