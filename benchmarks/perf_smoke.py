@@ -23,6 +23,12 @@ Measures the hot paths the vectorized scheduling core owns:
   client's Kalman filter over a fixed 1k-sample trace.  The filter is
   a few dozen scalar operations per sample; per-sample matrix algebra
   costs 40x that, which the 2x gate catches;
+* ``backend_fetch_us`` — microseconds per ``FileSystemBackend`` fetch →
+  completion of a 26–40-block image none of whose blocks is read (the
+  scheduler hedges across far more responses than the link carries):
+  the cost of a descriptor plus two simulator events.  Building every
+  block of the response at fetch time costs over ten times that, which
+  the 2x gate catches;
 * ``fleet_tick_N<N>`` — mean wall time per 150 ms fleet prediction
   interval for a batched static fleet at N in {8, 32} sessions
   (prediction collect + decode + install + the scheduling it
@@ -293,6 +299,28 @@ def bench_kalman_observe() -> dict[str, float]:
             kf.observe(t, x, y)
         best = min(best, time.perf_counter() - start)
     return {"kalman_observe_us": best / KALMAN_SAMPLES * 1e6}
+
+
+def bench_backend_fetch() -> dict[str, float]:
+    """Per-fetch cost of making a response available, none of it read."""
+    from repro.sim.engine import Simulator
+    from repro.workloads.image_app import ImageExplorationApp
+
+    app = ImageExplorationApp(rows=45, cols=45)  # 2025 distinct images
+    n = app.num_requests
+    best = float("inf")
+    for _ in range(REPEATS):
+        sim = Simulator()
+        backend = app.make_backend(sim, fetch_delay_s=0.001)
+        responses = []
+        start = time.perf_counter()
+        for request in range(n):
+            backend.fetch(request, responses.append)
+        sim.run()
+        best = min(best, time.perf_counter() - start)
+        assert len(responses) == n
+        assert all(26 <= r.num_blocks <= 40 for r in responses)
+    return {"backend_fetch_us": best / n * 1e6}
 
 
 def _tick_cost(app, traces, env) -> float:
@@ -638,6 +666,7 @@ def measure(batched_decode: bool = True, shards: int = 2) -> dict:
     metrics = bench_greedy()
     metrics.update(bench_greedy_install())
     metrics.update(bench_kalman_observe())
+    metrics.update(bench_backend_fetch())
     metrics.update(bench_fleet_tick(batched_decode))
     metrics.update(bench_fleet_sharded(shards))
     metrics.update(bench_fleet_checkpoint(shards))

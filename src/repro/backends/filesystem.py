@@ -6,6 +6,11 @@ and the store scales to arbitrarily many concurrent reads — the
 paper's default backend assumptions (§3.3, "By default, we assume that
 retrieving blocks from the backend incurs a predictable delay ...
 and that the backend is scalable").
+
+A completed fetch makes the response *available* — its block count and
+size are known — and the sender then reads the one block the schedule
+names; a block exists once read (:class:`~repro.core.blocks.BlockSequence`),
+the way a pre-loaded file system hands out the files that are opened.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ __all__ = ["FileSystemBackend", "KeyValueBackend"]
 class FileSystemBackend(Backend):
     """Pre-encoded responses behind a fixed fetch delay.
 
-    ``encoder.encode(request, None)`` is invoked lazily at completion —
-    equivalent to reading pre-encoded blocks off disk.  The fetch delay
+    ``encoder.encode(request, None)`` is invoked at completion and
+    describes the response; each block is built when the sender reads
+    it — equivalent to reading pre-encoded blocks off disk.  The fetch delay
     models the backend-processing share of the experiments' "request
     latency" knob (§6.1 splits request latency into network latency +
     simulated backend processing cost).

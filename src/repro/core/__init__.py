@@ -5,7 +5,7 @@ greedy (§5.3) and ILP (§5.2) solvers, the paced sender (§5.3.2), and
 the client/server assemblies (§3.2).
 """
 
-from .blocks import Block, ProgressiveResponse, RequestSpace
+from .blocks import Block, BlockSequence, ProgressiveResponse, RequestSpace
 from .cache import LRUCache, RingBufferCache
 from .cache_manager import CacheManager, RequestOutcome, Upcall
 from .client import KhameleonClient
@@ -29,6 +29,7 @@ from .utility import (
 
 __all__ = [
     "Block",
+    "BlockSequence",
     "ProgressiveResponse",
     "RequestSpace",
     "RingBufferCache",

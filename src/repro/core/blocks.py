@@ -6,14 +6,22 @@ full list renders the complete result.  A single block is a complete —
 if coarse — response.  Requests are integers in ``[0, n)``; applications
 map their domain objects (image ids, query signatures) to request ids
 via :class:`RequestSpace`.
+
+A fetch makes a response *available*; the sender then reads the one
+block the schedule names (§3.3's image application "pre-loads the file
+system with the blocks").  An encoded response therefore carries its
+blocks as a :class:`BlockSequence`: block ``i`` comes into existence the
+first time it is read, and a response the scheduler hedged on but never
+sent costs a descriptor, not ``Nb`` blocks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterator, Optional, Sequence, Union
 
-__all__ = ["Block", "ProgressiveResponse", "RequestSpace"]
+__all__ = ["Block", "BlockSequence", "ProgressiveResponse", "RequestSpace"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,17 +49,91 @@ class Block:
             raise ValueError(f"block size must be positive (got {self.size_bytes})")
 
 
+class BlockSequence(SequenceABC):
+    """Blocks ``0..count-1`` of one request, each built when first read.
+
+    Every block is ``size_bytes`` on the wire (encoders pad, §3.3) and
+    carries ``payload_of(index)``.  Reading index ``i`` builds
+    ``Block(request, i, size_bytes, payload_of(i))`` once — through
+    ``Block.__post_init__`` like any other block — and keeps it, so the
+    cache mirror and the link hold the same object.  Reads like a tuple:
+    ``len``, int / negative / slice indexing (a slice is a tuple of
+    blocks), iteration, and ``==`` against a tuple or another sequence
+    of blocks.
+    """
+
+    __slots__ = ("request", "size_bytes", "_payload_of", "_built")
+
+    def __init__(
+        self,
+        request: int,
+        count: int,
+        size_bytes: int,
+        payload_of: Callable[[int], Any],
+    ) -> None:
+        if request < 0:
+            raise ValueError(f"request id must be non-negative (got {request})")
+        if count < 1:
+            raise ValueError(f"a response needs at least one block (got {count})")
+        if size_bytes <= 0:
+            raise ValueError(f"block size must be positive (got {size_bytes})")
+        self.request = request
+        self.size_bytes = size_bytes
+        self._payload_of = payload_of
+        self._built: list[Optional[Block]] = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i: Union[int, slice]) -> Union[Block, tuple[Block, ...]]:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self._built)))))
+        block = self._built[i]
+        if block is None:
+            i = range(len(self._built))[i]  # a plain int in [0, count)
+            block = self._built[i] = Block(
+                self.request, i, self.size_bytes, self._payload_of(i)
+            )
+        return block
+
+    def __iter__(self) -> Iterator[Block]:
+        return map(self.__getitem__, range(len(self._built)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (BlockSequence, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return (
+            f"BlockSequence(request={self.request}, count={len(self._built)}, "
+            f"size_bytes={self.size_bytes})"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class ProgressiveResponse:
-    """A full progressively encoded response: blocks 0..Nb-1 of one request."""
+    """A full progressively encoded response: blocks 0..Nb-1 of one request.
+
+    ``blocks`` is a :class:`BlockSequence` for encoded responses (coherent
+    by construction) or a hand-built tuple, whose request ids and indices
+    are verified here.
+    """
 
     request: int
-    blocks: tuple[Block, ...]
+    blocks: Sequence[Block]
 
     def __post_init__(self) -> None:
-        if not self.blocks:
+        blocks = self.blocks
+        if isinstance(blocks, BlockSequence):
+            if blocks.request != self.request:
+                raise ValueError(
+                    f"blocks belong to request {blocks.request}, not {self.request}"
+                )
+            return
+        if not blocks:
             raise ValueError("a response needs at least one block")
-        for i, block in enumerate(self.blocks):
+        for i, block in enumerate(blocks):
             if block.request != self.request:
                 raise ValueError(
                     f"block {i} belongs to request {block.request}, not {self.request}"
@@ -65,7 +147,10 @@ class ProgressiveResponse:
 
     @property
     def total_bytes(self) -> int:
-        return sum(b.size_bytes for b in self.blocks)
+        blocks = self.blocks
+        if isinstance(blocks, BlockSequence):
+            return len(blocks) * blocks.size_bytes
+        return sum(b.size_bytes for b in blocks)
 
     def prefix(self, k: int) -> tuple[Block, ...]:
         """The first ``k`` blocks (a renderable lower-quality response)."""

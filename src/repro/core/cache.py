@@ -14,7 +14,7 @@ prefetching baselines (§6.1), which cache whole responses.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, KeysView, Optional
 
 from .blocks import Block
 
@@ -121,8 +121,9 @@ class RingBufferCache:
         slot = self._index.get(request, {}).get(index)
         return self._slots[slot] if slot is not None else None
 
-    def cached_requests(self) -> set[int]:
-        return set(self._index)
+    def cached_requests(self) -> KeysView[int]:
+        """Live set-like view of the requests holding >= 1 block (no copy)."""
+        return self._index.keys()
 
     def occupancy(self) -> int:
         """Number of occupied slots."""

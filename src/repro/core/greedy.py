@@ -142,8 +142,9 @@ class GreedyScheduler:
         self._res = np.empty(0)
         self._explicit_set: set[int] = set()
         self._explicit_ids_ref: Optional[np.ndarray] = None
-        self._promoted: list[int] = []
-        self._promoted_set: set[int] = set()
+        # Requests promoted out of the meta pool this batch, in promotion
+        # order (the order of their fast-path array entries).
+        self._promoted: dict[int, None] = {}
         # Materialized-request fast-path state: parallel arrays over
         # explicit-then-promoted ids, updated incrementally so the
         # batch sampler never walks the pending/mirror dicts per draw.
@@ -269,11 +270,10 @@ class GreedyScheduler:
                 # concrete next-block gain must survive for requests the
                 # client holds a prefix of.
                 if (
-                    block.request in self._promoted_set
+                    block.request in self._promoted
                     and self._effective_blocks(block.request) == 0
                 ):
-                    self._promoted.remove(block.request)
-                    self._promoted_set.discard(block.request)
+                    del self._promoted[block.request]
             else:
                 self._pending[block.request] = have - 1
             self._t = max(0, self._t - 1)
@@ -336,7 +336,6 @@ class GreedyScheduler:
         if self.mirror is None:
             self._pending.clear()
         self._promoted.clear()
-        self._promoted_set.clear()
         self.schedules_generated += 1
         self._recompute_probabilities()
 
@@ -400,19 +399,18 @@ class GreedyScheduler:
         The explicit-id set is cached against the distribution's own
         ids array (rollbacks and batch resets reuse the same
         distribution object, so the set survives those epochs), and the
-        promoted list is only re-filtered when it would actually
-        change.
+        promoted requests are only re-filtered when some became
+        explicit.
         """
         ids = self._dist.explicit_ids
         if ids is not self._explicit_ids_ref:
-            self._explicit_set = set(int(i) for i in ids)
+            self._explicit_set = set(ids.tolist())
             self._explicit_ids_ref = ids
         self._ids = ids
-        if self._promoted:
-            kept = [q for q in self._promoted if q not in self._explicit_set]
-            if len(kept) != len(self._promoted):
-                self._promoted = kept
-                self._promoted_set = set(kept)
+        if not self._explicit_set.isdisjoint(self._promoted):
+            self._promoted = {
+                q: None for q in self._promoted if q not in self._explicit_set
+            }
         self._rebuild_materialized()
 
     def _ensure_capacity(self, needed: int) -> None:
@@ -438,19 +436,23 @@ class GreedyScheduler:
         ids = self._mat_ids
         ids[:m] = self._ids
         if self._promoted:
-            ids[m:mlen] = self._promoted
+            ids[m:mlen] = list(self._promoted)
         self._mlen = mlen
-        self._pos_of = {int(r): i for i, r in enumerate(ids[:mlen])}
+        pos_of = self._pos_of = dict(zip(ids[:mlen].tolist(), range(mlen)))
         if mlen:
-            if self.mirror is None and not self._pending:
-                self._have[:mlen] = 0
-            else:
-                self._have[:mlen] = np.fromiter(
-                    (self._effective_blocks(int(r)) for r in ids[:mlen]),
-                    dtype=np.int64,
-                    count=mlen,
-                )
-            self._gain[:mlen] = self.gains.gain_vector(ids[:mlen], self._have[:mlen])
+            # Effective blocks = mirrored prefix + pending: nonzero only
+            # for requests the mirror or the pipeline holds blocks of.
+            have = self._have
+            have[:mlen] = 0
+            mirror = self.mirror
+            if mirror is not None:
+                for r in pos_of.keys() & mirror.cached_requests():
+                    have[pos_of[r]] = mirror.prefix_len(r)
+            for r, count in self._pending.items():
+                pos = pos_of.get(r)
+                if pos is not None:
+                    have[pos] += count
+            self._gain[:mlen] = self.gains.gain_vector(ids[:mlen], have[:mlen])
 
     def _refresh_entry(self, request: int) -> None:
         """Re-derive one materialized request's block count and gain."""
@@ -472,7 +474,7 @@ class GreedyScheduler:
     def _all_ids(self) -> np.ndarray:
         if not self._promoted:
             return self._ids
-        return np.concatenate([self._ids, np.array(self._promoted, dtype=np.int64)])
+        return np.concatenate([self._ids, np.array(list(self._promoted), dtype=np.int64)])
 
     def _effective_blocks(self, request: int) -> int:
         """Blocks the client will hold once the pipeline drains."""
@@ -558,7 +560,7 @@ class GreedyScheduler:
         """
         n = self.gains.n
         taken = self._explicit_set
-        promoted = self._promoted_set
+        promoted = self._promoted
         for _ in range(64):
             candidate = int(self._rng.integers(0, n))
             if candidate not in taken and candidate not in promoted:
@@ -569,8 +571,7 @@ class GreedyScheduler:
         return None
 
     def _promote(self, request: int) -> None:
-        self._promoted.append(request)
-        self._promoted_set.add(request)
+        self._promoted[request] = None
         self._ensure_capacity(self._mlen + 1)
         i = self._mlen
         effective = self._effective_blocks(request)

@@ -100,12 +100,16 @@ class KhameleonSession:
         config: Optional[SessionConfig] = None,
         throttle: Optional["BackendThrottle"] = None,
         schedule_service: Optional["FleetScheduleService"] = None,
+        gains: Optional[GainTable] = None,
     ) -> None:
         self.sim = sim
         self.config = config or SessionConfig()
         cfg = self.config
 
-        self.gains = GainTable(utility, num_blocks)
+        # ``gains``: a prebuilt ``GainTable(utility, num_blocks)``.  The
+        # table is immutable and the same for every session of one
+        # application, so a fleet builds it once and shares it.
+        self.gains = gains if gains is not None else GainTable(utility, num_blocks)
         n = self.gains.n
 
         # Server side ------------------------------------------------

@@ -1,7 +1,7 @@
 """Progressive encoders (§3.3): naive single-block, image scans,
 round-robin row sampling for query results."""
 
-from .base import ProgressiveEncoder, split_padded
+from .base import ProgressiveEncoder, padded_block_count, split_padded
 from .image import ImageAsset, ProgressiveImageEncoder
 from .naive import SingleBlockEncoder
 from .wavelet import WaveletEncoder, WaveletPass, wavelet_utility
@@ -15,6 +15,7 @@ from .rowsample import (
 
 __all__ = [
     "ProgressiveEncoder",
+    "padded_block_count",
     "split_padded",
     "SingleBlockEncoder",
     "WaveletEncoder",

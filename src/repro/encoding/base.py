@@ -7,6 +7,12 @@ Block sizes are kept uniform — the paper pads smaller blocks — because
 uniform sizes are what make the client ring-buffer cache state a pure
 function of the block sequence (and hence mirrorable by the server).
 
+Encoding describes the blocks — how many, how large, what block ``i``
+carries — and a block exists once something reads it
+(:class:`~repro.core.blocks.BlockSequence`): the scheduler hedges across
+far more responses than the link carries, so most encoded responses are
+never read past their block count.
+
 Encoders also declare how many blocks a given request will produce
 (:meth:`ProgressiveEncoder.num_blocks`) so the scheduler can size its
 utility-gain tables without fetching anything.
@@ -14,26 +20,30 @@ utility-gain tables without fetching anything.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-from repro.core.blocks import Block, ProgressiveResponse
+from repro.core.blocks import BlockSequence, ProgressiveResponse
 
-__all__ = ["ProgressiveEncoder", "split_padded"]
+__all__ = ["ProgressiveEncoder", "padded_block_count", "split_padded"]
+
+
+def padded_block_count(total_bytes: int, block_size: int) -> int:
+    """``ceil(total/block_size)``, at least 1: blocks needed for
+    ``total_bytes`` when the final short block is padded up (§3.3)."""
+    if total_bytes < 0:
+        raise ValueError("total_bytes must be non-negative")
+    if block_size <= 0:
+        raise ValueError("block_size must be positive")
+    return max(1, -(-total_bytes // block_size))
 
 
 def split_padded(total_bytes: int, block_size: int) -> list[int]:
     """Split ``total_bytes`` into equal padded block sizes.
 
-    Returns ``ceil(total/block_size)`` entries, all equal to
-    ``block_size`` — the final short block is padded up, as §3.3
-    prescribes.  At least one block is always produced.
+    Returns :func:`padded_block_count` entries, all equal to
+    ``block_size``.
     """
-    if total_bytes < 0:
-        raise ValueError("total_bytes must be non-negative")
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    count = max(1, -(-total_bytes // block_size))
-    return [block_size] * count
+    return [block_size] * padded_block_count(total_bytes, block_size)
 
 
 class ProgressiveEncoder:
@@ -48,13 +58,18 @@ class ProgressiveEncoder:
         raise NotImplementedError
 
     def _build(
-        self, request: int, sizes: list[int], payloads: list[Any]
+        self,
+        request: int,
+        count: int,
+        size_bytes: int,
+        payload_of: Callable[[int], Any],
     ) -> ProgressiveResponse:
-        """Assemble a response from per-block sizes and payloads."""
-        if len(sizes) != len(payloads):
-            raise ValueError("sizes and payloads must align")
-        blocks = tuple(
-            Block(request=request, index=i, size_bytes=size, payload=payload)
-            for i, (size, payload) in enumerate(zip(sizes, payloads))
+        """A response of ``count`` blocks of ``size_bytes`` each, block
+        ``i`` carrying ``payload_of(i)`` — called when ``i`` is first read.
+
+        Raises ``ValueError`` for a negative request, ``count < 1`` or a
+        non-positive size.
+        """
+        return ProgressiveResponse(
+            request, BlockSequence(request, count, size_bytes, payload_of)
         )
-        return ProgressiveResponse(request=request, blocks=blocks)

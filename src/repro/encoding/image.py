@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.core.blocks import ProgressiveResponse
 
-from .base import ProgressiveEncoder, split_padded
+from .base import ProgressiveEncoder, padded_block_count
 
 __all__ = ["ImageAsset", "ProgressiveImageEncoder"]
 
@@ -68,14 +68,15 @@ class ProgressiveImageEncoder(ProgressiveEncoder):
 
     def num_blocks(self, request: int) -> int:
         asset = self.assets[request]
-        return len(split_padded(asset.size_bytes, self.block_size_bytes))
+        return padded_block_count(asset.size_bytes, self.block_size_bytes)
 
     def encode(self, request: int, data: Any = None) -> ProgressiveResponse:
         asset = self.assets[request]
-        sizes = split_padded(asset.size_bytes, self.block_size_bytes)
-        total = len(sizes)
-        payloads = [
-            ImageScan(image_id=asset.image_id, scan=i, total_scans=total)
-            for i in range(total)
-        ]
-        return self._build(request, sizes, payloads)
+        image_id = asset.image_id
+        total = padded_block_count(asset.size_bytes, self.block_size_bytes)
+        return self._build(
+            request,
+            total,
+            self.block_size_bytes,
+            lambda i: ImageScan(image_id=image_id, scan=i, total_scans=total),
+        )

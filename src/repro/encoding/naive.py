@@ -33,7 +33,4 @@ class SingleBlockEncoder(ProgressiveEncoder):
         return 1
 
     def encode(self, request: int, data: Any) -> ProgressiveResponse:
-        size = int(self.size_of(request))
-        if size <= 0:
-            raise ValueError(f"response size must be positive (got {size})")
-        return self._build(request, [size], [data])
+        return self._build(request, 1, int(self.size_of(request)), lambda i: data)

@@ -67,15 +67,16 @@ class RowSampleEncoder(ProgressiveEncoder):
     def encode(self, request: int, data: Any) -> ProgressiveResponse:
         rows = np.atleast_2d(np.asarray(data))
         nb = self.blocks_per_response
-        stripes = [rows[b::nb] for b in range(nb)]
-        # Pad every block to the largest stripe's wire size.
-        max_rows = max((len(s) for s in stripes), default=0)
+        # Pad every block to the largest stripe's wire size: stripe 0's,
+        # ceil(R / nb) rows.
+        max_rows = -(-len(rows) // nb)
         block_size = max(1, max_rows * self.bytes_per_row)
-        payloads = [
-            RowSamplePayload(rows=stripe, stripe=b, total_stripes=nb)
-            for b, stripe in enumerate(stripes)
-        ]
-        return self._build(request, [block_size] * nb, payloads)
+        return self._build(
+            request,
+            nb,
+            block_size,
+            lambda b: RowSamplePayload(rows=rows[b::nb], stripe=b, total_stripes=nb),
+        )
 
 
 def decode_prefix(blocks: Sequence[Block]) -> np.ndarray:

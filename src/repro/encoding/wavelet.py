@@ -22,7 +22,7 @@ from typing import Any
 from repro.core.blocks import ProgressiveResponse
 from repro.core.utility import PiecewiseUtility
 
-from .base import ProgressiveEncoder, split_padded
+from .base import ProgressiveEncoder, padded_block_count
 
 __all__ = ["WaveletPass", "WaveletEncoder", "wavelet_utility"]
 
@@ -60,22 +60,23 @@ class WaveletEncoder(ProgressiveEncoder):
         self.decay = decay
 
     def num_blocks(self, request: int) -> int:
-        return len(split_padded(int(self.size_of(request)), self.block_size_bytes))
+        return padded_block_count(int(self.size_of(request)), self.block_size_bytes)
 
     def encode(self, request: int, data: Any = None) -> ProgressiveResponse:
-        sizes = split_padded(int(self.size_of(request)), self.block_size_bytes)
-        total = len(sizes)
-        norm = sum(self.decay**k for k in range(total))
-        payloads = [
-            WaveletPass(
+        total = self.num_blocks(request)
+        decay = self.decay
+        norm = sum(decay**k for k in range(total))
+        return self._build(
+            request,
+            total,
+            self.block_size_bytes,
+            lambda k: WaveletPass(
                 item_id=request,
                 pass_index=k,
                 total_passes=total,
-                significance=self.decay**k / norm,
-            )
-            for k in range(total)
-        ]
-        return self._build(request, sizes, payloads)
+                significance=decay**k / norm,
+            ),
+        )
 
 
 def wavelet_utility(num_points: int = 32, decay: float = 0.5) -> PiecewiseUtility:

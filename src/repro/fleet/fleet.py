@@ -52,6 +52,7 @@ if TYPE_CHECKING:
 
 from repro.backends.base import Backend
 from repro.backends.throttle import BackendThrottle, WeightedBackendThrottle
+from repro.core.scheduler import GainTable
 from repro.core.session import KhameleonSession, SessionConfig
 from repro.core.utility import UtilityFunction
 from repro.metrics.fleet import FleetSummary, collect_fleet, jain_fairness
@@ -252,7 +253,9 @@ class KhameleonFleet:
 
         self._make_predictor = make_predictor
         self._utility = utility
-        self._num_blocks = num_blocks
+        #: One gain table for the whole fleet (every session shares the
+        #: application, and the table is immutable once built).
+        self._gains = GainTable(utility, num_blocks)
         self._make_uplink = make_uplink
 
         # Armed before any session exists so its tick (and thus the
@@ -319,12 +322,13 @@ class KhameleonFleet:
             backend=self.backend,
             predictor=self._make_predictor(i),
             utility=self._utility,
-            num_blocks=self._num_blocks,
+            num_blocks=self._gains.num_blocks,
             downlink=port,
             uplink=self._make_uplink(i),
             config=self._session_config(i),
             throttle=throttle,
             schedule_service=self.schedule_service,
+            gains=self._gains,
         )
         self.ports.append(port)
         self.sessions.append(session)

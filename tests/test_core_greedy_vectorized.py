@@ -279,14 +279,19 @@ class TestCachedSets:
         )  # new ids array: rebuilt
         assert sched._explicit_set is not cached
 
-    def test_promoted_set_tracks_list(self):
+    def test_full_rollback_unpromotes_everything(self):
+        """Promotions are held in draw order (the order of their fast-path
+        array entries) and none survives a rollback of the whole batch."""
         gains = GainTable(LinearUtility(), [4] * 50)
         sched = GreedyScheduler(gains, cache_blocks=12, seed=3)
         sched.update_distribution(RequestDistribution.uniform(50), 0.01)
         batch = sched.schedule_batch()
-        assert set(sched._promoted) == sched._promoted_set
+        m = len(sched._ids)
+        promoted = list(sched._promoted)
+        assert promoted and promoted == sched._mat_ids[m : sched._mlen].tolist()
         sched.rollback(batch)
-        assert set(sched._promoted) == sched._promoted_set == set()
+        assert not sched._promoted
+        assert sched._mlen == m
 
 
 def random_distribution(rng, n, m, k, last_s=0.5):

@@ -67,6 +67,15 @@ class TestAssembly:
         ports = {id(s.downlink) for s in fleet.sessions}
         assert len(ports) == 3  # one fair-share port each
 
+    def test_sessions_share_one_gain_table(self):
+        """The table is immutable and the same for every session of an
+        application: built once per fleet, not once per session."""
+        sim, fleet, backend = make_fleet(3)
+        tables = {id(s.gains) for s in fleet.sessions}
+        tables |= {id(s.scheduler.gains) for s in fleet.sessions}
+        assert len(tables) == 1
+        assert fleet.sessions[0].gains.num_blocks.tolist() == [3] * 6
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FleetConfig(num_sessions=0)
