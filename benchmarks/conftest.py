@@ -23,7 +23,7 @@ from typing import Sequence
 
 import pytest
 
-from repro.experiments.figures import ImageExperimentScale
+from repro.experiments.configs import ImageExperimentScale
 from repro.metrics.report import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"

@@ -59,16 +59,16 @@ Measures the hot paths the vectorized scheduling core owns:
 * ``fleet_tick_markov_N32`` — predictor-*decode* work per tick for a
   32-session shared-Markov fleet (crowd prior pre-warmed to realistic
   row widths, cohorts of sessions walking a common tour): the wall
-  time spent in ``decode_state`` / the stacked ``_batch_decode`` pass,
-  which is the stage ``batched_decode`` owns.  Decode is one layer of
+  time spent in ``decode_state`` / the stacked ``_batch_decode`` pass.
+  Decode is one layer of
   several in a whole tick (on the ``bench/`` fleet workload: the draw
   loop, decode, the distribution install, then the senders — which
   redraw only a short ready window after a preemption, not a
   ``lookahead`` of blocks), so this metric isolates the decode stage
   the same way ``greedy_draws_*`` isolates the draw loop.
 
-The emitted JSON carries a ``config`` section (the fleet's
-decode-batching flag and the shard count) so any regression is
+The emitted JSON carries a ``config`` section (the shard count) so
+any regression is
 attributable to the configuration that produced it.  Each run writes
 its result to the git-ignored ``results/scratch_BENCH_sched.json``;
 the only tracked perf JSON is the committed baseline,
@@ -336,7 +336,7 @@ def _tick_cost(app, traces, env) -> float:
     return best
 
 
-def bench_fleet_tick(batched_decode: bool) -> dict[str, float]:
+def bench_fleet_tick() -> dict[str, float]:
     from repro.experiments.configs import DEFAULT_ENV, FleetEnvironment
     from repro.fleet import ArrivalConfig
     from repro.workloads.image_app import ImageExplorationApp
@@ -351,9 +351,7 @@ def bench_fleet_tick(batched_decode: bool) -> dict[str, float]:
             )
             for i in range(num)
         ]
-        env = FleetEnvironment(
-            num_sessions=num, env=DEFAULT_ENV, batched_decode=batched_decode
-        )
+        env = FleetEnvironment(num_sessions=num, env=DEFAULT_ENV)
         out[f"fleet_tick_N{num}"] = _tick_cost(app, traces, env) * 1e3
 
     # Churn gate: the same tick cost while sessions arrive and depart
@@ -367,7 +365,6 @@ def bench_fleet_tick(batched_decode: bool) -> dict[str, float]:
     env = FleetEnvironment(
         num_sessions=CHURN_ARRIVALS,
         env=DEFAULT_ENV,
-        batched_decode=batched_decode,
         arrival=ArrivalConfig(
             rate_per_s=CHURN_RATE_PER_S,
             mean_dwell_s=CHURN_DWELL_S,
@@ -376,7 +373,7 @@ def bench_fleet_tick(batched_decode: bool) -> dict[str, float]:
         ),
     )
     out[f"fleet_tick_churn_N{CHURN_ARRIVALS}"] = _tick_cost(app, traces, env) * 1e3
-    out.update(bench_fleet_markov(batched_decode))
+    out.update(bench_fleet_markov())
     return out
 
 
@@ -424,12 +421,12 @@ def _markov_fleet_fixtures():
     return app, traces, make_prior
 
 
-def bench_fleet_markov(batched_decode: bool) -> dict[str, float]:
+def bench_fleet_markov() -> dict[str, float]:
     """Predictor-decode work per tick for the shared-Markov fleet.
 
     Wraps ``decode_state`` and the service's stacked decode hook with
-    wall-clock accumulation: the metric is exactly the
-    stage ``batched_decode`` owns, on a workload whose cohort overlap
+    wall-clock accumulation: the metric is exactly the decode stage,
+    on a workload whose cohort overlap
     and pre-warmed crowd rows resemble a long-lived fleet.
     """
     from dataclasses import replace
@@ -443,7 +440,6 @@ def bench_fleet_markov(batched_decode: bool) -> dict[str, float]:
     env = FleetEnvironment(
         num_sessions=MARKOV_SESSIONS,
         env=replace(DEFAULT_ENV, cache_bytes=MARKOV_CACHE_BYTES),
-        batched_decode=batched_decode,
     )
     acc = {"t": 0.0}
     targets = [
@@ -661,18 +657,18 @@ def alloc_probe() -> dict[str, float]:
     }
 
 
-def measure(batched_decode: bool = True, shards: int = 2) -> dict:
+def measure(shards: int = 2) -> dict:
     probe = machine_probe_ms()
     metrics = bench_greedy()
     metrics.update(bench_greedy_install())
     metrics.update(bench_kalman_observe())
     metrics.update(bench_backend_fetch())
-    metrics.update(bench_fleet_tick(batched_decode))
+    metrics.update(bench_fleet_tick())
     metrics.update(bench_fleet_sharded(shards))
     metrics.update(bench_fleet_checkpoint(shards))
     # ``shards`` is recorded (and compared by --check) so a W=4 scaling
     # run can never be gated against the committed W=2 baseline.
-    config = {"batched_decode": batched_decode, "shards": shards}
+    config = {"shards": shards}
     return {
         "probe_ms": probe,
         "config": config,
@@ -741,11 +737,6 @@ def main() -> int:
     )
     parser.add_argument("--threshold", type=float, default=2.0)
     parser.add_argument(
-        "--no-batched-decode",
-        action="store_true",
-        help="disable the fleet's stacked predictor decode",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=2,
@@ -765,9 +756,7 @@ def main() -> int:
             print(f"  {key:<28} {value}")
         return 0
 
-    result = measure(
-        batched_decode=not args.no_batched_decode, shards=args.shards
-    )
+    result = measure(shards=args.shards)
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = json.dumps(result, indent=2, sort_keys=True) + "\n"
     RESULT_PATH.write_text(payload)

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .distribution import RequestDistribution
-from .scheduler import GainTable, ScheduledBlock
+from repro.core.distribution import RequestDistribution
+from repro.core.scheduler import GainTable, ScheduledBlock
 
 __all__ = ["QLearningScheduler", "QLearningConfig"]
 

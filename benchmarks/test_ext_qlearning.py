@@ -13,9 +13,10 @@ import numpy as np
 from repro.core.distribution import RequestDistribution
 from repro.core.greedy import GreedyScheduler
 from repro.core.ilp import ILPScheduler
-from repro.core.qlearning import QLearningConfig, QLearningScheduler
 from repro.core.scheduler import GainTable, expected_utility
 from repro.core.utility import LinearUtility
+
+from qlearning import QLearningConfig, QLearningScheduler
 
 SLOT_S = 0.01
 

@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.distribution import RequestDistribution
 from repro.core.greedy import GreedyScheduler
-from repro.core.qlearning import QLearningConfig, QLearningScheduler
 from repro.core.scheduler import GainTable, expected_utility
 from repro.core.utility import LinearUtility
+
+from qlearning import QLearningConfig, QLearningScheduler
 
 
 def skewed_distribution(n=4, hot=0, mass=0.9):

@@ -1,6 +1,6 @@
 """Backends: file system, key-value, mini SQL column store (real
 histogram execution + simulated PostgreSQL-like latency/concurrency),
-the ScalableSQL simulation, and the §5.4 speculation throttle."""
+the ScalableSQL simulation, retries, and fault injection."""
 
 from .base import Backend, BackendFetchError, BackendStats, BackendWrapper
 from .database import ColumnTable, HistogramQuery, RangeFilter, SimulatedSQLDatabase
@@ -8,12 +8,6 @@ from .filesystem import FileSystemBackend, KeyValueBackend
 from .pool import ConnectionPoolBackend
 from .retry import RetryingBackend, RetryPolicy
 from .scalable import ScalableSQLDatabase
-from .throttle import (
-    BackendThrottle,
-    SessionThrottleShare,
-    WeightedBackendThrottle,
-    throttle_schedule,
-)
 
 __all__ = [
     "Backend",
@@ -30,8 +24,4 @@ __all__ = [
     "RangeFilter",
     "SimulatedSQLDatabase",
     "ScalableSQLDatabase",
-    "BackendThrottle",
-    "WeightedBackendThrottle",
-    "SessionThrottleShare",
-    "throttle_schedule",
 ]

@@ -16,18 +16,14 @@ is what the scheduler's throttle heuristic consumes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
-
-if TYPE_CHECKING:
-    from repro.core.blocks import ProgressiveResponse
+from typing import Callable, Optional
 
 from repro.clock import Clock
+from repro.core.blocks import ProgressiveResponse
 
 __all__ = ["Backend", "BackendFetchError", "BackendStats", "BackendWrapper"]
 
-# Imported lazily to keep this module cycle-free: repro.core pulls in
-# repro.sim, whose failure injectors subclass BackendWrapper below.
-OnComplete = Callable[["ProgressiveResponse"], None]
+OnComplete = Callable[[ProgressiveResponse], None]
 
 
 class BackendFetchError(RuntimeError):

@@ -25,11 +25,9 @@ for logical timestamp ``T`` drops all pending requests older than ``T``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
-if TYPE_CHECKING:
-    from repro.backends.base import Backend
-
+from repro.backends.base import Backend
 from repro.core.blocks import ProgressiveResponse
 from repro.core.cache import LRUCache
 from repro.core.cache_manager import RequestOutcome, Upcall
@@ -80,7 +78,7 @@ class ClassicSession:
     def __init__(
         self,
         sim: Simulator,
-        backend: "Backend",
+        backend: Backend,
         utility: UtilityFunction,
         num_blocks_of: Callable[[int], int],
         downlink: Link,

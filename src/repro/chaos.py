@@ -1,8 +1,8 @@
 """Chaos configuration: one knob panel for every fault source.
 
 ``ChaosConfig`` gathers the individual fault injectors —
-:class:`~repro.sim.failures.FlakyBackend` (transparent retries),
-:class:`~repro.sim.failures.ErraticBackend` (hard errors + latency
+:class:`~repro.backends.faults.FlakyBackend` (transparent retries),
+:class:`~repro.backends.faults.ErraticBackend` (hard errors + latency
 spikes, absorbed by a :class:`~repro.backends.retry.RetryingBackend`),
 :class:`~repro.sim.failures.OutageLink` (dead-link windows), and
 worker crash-at-round schedules consumed by the sharded fleet's
@@ -42,15 +42,15 @@ are defended by the frame CRC / ack-retransmit / dedup machinery in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:
-    from repro.backends.base import Backend, BackendWrapper
-    from repro.sim.link import Link
-
+from repro.backends.base import Backend, BackendWrapper
+from repro.backends.faults import ErraticBackend, FlakyBackend
 from repro.backends.retry import RetryingBackend, RetryPolicy
+from repro.sim.failures import OutageLink
+from repro.sim.link import Link
 
-__all__ = ["ChaosConfig", "BackendFaultStack"]
+__all__ = ["ChaosConfig", "BackendFaultStack", "NetChaosSpec"]
 
 
 @dataclass
@@ -62,9 +62,9 @@ class BackendFaultStack:
     and absorbed fault counts.
     """
 
-    top: "Backend | BackendWrapper"
-    flaky: Optional[object] = None
-    erratic: Optional[object] = None
+    top: Backend | BackendWrapper
+    flaky: Optional[FlakyBackend] = None
+    erratic: Optional[ErraticBackend] = None
     retry: Optional[RetryingBackend] = None
 
     def snapshot(self) -> dict:
@@ -77,6 +77,26 @@ class BackendFaultStack:
         if self.retry is not None:
             out.update(self.retry.snapshot())
         return out
+
+
+@dataclass(frozen=True)
+class NetChaosSpec:
+    """Picklable slice of :class:`ChaosConfig` for the fleet transport.
+
+    Rates are per-frame probabilities drawn from a deterministic
+    per-shard stream; ``partition:A-B@R`` is not here because cuts are
+    anchored to barrier rounds by the coordinator (see ``cut_links``).
+    """
+
+    netdelay_ms: float = 0.0
+    netdelay_rate: float = 0.0
+    dup_rate: float = 0.0
+    corrupt_rate: float = 0.0
+    seed: int = 0
+
+    @property
+    def is_inert(self) -> bool:
+        return self.netdelay_rate <= 0 and self.dup_rate <= 0 and self.corrupt_rate <= 0
 
 
 @dataclass(frozen=True)
@@ -184,10 +204,8 @@ class ChaosConfig:
         """``(lo, hi)`` shard ranges to cut before ``round_index``."""
         return [(lo, hi) for lo, hi, r in self.partitions if r == round_index]
 
-    def net_spec(self):
+    def net_spec(self) -> NetChaosSpec:
         """The picklable transport-level slice of this config."""
-        from repro.fleet.transport import NetChaosSpec
-
         return NetChaosSpec(
             netdelay_ms=self.netdelay_ms,
             netdelay_rate=self.netdelay_rate,
@@ -212,7 +230,7 @@ class ChaosConfig:
 
     # -- wiring -------------------------------------------------------
 
-    def wrap_backend(self, backend: "Backend") -> BackendFaultStack:
+    def wrap_backend(self, backend: Backend) -> BackendFaultStack:
         """Build the fault-injection + retry chain around ``backend``.
 
         Order (inside out): flaky (transparent retries) → erratic
@@ -220,8 +238,6 @@ class ChaosConfig:
         retry layer is added whenever errors can be injected, so no
         injected error ever propagates into the sender.
         """
-        from repro.sim.failures import ErraticBackend, FlakyBackend
-
         stack = BackendFaultStack(top=backend)
         if self.flaky_period > 0:
             stack.flaky = FlakyBackend(
@@ -243,12 +259,10 @@ class ChaosConfig:
             stack.top = stack.retry
         return stack
 
-    def wrap_link(self, link: "Link") -> "Link":
+    def wrap_link(self, link: Link) -> Link:
         """Wrap ``link`` in an OutageLink when outage windows are set."""
         if not self.link_outages:
             return link
-        from repro.sim.failures import OutageLink
-
         return OutageLink(link, self.link_outages)
 
     # -- CLI spec -----------------------------------------------------

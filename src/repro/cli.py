@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.experiments import figures
-from repro.experiments.figures import ImageExperimentScale
+from repro.experiments.configs import ImageExperimentScale
 from repro.metrics.report import format_table
 
 __all__ = ["main", "FIGURES"]
@@ -31,24 +30,26 @@ _SCALES = {
     "paper": ImageExperimentScale.paper(),
 }
 
-#: Figure name -> (driver, takes_image_scale, description)
-FIGURES: dict[str, tuple[Callable, bool, str]] = {
-    "fig3": (figures.fig3_utility_curves, False, "utility curves (image SSIM vs linear)"),
-    "fig5": (figures.fig5_thinktime_cdf, True, "think-time CDFs of both trace corpora"),
-    "fig6": (figures.fig6_bandwidth_cache, True, "metrics vs bandwidth x cache"),
-    "fig7": (figures.fig7_latency_vs_utility, True, "latency vs utility scatter"),
-    "fig8": (figures.fig8_request_latency, True, "metrics vs request latency"),
-    "fig9": (figures.fig9_think_time, True, "metrics vs think time x resources"),
-    "fig10": (figures.fig10_convergence, True, "utility convergence after a pause"),
-    "fig11": (figures.fig11_ablation, True, "ablation: predictor / progressive arms"),
-    "fig12": (figures.fig12_predictors, True, "predictor sensitivity"),
-    "fig13": (figures.fig13_cellular, True, "Verizon/AT&T LTE cellular links"),
-    "fig14": (figures.fig14_falcon, False, "Falcon port (blocks x predictor x backend)"),
-    "fig15": (figures.fig15_ilp_runtime, False, "ILP scheduler runtime"),
-    "fig16": (figures.fig16_greedy_runtime, False, "greedy scheduler runtime"),
-    "fig17": (figures.fig17_greedy_vs_ilp, False, "greedy vs ILP schedule utility"),
-    "fig19": (figures.fig19_overpush, True, "overpush rate"),
-    "appb1": (figures.appb1_prediction_frequency, True, "prediction-interval sensitivity"),
+#: Figure name -> (driver in :mod:`repro.experiments.figures`,
+#: takes_image_scale, description).  Drivers are looked up by name when
+#: a figure runs, so the other subcommands never load the LP solver.
+FIGURES: dict[str, tuple[str, bool, str]] = {
+    "fig3": ("fig3_utility_curves", False, "utility curves (image SSIM vs linear)"),
+    "fig5": ("fig5_thinktime_cdf", True, "think-time CDFs of both trace corpora"),
+    "fig6": ("fig6_bandwidth_cache", True, "metrics vs bandwidth x cache"),
+    "fig7": ("fig7_latency_vs_utility", True, "latency vs utility scatter"),
+    "fig8": ("fig8_request_latency", True, "metrics vs request latency"),
+    "fig9": ("fig9_think_time", True, "metrics vs think time x resources"),
+    "fig10": ("fig10_convergence", True, "utility convergence after a pause"),
+    "fig11": ("fig11_ablation", True, "ablation: predictor / progressive arms"),
+    "fig12": ("fig12_predictors", True, "predictor sensitivity"),
+    "fig13": ("fig13_cellular", True, "Verizon/AT&T LTE cellular links"),
+    "fig14": ("fig14_falcon", False, "Falcon port (blocks x predictor x backend)"),
+    "fig15": ("fig15_ilp_runtime", False, "ILP scheduler runtime"),
+    "fig16": ("fig16_greedy_runtime", False, "greedy scheduler runtime"),
+    "fig17": ("fig17_greedy_vs_ilp", False, "greedy vs ILP schedule utility"),
+    "fig19": ("fig19_overpush", True, "overpush rate"),
+    "appb1": ("appb1_prediction_frequency", True, "prediction-interval sensitivity"),
 }
 
 
@@ -665,7 +666,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             for rows, title in _run_fleet_command(args)
         )
     else:
-        driver, takes_scale, desc = FIGURES[args.command]
+        from repro.experiments import figures
+
+        driver_name, takes_scale, desc = FIGURES[args.command]
+        driver = getattr(figures, driver_name)
         rows = driver(scale=_SCALES[args.scale]) if takes_scale else driver()
         title = f"{args.command}: {desc}"
         table = format_table(rows, title=title)

@@ -1,8 +1,10 @@
 """Khameleon core: the paper's primary contribution.
 
 Progressive blocks and caches (§3.3), the scheduling problem with its
-greedy (§5.3) and ILP (§5.2) solvers, the paced sender (§5.3.2), and
-the client/server assemblies (§3.2).
+greedy (§5.3) solver, the paced sender (§5.3.2) and §5.4 throttle, and
+the client/server assemblies (§3.2).  The offline ILP reference (§5.2)
+is :mod:`repro.core.ilp`, imported on its own so the serving path never
+loads the LP solver.
 """
 
 from .blocks import Block, BlockSequence, ProgressiveResponse, RequestSpace
@@ -11,8 +13,6 @@ from .cache_manager import CacheManager, RequestOutcome, Upcall
 from .client import KhameleonClient
 from .distribution import RequestDistribution
 from .greedy import GreedyScheduler
-from .ilp import ILPScheduler, ILPSolution
-from .qlearning import QLearningConfig, QLearningScheduler
 from .semantics import PredictionArrival, ReferenceScheduler
 from .predictor_manager import PredictorManager
 from .scheduler import GainTable, ScheduledBlock, Scheduler, expected_utility
@@ -48,10 +48,6 @@ __all__ = [
     "Scheduler",
     "expected_utility",
     "GreedyScheduler",
-    "ILPScheduler",
-    "ILPSolution",
-    "QLearningScheduler",
-    "QLearningConfig",
     "ReferenceScheduler",
     "PredictionArrival",
     "Sender",

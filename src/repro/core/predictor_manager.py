@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-if TYPE_CHECKING:  # typing only — avoids a core <-> predictors import cycle
+if TYPE_CHECKING:  # predictors sit above core
     from repro.predictors.base import ClientPredictor
 
 from repro.clock import Clock

@@ -32,7 +32,7 @@ it).  Three coordination concerns from the paper:
   the wire are not recalled.  Every block handed back was drawn for
   nothing, which is what the short ready window keeps small.
 * **Backend throttle** (§5.4) — with a concurrency-limited backend, a
-  :class:`~repro.backends.throttle.BackendThrottle` caps how many
+  :class:`~repro.core.throttle.BackendThrottle` caps how many
   *distinct new* requests the pipeline may fetch at once; excess blocks
   are deferred back to the scheduler at the next refresh.
 """
@@ -42,13 +42,13 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
-if TYPE_CHECKING:  # avoid core <-> backends import cycle at runtime
+if TYPE_CHECKING:  # backends sit above core
     from repro.backends.base import Backend
-    from repro.backends.throttle import BackendThrottle
 
 from repro.core.blocks import Block, ProgressiveResponse
 from repro.core.cache import RingBufferCache
 from repro.core.scheduler import ScheduledBlock, Scheduler
+from repro.core.throttle import BackendThrottle
 from repro.sim.bandwidth import HarmonicMeanEstimator
 from repro.clock import Clock
 from repro.sim.link import Link
@@ -77,7 +77,7 @@ class Sender:
         estimator: HarmonicMeanEstimator,
         deliver: Callable[[Block], None],
         mirror: Optional[RingBufferCache] = None,
-        throttle: Optional["BackendThrottle"] = None,
+        throttle: Optional[BackendThrottle] = None,
         lookahead: int = 32,
         idle_retry_s: float = 0.005,
         max_backlog_s: float = 0.020,

@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-if TYPE_CHECKING:  # core is the lower layer; import upper layers for typing only
+if TYPE_CHECKING:  # predictors, backends and fleet sit above core
     from repro.predictors.base import Predictor
     from repro.backends.base import Backend
-    from repro.backends.throttle import BackendThrottle
     from repro.fleet.schedule_service import FleetScheduleService
 
 from repro.core.cache import RingBufferCache
@@ -45,6 +44,7 @@ from repro.core.predictor_manager import PredictorManager
 from repro.core.scheduler import GainTable
 from repro.core.sender import Sender
 from repro.core.server import KhameleonServer
+from repro.core.throttle import BackendThrottle
 from repro.core.utility import UtilityFunction
 from repro.sim.bandwidth import HarmonicMeanEstimator, ReceiveRateMonitor
 from repro.clock import Clock
@@ -98,7 +98,7 @@ class KhameleonSession:
         downlink: Link,
         uplink: ControlChannel,
         config: Optional[SessionConfig] = None,
-        throttle: Optional["BackendThrottle"] = None,
+        throttle: Optional[BackendThrottle] = None,
         schedule_service: Optional["FleetScheduleService"] = None,
         gains: Optional[GainTable] = None,
     ) -> None:
@@ -130,8 +130,6 @@ class KhameleonSession:
         # split one backend's concurrency budget); otherwise the session
         # owns a private one sized by its config.
         if throttle is None and cfg.backend_concurrency is not None:
-            from repro.backends.throttle import BackendThrottle
-
             throttle = BackendThrottle(
                 cfg.backend_concurrency, active=lambda: backend.active_requests
             )

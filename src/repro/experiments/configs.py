@@ -18,21 +18,23 @@ plus the §6.2 composite settings: **low** (1.5 MB/s, 10 MB), **medium**
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # experiments sits above fleet; import for typing only
-    from repro.chaos import ChaosConfig
-    from repro.core.session import SessionConfig
-    from repro.fleet import ArrivalConfig, CheckpointConfig, FleetConfig
-
-from repro.sim.cellular import ATT_LTE, VERIZON_LTE, CellularTraceGenerator
+from repro.chaos import ChaosConfig
 from repro.clock import Clock
+from repro.core.session import SessionConfig
+from repro.fleet import ArrivalConfig, CheckpointConfig, FleetConfig
+from repro.sim.cellular import ATT_LTE, VERIZON_LTE, CellularTraceGenerator
 from repro.sim.fairshare import SharedDownlink
 from repro.sim.link import ControlChannel, FixedRateLink, Link, TraceDrivenLink
+from repro.workloads.image_app import ImageExplorationApp
+from repro.workloads.mouse import MouseTraceGenerator
+from repro.workloads.trace import InteractionTrace
 
 __all__ = [
     "EnvironmentConfig",
     "FleetEnvironment",
+    "ImageExperimentScale",
     "DEFAULT_ENV",
     "DEFAULT_FLEET",
     "LOW_RESOURCE",
@@ -122,40 +124,31 @@ class FleetEnvironment:
     backend_concurrency: Optional[int] = None
     weighted_backend: bool = False
     batched_prediction: bool = True
-    #: Batch the predictor decode inside the coalesced prediction tick
-    #: (one truncated-Gaussian pass per Kalman layout and one pass
-    #: per Markov / shared-chain group, instead of N
-    #: per-session loops).  Byte-identical distributions; see
-    #: :class:`repro.fleet.FleetConfig`.
-    batched_decode: bool = True
-    arrival: Optional["ArrivalConfig"] = None
+    arrival: Optional[ArrivalConfig] = None
     #: Fault schedule for robustness runs (None = well-behaved world).
     #: Backend faults are wrapped around the fleet's backend, link
     #: outages around the shared downlink, and worker-crash schedules
     #: are consumed by the sharded coordinator's supervision loop.
-    chaos: Optional["ChaosConfig"] = None
+    chaos: Optional[ChaosConfig] = None
     #: Durable-session checkpointing (sharded runs): capture cadence
     #: plus the ``--checkpoint-out`` / ``--checkpoint-in`` drain and
     #: restore paths.  ``None`` (or an inert config) changes nothing —
     #: bit-identical to pre-checkpoint behavior (test-enforced).
-    checkpoint: Optional["CheckpointConfig"] = None
+    checkpoint: Optional[CheckpointConfig] = None
 
-    def fleet_config(self, session: "SessionConfig") -> "FleetConfig":
+    def fleet_config(self, session: SessionConfig) -> FleetConfig:
         """Map this condition onto the fleet layer's config.
 
         ``session`` is the per-session :class:`SessionConfig` template;
         the single source of truth for field meaning and validation is
         :class:`repro.fleet.FleetConfig`.
         """
-        from repro.fleet import FleetConfig
-
         return FleetConfig(
             num_sessions=self.num_sessions,
             weights=self.weights,
             backend_concurrency=self.backend_concurrency,
             weighted_backend=self.weighted_backend,
             batched_prediction=self.batched_prediction,
-            batched_decode=self.batched_decode,
             arrival=self.arrival,
             session=session,
             chaos=self.chaos,
@@ -166,6 +159,31 @@ class FleetEnvironment:
 
 
 DEFAULT_FLEET = FleetEnvironment()
+
+
+@dataclass(frozen=True)
+class ImageExperimentScale:
+    """Reduced-scale knobs for the image-application sweeps.
+
+    ``rows × cols`` thumbnails instead of 100 × 100, shorter traces,
+    fewer simulated users.  Set ``paper()`` for the full configuration.
+    """
+
+    rows: int = 20
+    cols: int = 20
+    trace_duration_s: float = 20.0
+    num_traces: int = 2
+    seed: int = 0
+
+    @classmethod
+    def paper(cls) -> "ImageExperimentScale":
+        return cls(rows=100, cols=100, trace_duration_s=180.0, num_traces=14)
+
+    def build(self) -> tuple[ImageExplorationApp, list[InteractionTrace]]:
+        app = ImageExplorationApp(rows=self.rows, cols=self.cols)
+        gen = MouseTraceGenerator(app.layout, seed=self.seed)
+        traces = gen.generate_corpus(self.num_traces, self.trace_duration_s)
+        return app, traces
 
 #: §6.2 composite resource settings for the think-time and convergence
 #: experiments.
@@ -206,7 +224,7 @@ def make_shared_downlink(
     sim: Clock,
     env: EnvironmentConfig,
     seed: int = 0,
-    chaos: Optional["ChaosConfig"] = None,
+    chaos: Optional[ChaosConfig] = None,
 ) -> SharedDownlink:
     """A weighted fair-sharing arbiter over the condition's downlink.
 

@@ -6,8 +6,8 @@ plots (list of dicts), and the benchmark harness prints them with
 
 Scale: the paper's full configuration (10k thumbnails, 3-minute traces,
 14 users) takes hours in a pure-Python simulator, so every driver takes
-an :class:`ImageExperimentScale` whose defaults are a reduced — but
-structurally identical — configuration.  ``benchmarks/results/`` records
+an :class:`~repro.experiments.configs.ImageExperimentScale` whose
+defaults are a reduced — but structurally identical — configuration.  ``benchmarks/results/`` records
 the tables at the scales used.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,10 +25,7 @@ from repro.core.ilp import ILPScheduler
 from repro.core.scheduler import GainTable, expected_utility
 from repro.core.utility import LinearUtility, ssim_image_utility
 from repro.workloads.falcon import FalconApp, FalconTraceGenerator
-from repro.workloads.image_app import ImageExplorationApp
-from repro.workloads.mouse import MouseTraceGenerator
 from repro.workloads.thinktime import mean_think_time_s, rescale_think_times
-from repro.workloads.trace import InteractionTrace
 
 from .configs import (
     DEFAULT_ENV,
@@ -37,11 +33,17 @@ from .configs import (
     LOW_RESOURCE,
     MED_RESOURCE,
     EnvironmentConfig,
+    ImageExperimentScale,
 )
-from .runner import RunResult, run_convergence, run_falcon, run_image_system
+from .runner import (
+    RunResult,
+    run_convergence,
+    run_falcon,
+    run_image_system,
+    run_khameleon,
+)
 
 __all__ = [
-    "ImageExperimentScale",
     "RESOURCE_SETTINGS",
     "fig3_utility_curves",
     "fig5_thinktime_cdf",
@@ -73,31 +75,6 @@ PAPER_BANDWIDTHS = (1_500_000.0, 5_625_000.0, 15_000_000.0)
 PAPER_CACHES = (10_000_000, 50_000_000, 100_000_000)
 PAPER_REQUEST_LATENCIES = (0.020, 0.050, 0.100, 0.400)
 PAPER_THINK_TIMES = (0.010, 0.050, 0.100, 0.200)
-
-
-@dataclass(frozen=True)
-class ImageExperimentScale:
-    """Reduced-scale knobs for the image-application sweeps.
-
-    ``rows × cols`` thumbnails instead of 100 × 100, shorter traces,
-    fewer simulated users.  Set ``paper()`` for the full configuration.
-    """
-
-    rows: int = 20
-    cols: int = 20
-    trace_duration_s: float = 20.0
-    num_traces: int = 2
-    seed: int = 0
-
-    @classmethod
-    def paper(cls) -> "ImageExperimentScale":
-        return cls(rows=100, cols=100, trace_duration_s=180.0, num_traces=14)
-
-    def build(self) -> tuple[ImageExplorationApp, list[InteractionTrace]]:
-        app = ImageExplorationApp(rows=self.rows, cols=self.cols)
-        gen = MouseTraceGenerator(app.layout, seed=self.seed)
-        traces = gen.generate_corpus(self.num_traces, self.trace_duration_s)
-        return app, traces
 
 
 def _mean_rows(results: Sequence[RunResult], **sweep_columns) -> dict:
@@ -604,8 +581,6 @@ def appb1_prediction_frequency(
     resources: Sequence[str] = ("low", "med", "high"),
 ) -> list[dict]:
     """§B.1: sensitivity to how often predictions are shipped."""
-    from .runner import run_khameleon  # local import keeps module load light
-
     scale = scale or ImageExperimentScale()
     app, traces = scale.build()
     rows = []

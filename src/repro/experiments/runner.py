@@ -45,7 +45,15 @@ from repro.fleet.checkpoint import (
     unwrap_sync_payload,
     wrap_sync_payload,
 )
-from repro.fleet.sharding import SupervisionPolicy
+from repro.fleet.ring import HashRing
+from repro.fleet.sharding import (
+    ShardRecovery,
+    ShardTask,
+    SupervisionPolicy,
+    run_sharded,
+    shard_of,
+)
+from repro.fleet.transport import PipeTransport, TcpTransport
 from repro.metrics.collector import MetricSummary, collect, convergence_curve, overpush_rate
 from repro.metrics.fleet import (
     CohortSummary,
@@ -58,6 +66,7 @@ from repro.metrics.fleet import (
     pool_transport_counters,
 )
 from repro.predictors.base import MouseEvent
+from repro.predictors.shared import SharedTransitionPrior, make_shared_markov_predictor
 from repro.sim.engine import Simulator
 from repro.workloads.falcon import FalconApp, FalconTrace
 from repro.workloads.image_app import ImageExplorationApp
@@ -296,11 +305,6 @@ def _fleet_predictor_factory(
     static path is untouched.
     """
     if predictor == "shared-markov":
-        from repro.predictors.shared import (
-            SharedTransitionPrior,
-            make_shared_markov_predictor,
-        )
-
         if shared_prior is None:
             prior = SharedTransitionPrior(app.num_requests)
         elif isinstance(shared_prior, (str, os.PathLike)):
@@ -594,8 +598,6 @@ class ShardFleetSpec:
 
 
 def _shard_owned(total: int, shard: int, num_shards: int) -> list[int]:
-    from repro.fleet.sharding import shard_of
-
     return [i for i in range(total) if shard_of(i, num_shards) == shard]
 
 
@@ -651,8 +653,6 @@ def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
     coordinator pools (outcome streams, fairness samples, counter
     snapshots, the shard's final prior contribution, CPU timings).
     """
-    from repro.fleet.sharding import shard_of
-
     k, num_shards = spec.shard, spec.num_shards
     total = spec.fleet_env.num_sessions
     if spec.route_indices is not None:
@@ -1075,11 +1075,6 @@ def run_fleet_sharded(
     ring routes to it is captured, retired by its donor, and resumed by
     the joiner from its checkpointed request position.
     """
-    from repro.fleet.ring import HashRing
-    from repro.fleet.sharding import ShardRecovery, ShardTask, run_sharded
-    from repro.fleet.transport import PipeTransport, TcpTransport
-    from repro.predictors.shared import SharedTransitionPrior
-
     if num_shards < 1:
         raise ValueError("need at least one shard")
     if len(traces) != fleet_env.num_sessions:

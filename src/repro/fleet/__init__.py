@@ -50,7 +50,6 @@ from .sharding import (
 from .transport import (
     FrameDecoder,
     FramedEndpoint,
-    NetChaosSpec,
     PipeTransport,
     TcpTransport,
     TransportCounters,
@@ -81,7 +80,6 @@ __all__ = [
     "HashRing",
     "FrameDecoder",
     "FramedEndpoint",
-    "NetChaosSpec",
     "PipeTransport",
     "TcpTransport",
     "TransportCounters",

@@ -36,12 +36,11 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # typing only: avoid import cycles at runtime
-    from repro.core.session import KhameleonSession
-    from repro.fleet.fleet import KhameleonFleet
-    from repro.predictors.shared import PriorDelta, SharedTransitionPrior
+from repro.core.session import KhameleonSession
+from repro.fleet.fleet import KhameleonFleet
+from repro.predictors.shared import PriorDelta, SharedTransitionPrior
 
 __all__ = [
     "FORMAT_VERSION",
@@ -163,7 +162,7 @@ class SessionCheckpoint:
         )
 
 
-def capture_session(session: "KhameleonSession", index: int) -> SessionCheckpoint:
+def capture_session(session: KhameleonSession, index: int) -> SessionCheckpoint:
     """Snapshot one live session's progress digests."""
     cache = session.cache
     pairs = sorted(
@@ -182,7 +181,7 @@ def capture_session(session: "KhameleonSession", index: int) -> SessionCheckpoin
     )
 
 
-def _delta_to_payload(delta: "PriorDelta") -> dict:
+def _delta_to_payload(delta: PriorDelta) -> dict:
     return {
         "origin": delta.origin,
         "n": delta.n,
@@ -194,9 +193,7 @@ def _delta_to_payload(delta: "PriorDelta") -> dict:
     }
 
 
-def _delta_from_payload(payload: dict, n: int) -> "PriorDelta":
-    from repro.predictors.shared import PriorDelta
-
+def _delta_from_payload(payload: dict, n: int) -> PriorDelta:
     if not isinstance(payload, dict) or "origin" not in payload:
         raise ValueError(f"corrupt checkpoint prior delta: {payload!r}")
     if int(payload.get("n", -1)) != n:
@@ -252,7 +249,7 @@ class ShardCheckpoint:
     def session_indices(self) -> list[int]:
         return [s.index for s in self.sessions]
 
-    def prior_delta_object(self) -> Optional["PriorDelta"]:
+    def prior_delta_object(self) -> Optional[PriorDelta]:
         if self.prior_delta is None:
             return None
         return _delta_from_payload(self.prior_delta, self.n)
@@ -303,8 +300,8 @@ class ShardCheckpoint:
 
 
 def capture_shard(
-    fleet: "KhameleonFleet",
-    prior: Optional["SharedTransitionPrior"],
+    fleet: KhameleonFleet,
+    prior: Optional[SharedTransitionPrior],
     *,
     shard: int,
     num_shards: int,

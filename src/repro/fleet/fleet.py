@@ -15,9 +15,9 @@ that contend for exactly two shared resources:
   cached responses (``stats.cache_hits``).  With
   ``backend_concurrency`` set, all sessions draw §5.4 throttle slots
   from one shared budget — a single global
-  :class:`~repro.backends.throttle.BackendThrottle`, or (with
+  :class:`~repro.core.throttle.BackendThrottle`, or (with
   ``weighted_backend``) a
-  :class:`~repro.backends.throttle.WeightedBackendThrottle` that splits
+  :class:`~repro.core.throttle.WeightedBackendThrottle` that splits
   the budget in proportion to each session's downlink weight.
 
 * **the downlink.**  Senders transmit through per-session
@@ -45,15 +45,13 @@ degenerates to the session-private one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
-
-if TYPE_CHECKING:
-    from repro.chaos import BackendFaultStack, ChaosConfig
+from typing import Callable, Optional, Sequence, Union
 
 from repro.backends.base import Backend
-from repro.backends.throttle import BackendThrottle, WeightedBackendThrottle
+from repro.chaos import BackendFaultStack, ChaosConfig
 from repro.core.scheduler import GainTable
 from repro.core.session import KhameleonSession, SessionConfig
+from repro.core.throttle import BackendThrottle, WeightedBackendThrottle
 from repro.core.utility import UtilityFunction
 from repro.metrics.fleet import FleetSummary, collect_fleet, jain_fairness
 from repro.predictors.base import Predictor
@@ -89,19 +87,10 @@ class FleetConfig:
         Coalesce the per-session 150 ms prediction ticks into one
         :class:`~repro.fleet.schedule_service.FleetScheduleService`
         event that polls every session and applies the changed
-        predictions together, one uplink latency later (default True —
+        predictions together, one uplink latency later, decoding each
+        stock predictor family in one stacked pass (default True —
         bit-identical for static fleets, one sim event per tick instead
         of N).  Set False to fall back to per-session periodic ticks.
-    batched_decode:
-        Within the coalesced tick, also batch the server-side decode —
-        every stock family: one truncated-Gaussian block-mass pass per
-        Kalman layout, and one ``decode_batch`` pass per Markov /
-        shared-chain group (chain rows gathered once per version, crowd
-        blends vectorized, cold sessions sharing distributions) —
-        instead of N per-session decode loops (default True —
-        byte-identical distributions; custom or subclassed predictors
-        fall back per session).  Ignored when ``batched_prediction`` is
-        off.
     arrival:
         The session arrival/departure process.  ``None`` (or any
         :class:`ArrivalConfig` whose ``is_static`` holds) is the
@@ -138,12 +127,11 @@ class FleetConfig:
     backend_concurrency: Optional[int] = None
     weighted_backend: bool = False
     batched_prediction: bool = True
-    batched_decode: bool = True
     arrival: Optional[ArrivalConfig] = None
     session: SessionConfig = field(default_factory=SessionConfig)
     session_route: Optional[Callable[[int], bool]] = None
     expected_sessions: Optional[float] = None
-    chaos: Optional["ChaosConfig"] = None
+    chaos: Optional[ChaosConfig] = None
 
     def __post_init__(self) -> None:
         if self.num_sessions < 1:
@@ -227,7 +215,7 @@ class KhameleonFleet:
         # the retry layer that absorbs hard errors) between every
         # sender and the real backend.  Inert configs skip the wrap
         # entirely, keeping the no-chaos path untouched.
-        self.chaos_stack: Optional["BackendFaultStack"] = None
+        self.chaos_stack: Optional[BackendFaultStack] = None
         if cfg.chaos is not None and cfg.chaos.has_backend_faults:
             self.chaos_stack = cfg.chaos.wrap_backend(backend)
             backend = self.chaos_stack.top
@@ -262,11 +250,7 @@ class KhameleonFleet:
         # batched apply) keeps the same event ordering relative to the
         # sessions' own periodic tasks as the per-session managers had.
         self.schedule_service: Optional[FleetScheduleService] = (
-            FleetScheduleService(
-                sim,
-                interval_s=cfg.session.prediction_interval_s,
-                batched_decode=cfg.batched_decode,
-            )
+            FleetScheduleService(sim, interval_s=cfg.session.prediction_interval_s)
             if cfg.batched_prediction
             else None
         )

@@ -50,9 +50,9 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from repro.clock import Clock
+from repro.core.session import KhameleonSession
 
-if TYPE_CHECKING:  # avoid a lifecycle <-> fleet import cycle at runtime
-    from repro.core.session import KhameleonSession
+if TYPE_CHECKING:  # fleet.fleet imports this module
     from repro.fleet.fleet import KhameleonFleet
 
 __all__ = ["ArrivalConfig", "SessionPlan", "SessionRecord", "SessionManager"]
@@ -177,7 +177,7 @@ class SessionRecord:
 
     plan: SessionPlan
     admitted: bool = False
-    session: Optional["KhameleonSession"] = None
+    session: Optional[KhameleonSession] = None
     arrived_at: Optional[float] = None
     #: When the session actually attached — equals ``arrived_at`` for a
     #: direct admission, later for one that waited in the patience queue.

@@ -27,10 +27,6 @@ distribution blends only the handful of probability rows before the
 predictor's last horizon (:mod:`repro.core.greedy`), which is less work
 per session than padding it into a fleet-wide array was.
 
-``batched_decode`` governs the decode step of the apply event only
-(stacked per family vs ``server.decode_state`` per session); the tick
-event is the same either way.
-
 Timing semantics vs the per-session path: states are still collected
 on the prediction interval and applied one uplink latency later, so a
 static fleet behaves identically.  Under churn the tick grid is
@@ -41,12 +37,13 @@ deviation, traded for O(1) events per interval.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.clock import Clock
-
-if TYPE_CHECKING:  # fleet assembles sessions; import for typing only
-    from repro.core.session import KhameleonSession
+from repro.core.session import KhameleonSession
+from repro.predictors.kalman import KalmanServerPredictor
+from repro.predictors.markov import MarkovServerPredictor
+from repro.predictors.shared import SharedMarkovServerPredictor
 
 __all__ = ["FleetScheduleService"]
 
@@ -70,23 +67,17 @@ class FleetScheduleService:
     from creation) and cancelled by :meth:`stop`.
     """
 
-    def __init__(
-        self,
-        sim: Clock,
-        interval_s: float = 0.150,
-        batched_decode: bool = True,
-    ) -> None:
+    def __init__(self, sim: Clock, interval_s: float = 0.150) -> None:
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.interval_s = interval_s
-        self.batched_decode = batched_decode
-        self._sessions: list["KhameleonSession"] = []
+        self._sessions: list[KhameleonSession] = []
         # session -> decode family, "kalman" | "markov" | "shared" |
         # None, classified once at registration (exact types only — a
         # subclass may override decode(), and the stacked passes would
         # silently bypass that) so the per-tick loops do no type scans.
-        self._families: dict["KhameleonSession", Optional[str]] = {}
+        self._families: dict[KhameleonSession, Optional[str]] = {}
         self._task = sim.every(interval_s, self._tick)
         self.ticks = 0
         self.states_collected = 0
@@ -97,12 +88,8 @@ class FleetScheduleService:
     # -- membership ----------------------------------------------------
 
     @staticmethod
-    def _classify(session: "KhameleonSession") -> Optional[str]:
+    def _classify(session: KhameleonSession) -> Optional[str]:
         """Which stacked decode pass (if any) serves a session."""
-        from repro.predictors.kalman import KalmanServerPredictor
-        from repro.predictors.markov import MarkovServerPredictor
-        from repro.predictors.shared import SharedMarkovServerPredictor
-
         sp = session.server.predictor_server
         if type(sp) is KalmanServerPredictor:
             return "kalman"
@@ -112,12 +99,12 @@ class FleetScheduleService:
             return "shared"
         return None
 
-    def register(self, session: "KhameleonSession") -> None:
+    def register(self, session: KhameleonSession) -> None:
         if session not in self._sessions:
             self._sessions.append(session)
             self._families[session] = self._classify(session)
 
-    def unregister(self, session: "KhameleonSession") -> None:
+    def unregister(self, session: KhameleonSession) -> None:
         if session in self._sessions:
             self._sessions.remove(session)
             self._families.pop(session, None)
@@ -136,7 +123,6 @@ class FleetScheduleService:
             "states_collected": self.states_collected,
             "batched_recomputes": self.batched_recomputes,
             "sessions_recomputed": self.sessions_recomputed,
-            "batched_decode": self.batched_decode,
             "decode_batches": self.decode_batches,
         }
 
@@ -176,7 +162,7 @@ class FleetScheduleService:
         then takes its distribution exactly as the per-session
         ``on_predictor_state`` does.
         """
-        decoded = self._batch_decode(group) if self.batched_decode else {}
+        decoded = self._batch_decode(group)
         entries = []
         for session, state in group:
             if not session.active:
@@ -244,15 +230,11 @@ class FleetScheduleService:
             for (session, _state, _sp), dist in zip(members, dists):
                 out[session] = dist
         if markov:
-            from repro.predictors.markov import MarkovServerPredictor
-
             dists = MarkovServerPredictor.decode_batch([e for _s, e in markov])
             self.decode_batches += 1
             for (session, _e), dist in zip(markov, dists):
                 out[session] = dist
         if shared_groups:
-            from repro.predictors.shared import SharedMarkovServerPredictor
-
             for members in shared_groups.values():
                 dists = SharedMarkovServerPredictor.decode_batch(
                     [e for _s, e in members]

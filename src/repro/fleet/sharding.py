@@ -63,6 +63,7 @@ from multiprocessing.connection import Connection
 from typing import Any, Callable, Optional
 
 from .ring import HashRing
+from .transport import PipeTransport
 
 __all__ = [
     "shard_of",
@@ -367,8 +368,6 @@ class _Supervisor:
         transport=None,
         on_lost: Optional[Callable[[int, int], None]] = None,
     ) -> None:
-        from .transport import PipeTransport
-
         self.ctx = ctx
         self.tasks = list(tasks)
         self.policy = policy

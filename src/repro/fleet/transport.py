@@ -41,11 +41,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from repro.chaos import NetChaosSpec
+
 __all__ = [
     "FRAME_VERSION",
     "FrameDecoder",
     "FramedEndpoint",
-    "NetChaosSpec",
     "PipeTransport",
     "TcpTransport",
     "TcpWorkerSpec",
@@ -113,26 +114,6 @@ class TransportCounters:
             "partitions_detected": self.partitions_detected,
             "heartbeat_rtt_ms_max": round(self.heartbeat_rtt_ms_max, 3),
         }
-
-
-@dataclass(frozen=True)
-class NetChaosSpec:
-    """Picklable slice of :class:`repro.chaos.ChaosConfig` for the wire.
-
-    Rates are per-frame probabilities drawn from a deterministic
-    per-shard stream; ``partition:A-B@R`` is not here because cuts are
-    anchored to barrier rounds by the coordinator (see ``cut_links``).
-    """
-
-    netdelay_ms: float = 0.0
-    netdelay_rate: float = 0.0
-    dup_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    seed: int = 0
-
-    @property
-    def is_inert(self) -> bool:
-        return self.netdelay_rate <= 0 and self.dup_rate <= 0 and self.corrupt_rate <= 0
 
 
 class _FaultInjector:

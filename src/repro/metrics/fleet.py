@@ -195,8 +195,8 @@ def pool_snapshots(snapshots: Sequence[dict]) -> dict:
     A sharded fleet runs one backend / schedule service / churn manager
     per worker; their ``snapshot()`` dicts pool by key:
 
-    * numeric counters sum (``bool`` is *not* numeric here — flags like
-      ``batched_decode`` must agree across shards and pass through);
+    * numeric counters sum (``bool`` is *not* numeric here — flags must
+      agree across shards and pass through);
     * keys starting with ``peak_`` take the max — per-shard peaks never
       coincide, so the largest shard's peak is the honest fleet figure;
     * nested dicts recurse; any other equal values pass through.

@@ -9,7 +9,7 @@ bandwidth estimator of §5.4 (:mod:`.bandwidth`).
 
 from .bandwidth import HarmonicMeanEstimator, ReceiveRateMonitor
 from .estimators import EWMAEstimator, SlidingMaxEstimator
-from .failures import ErraticBackend, FlakyBackend, OutageLink
+from .failures import OutageLink
 from .cellular import ATT_LTE, VERIZON_LTE, CellularProfile, CellularTraceGenerator
 from .engine import EventHandle, SimulationError, Simulator
 from .fairshare import FairSharePort, SharedDownlink
@@ -37,6 +37,4 @@ __all__ = [
     "EWMAEstimator",
     "SlidingMaxEstimator",
     "OutageLink",
-    "FlakyBackend",
-    "ErraticBackend",
 ]

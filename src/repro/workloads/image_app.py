@@ -28,7 +28,9 @@ from repro.encoding.image import ImageAsset, ProgressiveImageEncoder
 from repro.predictors.base import DEFAULT_DELTAS_S, Predictor
 from repro.predictors.kalman import make_kalman_predictor
 from repro.predictors.layout import GridLayout
+from repro.predictors.markov import make_markov_predictor
 from repro.predictors.oracle import make_oracle_predictor
+from repro.predictors.perfect import make_acc_predictor
 from repro.predictors.simple import make_point_predictor, make_uniform_predictor
 from repro.clock import Clock
 
@@ -166,16 +168,12 @@ class ImageExplorationApp:
             # Session-private first-order chain over the request stream
             # (the fleet runner swaps in the crowd-shared variant when
             # asked for "shared-markov").
-            from repro.predictors.markov import make_markov_predictor
-
             return make_markov_predictor(self.num_requests, deltas_s=deltas_s)
         if name.startswith("acc-"):
             # ACC's oracle signal as a *Khameleon* predictor (Fig. 9):
             # name format acc-<accuracy>-<horizon>.
             if trace is None:
                 raise ValueError("ACC predictor needs the replay trace")
-            from repro.predictors.perfect import make_acc_predictor
-
             parts = name.split("-")
             if len(parts) != 3:
                 raise ValueError(f"bad ACC spec {name!r} (want acc-<acc>-<hor>)")

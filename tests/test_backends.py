@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    BackendThrottle,
     ColumnTable,
     FileSystemBackend,
     HistogramQuery,
@@ -12,6 +11,9 @@ from repro.backends import (
     RangeFilter,
     ScalableSQLDatabase,
     SimulatedSQLDatabase,
+)
+from repro.core.throttle import (
+    BackendThrottle,
     WeightedBackendThrottle,
     throttle_schedule,
 )

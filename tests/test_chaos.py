@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.backends.faults import ErraticBackend, FlakyBackend
 from repro.backends.filesystem import FileSystemBackend
 from repro.backends.retry import RetryingBackend
 from repro.chaos import ChaosConfig
 from repro.encoding.naive import SingleBlockEncoder
 from repro.sim.engine import Simulator
-from repro.sim.failures import ErraticBackend, FlakyBackend, OutageLink
+from repro.sim.failures import OutageLink
 from repro.sim.link import FixedRateLink
 
 

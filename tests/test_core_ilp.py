@@ -6,13 +6,13 @@ import pytest
 from repro.core import (
     GainTable,
     GreedyScheduler,
-    ILPScheduler,
     LinearUtility,
     PowerUtility,
     RequestDistribution,
     ScheduledBlock,
     expected_utility,
 )
+from repro.core.ilp import ILPScheduler
 
 
 def gains_for(n, nb, utility=None):

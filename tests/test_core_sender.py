@@ -3,7 +3,7 @@
 import pytest
 
 import repro.core.sender as sender_module
-from repro.backends import BackendThrottle, FileSystemBackend
+from repro.backends import FileSystemBackend
 from repro.core import (
     GainTable,
     GreedyScheduler,
@@ -12,6 +12,7 @@ from repro.core import (
     RingBufferCache,
     Sender,
 )
+from repro.core.throttle import BackendThrottle
 from repro.encoding import ImageAsset, ProgressiveImageEncoder
 from repro.sim import FixedRateLink, HarmonicMeanEstimator, Simulator
 

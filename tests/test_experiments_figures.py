@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.experiments.configs import ImageExperimentScale
 from repro.experiments.figures import (
-    ImageExperimentScale,
     fig3_utility_curves,
     fig15_ilp_runtime,
     fig16_greedy_runtime,

@@ -1,9 +1,10 @@
-"""Fleet-batched Kalman decode: byte-identity and plumbing.
+"""Fleet-batched Kalman decode: byte-identity.
 
 The coalesced prediction tick batches the *server-side* predictor
 work: one truncated-Gaussian block-mass pass per layout at apply time.
-The contract is byte-identity — flipping ``batched_decode`` must not
-change a single probability, matrix, schedule, or metric.  The client
+The contract is byte-identity with the per-session decode (the oracle,
+reached by stubbing ``FleetScheduleService._batch_decode`` out): not a
+single probability, matrix, schedule, or metric may change.  The client
 side is not batched: each session's :meth:`KalmanClientPredictor.state`
 is scalar arithmetic on the stock filter and a ``predict_at`` loop on
 any other, and the two must produce the same state.
@@ -14,6 +15,7 @@ import pytest
 
 from repro.experiments.configs import DEFAULT_ENV, FleetEnvironment
 from repro.experiments.runner import run_fleet
+from repro.fleet import FleetScheduleService
 from repro.predictors import GridLayout, MouseEvent
 from repro.predictors.kalman import (
     ConstantVelocityKalman,
@@ -203,10 +205,11 @@ def run_kalman_fleet(batched_decode, num=4, duration=1.2, app=None):
         MouseTraceGenerator(app.layout, seed=40 + i).generate(duration_s=duration)
         for i in range(num)
     ]
-    env = FleetEnvironment(
-        num_sessions=num, env=DEFAULT_ENV, batched_decode=batched_decode
-    )
-    return run_fleet(app, traces, env, predictor="kalman", drain_s=0.5)
+    env = FleetEnvironment(num_sessions=num, env=DEFAULT_ENV)
+    with pytest.MonkeyPatch.context() as mp:
+        if not batched_decode:
+            mp.setattr(FleetScheduleService, "_batch_decode", lambda self, group: {})
+        return run_fleet(app, traces, env, predictor="kalman", drain_s=0.5)
 
 
 class TestStaticFleetByteIdentity:
@@ -244,19 +247,3 @@ class TestStaticFleetByteIdentity:
             captured[mode] = log
         assert len(captured[True]) > 3  # predictions, not just the start-up uniform
         assert captured[False] == captured[True]
-
-
-class TestPlumbing:
-    def test_snapshot_reports_decode_flag(self):
-        result = run_kalman_fleet(batched_decode=True, num=2, duration=0.6)
-        prediction = result.diagnostics["prediction"]
-        assert prediction["batched_decode"] is True
-        result = run_kalman_fleet(batched_decode=False, num=2, duration=0.6)
-        assert result.diagnostics["prediction"]["batched_decode"] is False
-
-    def test_fleet_environment_passes_flag_through(self):
-        env = FleetEnvironment(num_sessions=2, batched_decode=False)
-        from repro.core.session import SessionConfig
-
-        cfg = env.fleet_config(SessionConfig())
-        assert cfg.batched_decode is False

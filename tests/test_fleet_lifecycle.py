@@ -3,7 +3,7 @@
 import pytest
 
 from repro.backends import FileSystemBackend
-from repro.backends.throttle import SessionThrottleShare
+from repro.core.throttle import SessionThrottleShare
 from repro.core import LinearUtility, SessionConfig
 from repro.encoding import ImageAsset, ProgressiveImageEncoder
 from repro.fleet import ArrivalConfig, FleetConfig, KhameleonFleet

@@ -1,10 +1,11 @@
-"""Stacked Markov/shared-chain decode: byte-identity and plumbing.
+"""Stacked Markov/shared-chain decode: byte-identity.
 
 The fleet's coalesced tick batches the Markov predictor families the
 same way it batches Kalman: one pass per delivery group, with learning
 side effects in group order and chain rows gathered once per version.
-The contract is byte-identity — flipping ``batched_decode`` must not
-change a single probability, matrix, schedule, or metric, including
+The contract is byte-identity with the per-session decode (the oracle,
+reached by stubbing ``FleetScheduleService._batch_decode`` out): not a
+single probability, matrix, schedule, or metric may change, including
 when one member's observation mutates a row an earlier member reads
 (the freeze path) and under session churn (arrivals mid-tick).
 """
@@ -14,7 +15,7 @@ import pytest
 
 from repro.experiments.configs import DEFAULT_ENV, FleetEnvironment
 from repro.experiments.runner import run_fleet
-from repro.fleet import ArrivalConfig
+from repro.fleet import ArrivalConfig, FleetScheduleService
 from repro.predictors.markov import MarkovModel, MarkovServerPredictor
 from repro.predictors.shared import (
     SharedMarkovServerPredictor,
@@ -175,13 +176,11 @@ def run_markov_fleet(predictor, batched_decode, arrival=None, num=4, duration=1.
         MouseTraceGenerator(app.layout, seed=40 + i).generate(duration_s=duration)
         for i in range(num)
     ]
-    env = FleetEnvironment(
-        num_sessions=num,
-        env=DEFAULT_ENV,
-        batched_decode=batched_decode,
-        arrival=arrival,
-    )
-    return run_fleet(app, traces, env, predictor=predictor, drain_s=0.5)
+    env = FleetEnvironment(num_sessions=num, env=DEFAULT_ENV, arrival=arrival)
+    with pytest.MonkeyPatch.context() as mp:
+        if not batched_decode:
+            mp.setattr(FleetScheduleService, "_batch_decode", lambda self, group: {})
+        return run_fleet(app, traces, env, predictor=predictor, drain_s=0.5)
 
 
 CHURN = ArrivalConfig(rate_per_s=4.0, mean_dwell_s=0.8, max_concurrent=3, seed=7)
@@ -211,8 +210,8 @@ class TestFleetByteIdentity:
 
     def test_probability_matrices_byte_identical(self, monkeypatch):
         """Directly compare the probability rows every scheduler holds
-        after each install across the flag flip for the shared-chain
-        fleet."""
+        after each install, batched vs per-session decode, for the
+        shared-chain fleet."""
         from repro.core.greedy import GreedyScheduler
 
         captured = {}

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.backends.faults import FlakyBackend
 from repro.backends.filesystem import FileSystemBackend
 from repro.encoding.naive import SingleBlockEncoder
 from repro.sim.engine import Simulator
-from repro.sim.failures import FlakyBackend, OutageLink
+from repro.sim.failures import OutageLink
 from repro.sim.link import FixedRateLink
 
 

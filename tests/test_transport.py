@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import NetChaosSpec
 from repro.fleet.sharding import ShardTask, run_sharded
 from repro.fleet.transport import (
     HEADER_SIZE,
@@ -31,7 +32,6 @@ from repro.fleet.transport import (
     T_DATA,
     FrameDecoder,
     FramedEndpoint,
-    NetChaosSpec,
     PipeTransport,
     TcpTransport,
     TransportCounters,
