@@ -523,7 +523,7 @@ class ImageAppSpec:
 
 @dataclass
 class ShardFleetSpec:
-    """Everything one shard worker needs, pickled through spawn.
+    """Everything one shard worker needs, pickled onto its task pipe.
 
     ``traces`` and ``fleet_env`` are the *global* fleet description —
     every worker gets all of it and derives its own slice (route,

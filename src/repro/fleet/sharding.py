@@ -44,10 +44,17 @@ per-shard budget; past it the shard is *dropped*, its result slot
 left ``None`` and the loss recorded in a :class:`ShardRecovery` log
 instead of tearing down the surviving fleet.
 
-Entry points are ``"module:function"`` strings rather than callables
-so the spawn start method (required: fork would snapshot the
-coordinator's heap, and the default differs across platforms) only
-ever pickles plain data.
+Boot: workers use the spawn start method (fork would snapshot the
+coordinator's heap, and the default differs across platforms).  The
+coordinator starts every worker before it hands any of them its
+:class:`ShardTask`, and the task travels over a one-shot pipe after
+``Process.start`` rather than inside the spawn pickle.  A task carries
+the whole fleet's traces, far more than the 64 KiB spawn pipe holds,
+and the child imports ``repro`` in the middle of unpickling it; inside
+the spawn pickle, ``start`` would block through that import and each
+worker would boot only after the previous one had.  Entry points are
+``"module:function"`` strings rather than callables, so the task is
+plain data.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .ring import HashRing
 from .transport import PipeTransport
@@ -241,16 +248,21 @@ def _heartbeat_loop(
             return
 
 
-def _worker_entry(task: ShardTask, conn) -> None:
-    """Spawn target: resolve the entry point and run it on the channel.
+def _worker_entry(task_conn: Connection, conn) -> None:
+    """Spawn target: read the task, then run its entry point on the channel.
 
+    ``task_conn`` is the read end of a one-shot pipe that carries this
+    worker's :class:`ShardTask` (see :meth:`_Supervisor.spawn`).
     ``conn`` is either a pipe ``Connection`` (the pipe transport hands
     the child its fd directly) or a connect-on-arrival spec like
     :class:`~repro.fleet.transport.TcpWorkerSpec` — anything with a
-    ``connect()`` method is dialed here, inside the fresh process.
+    ``connect()`` method is dialed here, inside the fresh process, once
+    the task has arrived.
     """
     stop_heartbeat = threading.Event()
     try:
+        with task_conn:
+            task: ShardTask = task_conn.recv()
         if hasattr(conn, "connect"):
             conn = conn.connect()
         module_name, _, func_name = task.entry.partition(":")
@@ -384,19 +396,43 @@ class _Supervisor:
     def supervised(self) -> bool:
         return self.policy is not None and self.respawn is not None
 
-    def spawn(self, i: int) -> None:
-        parent_conn, worker_handle = self.transport.open_endpoint(
-            self.tasks[i].shard, self.attempts[i]
-        )
-        proc = self.ctx.Process(
-            target=_worker_entry, args=(self.tasks[i], worker_handle), daemon=True
-        )
-        proc.start()
-        # For pipes this closes the parent's copy of the child end so
-        # EOF propagates; a TCP worker spec holds nothing to release.
-        self.transport.release_worker_handle(worker_handle)
-        self.procs[i] = proc
-        self.pipes[i] = parent_conn
+    def spawn(self, slots: Iterable[int]) -> None:
+        """Boot the workers in ``slots`` side by side.
+
+        ``Process.start`` gets only small args — the read end of a
+        one-shot task pipe and the transport's worker handle — so every
+        start returns at once and the children import ``repro`` in
+        parallel.  Each :class:`ShardTask` follows over its pipe once
+        every slot has started.  A task inside the spawn pickle would
+        overflow the 64 KiB spawn pipe and make ``start`` block while
+        the child imports ``repro`` to unpickle it, serializing the
+        boots.  A worker that dies before reading its task is not an
+        error here: its next :meth:`gather` surfaces the death.
+        """
+        handoffs = []
+        for i in slots:
+            parent_conn, worker_handle = self.transport.open_endpoint(
+                self.tasks[i].shard, self.attempts[i]
+            )
+            task_reader, task_writer = self.ctx.Pipe(duplex=False)
+            proc = self.ctx.Process(
+                target=_worker_entry, args=(task_reader, worker_handle), daemon=True
+            )
+            proc.start()
+            # Drop the parent's copies of the child ends so EOF (and a
+            # broken hand-off) propagates; a TCP worker spec holds
+            # nothing to release.
+            task_reader.close()
+            self.transport.release_worker_handle(worker_handle)
+            self.procs[i] = proc
+            self.pipes[i] = parent_conn
+            handoffs.append((i, task_writer))
+        for i, task_writer in handoffs:
+            with task_writer:
+                try:
+                    task_writer.send(self.tasks[i])
+                except (BrokenPipeError, OSError):
+                    pass
 
     def add_member(self, task: ShardTask) -> int:
         """Grow the fleet mid-run: spawn ``task`` as a new member.
@@ -411,7 +447,7 @@ class _Supervisor:
         self.alive.append(True)
         self.attempts.append(0)
         i = len(self.tasks) - 1
-        self.spawn(i)
+        self.spawn([i])
         return i
 
     def dispose(self, i: int) -> None:
@@ -472,7 +508,7 @@ class _Supervisor:
                 self.recovery.restarts.append((shard, next_round, self.attempts[i]))
                 time.sleep(self.policy.backoff_before(self.attempts[i]))
                 self.tasks[i] = self.respawn(shard, next_round)
-                self.spawn(i)
+                self.spawn([i])
 
     def broadcast(self, i: int, message: tuple[str, Any]) -> None:
         """Best-effort send; a dead receiver is caught at its next gather."""
@@ -568,8 +604,7 @@ def run_sharded(
         ctx, tasks, supervision, respawn, recovery, transport, on_lost
     )
     try:
-        for i in range(len(tasks)):
-            sup.spawn(i)
+        sup.spawn(range(len(tasks)))
         for round_index in range(sync_rounds):
             if before_round is not None:
                 before_round(round_index)

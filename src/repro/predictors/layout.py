@@ -29,11 +29,6 @@ __all__ = ["GridLayout", "ChartLayout", "BoundingBox"]
 _SQRT2 = math.sqrt(2.0)
 
 
-def _norm_cdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF (vectorized, no scipy needed at this layer)."""
-    return 0.5 * (1.0 + np.vectorize(math.erf)(z / _SQRT2))
-
-
 def _erf_many(values: np.ndarray) -> np.ndarray:
     """``math.erf`` over a flat array.
 
@@ -351,17 +346,6 @@ class GridLayout:
         c0, c1 = max(c0, 0), min(c1, self.cols - 1)
         r0, r1 = max(r0, 0), min(r1, self.rows - 1)
         return r0, r1, c0, c1
-
-    def _cells_near(
-        self, mx: float, my: float, sx: float, sy: float, sigmas: float
-    ) -> list[int]:
-        """Cells intersecting the mean ± sigmas·std rectangle."""
-        r0, r1, c0, c1 = self._window_near(mx, my, sx, sy, sigmas)
-        return [
-            r * self.cols + c
-            for r in range(r0, r1 + 1)
-            for c in range(c0, c1 + 1)
-        ]
 
 
 class ChartLayout:

@@ -138,6 +138,25 @@ class InteractionTrace:
 
     # -- serialization ----------------------------------------------------
 
+    def __reduce__(self):
+        """Pickle as the name plus four columns, not one object per event.
+
+        A sharded fleet ships every trace to every worker; per-event
+        dataclasses and the derived ``_times`` / ``_request_events``
+        caches double the bytes and cost most of the dump time.  The
+        constructor rebuilds events and caches on load.
+        """
+        return (
+            _trace_from_columns,
+            (
+                self.name,
+                [e.time_s for e in self.events],
+                [e.x for e in self.events],
+                [e.y for e in self.events],
+                [e.request for e in self.events],
+            ),
+        )
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -156,3 +175,16 @@ class InteractionTrace:
             for t, x, y, r in data["events"]
         ]
         return cls(events, name=data.get("name", "trace"))
+
+
+def _trace_from_columns(
+    name: str,
+    times: list[float],
+    xs: list[float],
+    ys: list[float],
+    requests: list[Optional[int]],
+) -> InteractionTrace:
+    """Unpickle target of :meth:`InteractionTrace.__reduce__`."""
+    return InteractionTrace(
+        [TraceEvent(*row) for row in zip(times, xs, ys, requests)], name=name
+    )
