@@ -23,7 +23,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.baselines.acc import ACCPrefetcher, acc_threshold
 from repro.baselines.classic import ClassicConfig, ClassicSession
@@ -70,7 +70,7 @@ from repro.predictors.shared import SharedTransitionPrior, make_shared_markov_pr
 from repro.sim.engine import Simulator
 from repro.workloads.falcon import FalconApp, FalconTrace
 from repro.workloads.image_app import ImageExplorationApp
-from repro.workloads.trace import InteractionTrace, TraceEvent
+from repro.workloads.trace import InteractionTrace
 
 from .configs import (
     EnvironmentConfig,
@@ -136,22 +136,43 @@ def _replay(
     on_request_position=None,
     offset_s: float = 0.0,
 ) -> None:
-    """Schedule the trace's events into the simulator.
+    """Stream the trace's events into the simulator as one series.
 
     ``observe(event)`` fires for every sample; ``request(id)`` for
     request-bearing samples; ``on_request_position(i)`` (optional)
     additionally reports the request's ordinal position — the hook the
-    ACC prefetchers use to read the future.  ``offset_s`` shifts the
-    whole trace (a churn fleet replays each user's trace from the
-    moment they arrive, not from t = 0).
+    ACC prefetchers use to read the future.  A sample's events fire in
+    that order.  ``offset_s`` shifts the whole trace (a churn fleet
+    replays each user's trace from the moment they arrive, not from
+    t = 0).
+
+    The trace holds one heap entry however long it is, and each
+    :class:`~repro.predictors.base.MouseEvent` is built when its sample
+    fires.  By the simulator's series FIFO rule the events fire exactly
+    as if every one had been scheduled here with ``schedule_at``.
     """
+    per_request = 1 if on_request_position is None else 2
+    sim.schedule_series(
+        _replay_steps(trace, observe, request, on_request_position, offset_s),
+        len(trace.columns[0]) + per_request * trace.num_requests,
+    )
+
+
+def _replay_steps(
+    trace: InteractionTrace, observe, request, on_request_position, offset_s: float
+) -> Iterator[float]:
+    """The series of :func:`_replay`: yield an event's time, then fire it."""
     position = 0
-    for event in trace.events:
-        sim.schedule_at(offset_s + event.time_s, observe, MouseEvent(event.x, event.y))
-        if event.request is not None:
-            sim.schedule_at(offset_s + event.time_s, request, event.request)
+    for t, x, y, r in zip(*trace.columns):
+        at = offset_s + t
+        yield at
+        observe(MouseEvent(x, y))
+        if r is not None:
+            yield at
+            request(r)
             if on_request_position is not None:
-                sim.schedule_at(offset_s + event.time_s, on_request_position, position)
+                yield at
+                on_request_position(position)
             position += 1
 
 
@@ -615,25 +636,16 @@ def _suffix_trace(
     clamp is monotone, so event order survives).  Returns ``None`` for
     a session with no requests left — finished sessions don't migrate.
     """
-    seen = 0
-    remainder: list[TraceEvent] = []
-    for event in trace.events:
-        if seen >= requests_seen:
-            remainder.append(event)
-        elif event.request is not None:
-            seen += 1
-    if not any(e.request is not None for e in remainder):
+    times, xs, ys, requests = trace.columns
+    request_rows = [row for row, r in enumerate(requests) if r is not None]
+    if len(request_rows) <= requests_seen:
         return None
-    return InteractionTrace(
-        events=[
-            TraceEvent(
-                time_s=max(e.time_s, not_before_s),
-                x=e.x,
-                y=e.y,
-                request=e.request,
-            )
-            for e in remainder
-        ],
+    start = request_rows[requests_seen - 1] + 1 if requests_seen else 0
+    return InteractionTrace.from_columns(
+        [max(t, not_before_s) for t in times[start:]],
+        xs[start:],
+        ys[start:],
+        requests[start:],
         name=f"{trace.name}+migrated",
     )
 
@@ -1939,15 +1951,18 @@ def extend_with_pause(
     """
     if hold_s <= 0:
         raise ValueError("hold duration must be positive")
-    base = trace.truncated(pause_s)
-    x, y = base.events[-1].x, base.events[-1].y
-    t = base.events[-1].time_s
+    times, xs, ys, requests = (list(c) for c in trace.truncated(pause_s).columns)
+    t, x, y = times[-1], xs[-1], ys[-1]
     dt = 1.0 / sample_rate_hz
-    events = list(base.events)
     while t + dt <= pause_s + hold_s:
         t += dt
-        events.append(TraceEvent(t, x, y))
-    return InteractionTrace(events, name=f"{trace.name}|pause@{pause_s:g}s")
+        times.append(t)
+        xs.append(x)
+        ys.append(y)
+        requests.append(None)
+    return InteractionTrace.from_columns(
+        times, xs, ys, requests, name=f"{trace.name}|pause@{pause_s:g}s"
+    )
 
 
 def run_convergence(

@@ -317,11 +317,12 @@ def _recv(
     ``("hb", ...)`` beacons are consumed silently; they reset the
     *quiet* clock but not the total one, so a wedged-but-beaconing
     worker still trips ``timeout_s`` while a genuinely dead or wedged
-    one trips the much shorter ``quiet_timeout_s``.
+    one trips the much shorter ``quiet_timeout_s``.  Both are measured
+    on the monotonic clock, so time spent in polls that a beacon ended
+    counts too.
     """
-    waited = 0.0
-    quiet = 0.0
     poll_s = 0.2
+    started = heard = time.monotonic()
     while True:
         if conn.poll(poll_s):
             try:
@@ -334,26 +335,24 @@ def _recv(
                     f"worker pipe closed mid-protocol "
                     f"(exit code {proc.exitcode}): {exc!r}",
                 ) from exc
-            if kind == "hb":
-                quiet = 0.0
-                continue
             if kind == "error":
                 raise ShardError(shard, payload)
-            return kind, payload
-        waited += poll_s
-        quiet += poll_s
-        if not proc.is_alive():
+            if kind != "hb":
+                return kind, payload
+            heard = time.monotonic()
+        elif not proc.is_alive():
             # One last poll: the message may have raced process exit.
             if conn.poll(0):
                 continue
             raise ShardError(
                 shard, f"worker exited with code {proc.exitcode} mid-protocol"
             )
-        if quiet_timeout_s is not None and quiet >= quiet_timeout_s:
+        now = time.monotonic()
+        if quiet_timeout_s is not None and now - heard >= quiet_timeout_s:
             raise ShardError(
                 shard, f"no heartbeat within {quiet_timeout_s:.1f}s — worker wedged"
             )
-        if timeout_s is not None and waited >= timeout_s:
+        if timeout_s is not None and now - started >= timeout_s:
             raise ShardError(shard, f"no message within {timeout_s:.0f}s")
 
 

@@ -17,6 +17,19 @@ a ``Clock`` and the harness decides which driver to hand them.
 Time is measured in **seconds** as floats.  Events scheduled for the
 same instant fire in FIFO order of scheduling (a monotonically
 increasing sequence number breaks ties), which keeps runs deterministic.
+A time that is not ``>= now`` — the past, or NaN — is rejected.
+
+A *series* (:meth:`Simulator.schedule_series`) is a run of events in
+non-decreasing time order that occupies one heap entry instead of one
+per event: a replayed interaction trace is thousands of mouse samples,
+and only the next one needs to be in the heap.  The series FIFO rule:
+at call time a series of ``count`` events reserves ``count`` consecutive
+sequence numbers, and its ``k``-th event fires under the ``k``-th of
+them.  Its events therefore pop in exactly the ``(time, seq)`` order
+they would have if each had been scheduled with :meth:`schedule_at` at
+the call — after events scheduled before the call at the same instant,
+before events scheduled after it, and in the series' own order among
+themselves.
 
 Example
 -------
@@ -36,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.clock import ClockError
 
@@ -99,6 +112,46 @@ class EventHandle:
             self._callback(*self._args)
 
 
+class _Series:
+    """The one heap entry of a series: its next event, then the rest.
+
+    Never cancelled, so compaction keeps it and the run loop fires it
+    like any :class:`EventHandle`.
+    """
+
+    __slots__ = ("_sim", "_steps", "_seq", "_end", "_popped")
+
+    cancelled = False
+
+    def __init__(self, sim: "Simulator", steps: Iterator[float], seq: int, end: int):
+        self._sim = sim
+        self._steps = steps
+        self._seq = seq  # reserved sequence number of the event in the heap
+        self._end = end  # one past the last reserved sequence number
+        self._popped = False
+
+    def _fire(self) -> None:
+        """Fire the popped event, then re-push the series at its next one."""
+        sim = self._sim
+        time = next(self._steps, None)
+        seq = self._seq + 1
+        if time is None:
+            if seq != self._end:
+                raise SimulationError(
+                    f"series ended {self._end - seq} events short of its count"
+                )
+            return
+        if seq == self._end:
+            raise SimulationError("series yielded more events than its count")
+        if not time >= sim._now:
+            raise SimulationError(
+                f"series event at {time!r} is before the previous one ({sim._now!r})"
+            )
+        self._seq = seq
+        heapq.heappush(sim._heap, (time, seq, self))
+        sim._series_backlog -= 1
+
+
 class Simulator:
     """Event-heap simulator with a virtual clock.
 
@@ -123,6 +176,8 @@ class Simulator:
         # is compacted whenever the cancelled fraction exceeds half.
         self._cancelled_pending = 0
         self.heap_compactions = 0
+        # Events of live series beyond the one entry each holds in the heap.
+        self._series_backlog = 0
 
     @property
     def now(self) -> float:
@@ -142,7 +197,7 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to fire at absolute virtual ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before now ({self._now!r})"
             )
@@ -150,10 +205,37 @@ class Simulator:
         heapq.heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
+    def schedule_series(self, steps: Iterator[float], count: int) -> None:
+        """Schedule the ``count`` events of ``steps`` under one heap entry.
+
+        ``steps`` is an iterator, typically a generator, that yields the
+        time of its next event and, when resumed, fires that event (the
+        code after its ``yield``) and yields the time of the one after.
+        It is advanced once now, for the first time, and once per event
+        fired.  Times must be non-decreasing and not before now.  The
+        series FIFO rule (module docstring) makes the pop order
+        identical to scheduling every event with :meth:`schedule_at`
+        here; ``events_processed`` and ``pending_events`` count each
+        event.  A series cannot be cancelled.
+        """
+        if count <= 0:
+            return
+        time = next(steps, None)
+        if time is None:
+            raise SimulationError(f"series of count {count} yielded no events")
+        if not time >= self._now:
+            raise SimulationError(
+                f"cannot schedule a series at {time!r}, which is before now ({self._now!r})"
+            )
+        seq = next(self._seq)
+        self._seq = itertools.count(seq + count)
+        heapq.heappush(self._heap, (time, seq, _Series(self, steps, seq, seq + count)))
+        self._series_backlog += count - 1
+
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) events still in the heap."""
-        return len(self._heap) - self._cancelled_pending
+        """Live (non-cancelled) events yet to fire, each series event counted."""
+        return len(self._heap) - self._cancelled_pending + self._series_backlog
 
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trace import InteractionTrace, TraceEvent
+from .trace import InteractionTrace
 
 __all__ = ["rescale_think_times", "mean_think_time_s"]
 
@@ -60,9 +60,7 @@ def scale_time(trace: InteractionTrace, factor: float) -> InteractionTrace:
     """
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    events = [
-        TraceEvent(e.time_s * factor, e.x, e.y, request=e.request)
-        for e in trace.events
-    ]
-    suffix = f"x{factor:.3g}"
-    return InteractionTrace(events, name=f"{trace.name}*{suffix}")
+    times, xs, ys, requests = trace.columns
+    return InteractionTrace.from_columns(
+        [t * factor for t in times], xs, ys, requests, name=f"{trace.name}*x{factor:.3g}"
+    )

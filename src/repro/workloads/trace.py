@@ -16,9 +16,13 @@ traces (see DESIGN.md §2); this module defines the common structure.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+import math
+import operator
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,40 +44,117 @@ class TraceEvent:
     request: Optional[int] = None
 
 
-@dataclass
 class InteractionTrace:
-    """A replayable, queryable event sequence."""
+    """A replayable, queryable event sequence, stored as columns.
 
-    events: list[TraceEvent]
-    name: str = "trace"
+    The trace keeps four parallel lists — time, x, y and request (an id,
+    or ``None`` for a movement sample) — because replay, the point
+    queries and pickling all read one column at a time, and a sharded
+    or paper-scale run holds tens of thousands of samples.  ``events``
+    is a view of one :class:`TraceEvent` per sample, built the first
+    time something reads it; a trace built from events keeps only the
+    columns.  Times must be finite and non-decreasing.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.events:
+    def __init__(self, events: Sequence[TraceEvent], name: str = "trace") -> None:
+        self._set_columns(
+            name,
+            [e.time_s for e in events],
+            [e.x for e in events],
+            [e.y for e in events],
+            [e.request for e in events],
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        times: Sequence[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
+        requests: Sequence[Optional[int]],
+        name: str = "trace",
+    ) -> "InteractionTrace":
+        """A trace from its four columns, without building any event."""
+        trace = cls.__new__(cls)
+        trace._set_columns(name, list(times), list(xs), list(ys), list(requests))
+        return trace
+
+    def _set_columns(
+        self,
+        name: str,
+        times: list[float],
+        xs: list[float],
+        ys: list[float],
+        requests: list[Optional[int]],
+    ) -> None:
+        if not times:
             raise ValueError("trace must contain at least one event")
-        times = [e.time_s for e in self.events]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("events must be time-ordered")
+        if not len(xs) == len(ys) == len(requests) == len(times):
+            raise ValueError("trace columns must have equal lengths")
+        # ``<=`` is False against NaN, so the order check also rejects a
+        # NaN anywhere but in a one-event trace; sorted, every time is
+        # finite once the first and the last are.
+        if not (
+            all(map(operator.le, times, itertools.islice(times, 1, None)))
+            and math.isfinite(times[0])
+            and math.isfinite(times[-1])
+        ):
+            raise ValueError("event times must be finite and non-decreasing")
+        self.name = name
         self._times = times
-        self._request_events = [e for e in self.events if e.request is not None]
-        self._request_times = [e.time_s for e in self._request_events]
+        self._xs = xs
+        self._ys = ys
+        self._requests = requests
+        self.num_requests = len(requests) - requests.count(None)
+        self._events: Optional[list[TraceEvent]] = None
 
     # -- bulk views ----------------------------------------------------
 
     @property
-    def duration_s(self) -> float:
-        return self.events[-1].time_s
+    def columns(
+        self,
+    ) -> tuple[list[float], list[float], list[float], list[Optional[int]]]:
+        """The ``(times, xs, ys, requests)`` lists, one entry per sample.
+
+        Shared with the trace, not copied: read them, never mutate them.
+        """
+        return self._times, self._xs, self._ys, self._requests
 
     @property
-    def num_requests(self) -> int:
-        return len(self._request_events)
+    def events(self) -> list[TraceEvent]:
+        """One :class:`TraceEvent` per sample, built on first read."""
+        if self._events is None:
+            self._events = list(
+                map(TraceEvent, self._times, self._xs, self._ys, self._requests)
+            )
+        return self._events
+
+    @property
+    def duration_s(self) -> float:
+        return self._times[-1]
+
+    def _event(self, row: int) -> TraceEvent:
+        return TraceEvent(
+            self._times[row], self._xs[row], self._ys[row], self._requests[row]
+        )
+
+    @functools.cached_property
+    def _request_rows(self) -> list[int]:
+        """Row of every request-bearing sample (built on first query)."""
+        return [i for i, r in enumerate(self._requests) if r is not None]
+
+    @functools.cached_property
+    def _request_times(self) -> list[float]:
+        times = self._times
+        return [times[i] for i in self._request_rows]
 
     def requests(self) -> list[TraceEvent]:
         """The request-bearing events, in order."""
-        return list(self._request_events)
+        return [self._event(i) for i in self._request_rows]
 
     def think_times_s(self) -> np.ndarray:
         """Gaps between consecutive requests (the Fig. 5 distribution)."""
-        if len(self._request_times) < 2:
+        if self.num_requests < 2:
             return np.empty(0)
         return np.diff(np.asarray(self._request_times))
 
@@ -81,41 +162,44 @@ class InteractionTrace:
 
     def position_at(self, time_s: float) -> tuple[float, float]:
         """Mouse position at ``time_s`` (linear interpolation, clamped)."""
-        idx = bisect.bisect_right(self._times, time_s)
+        times, xs, ys = self._times, self._xs, self._ys
+        idx = bisect.bisect_right(times, time_s)
         if idx <= 0:
-            first = self.events[0]
-            return first.x, first.y
-        if idx >= len(self.events):
-            last = self.events[-1]
-            return last.x, last.y
-        a, b = self.events[idx - 1], self.events[idx]
-        if b.time_s == a.time_s:
-            return b.x, b.y
-        w = (time_s - a.time_s) / (b.time_s - a.time_s)
-        return a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
+            return xs[0], ys[0]
+        if idx >= len(times):
+            return xs[-1], ys[-1]
+        ta, tb = times[idx - 1], times[idx]
+        if tb == ta:
+            return xs[idx], ys[idx]
+        w = (time_s - ta) / (tb - ta)
+        xa, ya = xs[idx - 1], ys[idx - 1]
+        return xa + w * (xs[idx] - xa), ya + w * (ys[idx] - ya)
 
     def request_active_at(self, time_s: float) -> Optional[int]:
         """Most recent request at or before ``time_s`` (oracle lookup)."""
         idx = bisect.bisect_right(self._request_times, time_s)
         if idx <= 0:
             return None
-        return self._request_events[idx - 1].request
+        return self._requests[self._request_rows[idx - 1]]
 
     def next_request_after(self, time_s: float) -> Optional[TraceEvent]:
         """First request event strictly after ``time_s``."""
         idx = bisect.bisect_right(self._request_times, time_s)
-        if idx >= len(self._request_events):
+        if idx >= self.num_requests:
             return None
-        return self._request_events[idx]
+        return self._event(self._request_rows[idx])
 
     # -- transforms ------------------------------------------------------
 
     def truncated(self, duration_s: float) -> "InteractionTrace":
         """Prefix of the trace up to ``duration_s``."""
-        kept = [e for e in self.events if e.time_s <= duration_s]
+        kept = bisect.bisect_right(self._times, duration_s)
         if not kept:
             raise ValueError("truncation removed every event")
-        return InteractionTrace(kept, name=f"{self.name}[:{duration_s}s]")
+        return InteractionTrace.from_columns(
+            *(column[:kept] for column in self.columns),
+            name=f"{self.name}[:{duration_s}s]",
+        )
 
     def shifted(self, offset_s: float) -> "InteractionTrace":
         """The same interaction re-based ``offset_s`` later on the clock.
@@ -130,41 +214,39 @@ class InteractionTrace:
             return self
         if offset_s < 0:
             raise ValueError("shift offset must be non-negative")
-        events = [
-            TraceEvent(e.time_s + offset_s, e.x, e.y, e.request)
-            for e in self.events
-        ]
-        return InteractionTrace(events, name=f"{self.name}+{offset_s:g}s")
+        return InteractionTrace.from_columns(
+            [t + offset_s for t in self._times],
+            self._xs,
+            self._ys,
+            self._requests,
+            name=f"{self.name}+{offset_s:g}s",
+        )
 
-    # -- serialization ----------------------------------------------------
+    # -- comparison and serialization --------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionTrace):
+            return NotImplemented
+        return self.name == other.name and self.columns == other.columns
+
+    def __repr__(self) -> str:
+        return (
+            f"InteractionTrace(name={self.name!r}, {len(self._times)} events, "
+            f"{self.num_requests} requests, {self.duration_s:g} s)"
+        )
 
     def __reduce__(self):
-        """Pickle as the name plus four columns, not one object per event.
+        """Pickle as the name plus the four columns.
 
-        A sharded fleet ships every trace to every worker; per-event
-        dataclasses and the derived ``_times`` / ``_request_events``
-        caches double the bytes and cost most of the dump time.  The
-        constructor rebuilds events and caches on load.
+        A sharded fleet ships every trace to every worker; one dataclass
+        per event would double the bytes and cost most of the dump time.
+        Loading goes through :meth:`from_columns`, so it builds no event.
         """
-        return (
-            _trace_from_columns,
-            (
-                self.name,
-                [e.time_s for e in self.events],
-                [e.x for e in self.events],
-                [e.y for e in self.events],
-                [e.request for e in self.events],
-            ),
-        )
+        return (_trace_from_columns, (self.name, *self.columns))
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "name": self.name,
-                "events": [
-                    [e.time_s, e.x, e.y, e.request] for e in self.events
-                ],
-            }
+            {"name": self.name, "events": [list(row) for row in zip(*self.columns)]}
         )
 
     @classmethod
@@ -185,6 +267,4 @@ def _trace_from_columns(
     requests: list[Optional[int]],
 ) -> InteractionTrace:
     """Unpickle target of :meth:`InteractionTrace.__reduce__`."""
-    return InteractionTrace(
-        [TraceEvent(*row) for row in zip(times, xs, ys, requests)], name=name
-    )
+    return InteractionTrace.from_columns(times, xs, ys, requests, name=name)

@@ -165,7 +165,8 @@ def task(shard, num_shards, rounds, **extra):
 
 
 def run(tasks, rounds, **kwargs):
-    # timeout_s bounds the stub poll loop by iterations, never by sleep.
+    # Stub links never wait: a stub worker has queued its messages or
+    # exited by the time the coordinator polls, so timeout_s never runs out.
     return run_sharded(
         tasks, sync_rounds=rounds, timeout_s=5.0, transport=StubTransport(), **kwargs
     )

@@ -253,3 +253,146 @@ class TestHeapCompaction:
         sim.schedule(2.0, lambda: None)
         a.cancel()
         assert sim.pending_events == 1
+
+
+class TestNonNumericTimes:
+    """``not time >= now`` rejects NaN, which ``time < now`` let through
+    to fire ahead of every earlier event."""
+
+    @pytest.mark.parametrize("delay", [float("nan"), -float("inf")])
+    def test_schedule_rejects_nan_and_past_delays(self, delay):
+        with pytest.raises(SimulationError):
+            Simulator().schedule(delay, lambda: None)
+
+    def test_schedule_at_rejects_nan(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(0.5, fired.append, "half")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), fired.append, "nan")
+        sim.schedule_at(1.0, fired.append, "one")
+        sim.run()
+        assert fired == ["half", "one"]
+
+    def test_series_rejects_a_nan_first_time(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_series(iter([float("nan")]), 1)
+
+    def test_series_rejects_a_nan_later_time(self):
+        sim = Simulator()
+        sim.schedule_series(iter([0.5, float("nan")]), 2)
+        with pytest.raises(SimulationError):
+            sim.run()
+
+
+def series(times, fired, tag):
+    """Steps firing ``fired.append((tag, k))`` at ``times[k]``."""
+    for k, time in enumerate(times):
+        yield time
+        fired.append((tag, k))
+
+
+class TestSeries:
+    def test_events_fire_in_order_and_are_counted(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_series(series([0.5, 0.5, 1.0], fired, "s"), 3)
+        assert sim.pending_events == 3 and len(sim._heap) == 1
+        sim.run()
+        assert fired == [("s", 0), ("s", 1), ("s", 2)]
+        assert sim.events_processed == 3 and sim.pending_events == 0
+        assert sim.now == 1.0
+
+    def test_ties_follow_the_reserved_sequence_numbers(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "before")
+        sim.schedule_series(series([1.0, 1.0], fired, "a"), 2)
+        sim.schedule_series(series([0.0, 1.0], fired, "b"), 2)
+        sim.schedule_at(1.0, fired.append, "after")
+        sim.run()
+        assert fired == [("b", 0), "before", ("a", 0), ("a", 1), ("b", 1), "after"]
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=1, max_size=8),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), max_size=8),
+    )
+    def test_pop_order_equals_scheduling_every_event(self, gap_lists, others):
+        def play(streamed):
+            sim = Simulator()
+            fired = []
+            for i, at in enumerate(others):
+                sim.schedule_at(at, fired.append, ("other", i))
+            for tag, gaps in enumerate(gap_lists):
+                times = [sum(gaps[: k + 1]) for k in range(len(gaps))]
+                if streamed:
+                    sim.schedule_series(series(times, fired, tag), len(times))
+                else:
+                    for k, at in enumerate(times):
+                        sim.schedule_at(at, fired.append, (tag, k))
+            sim.run()
+            return fired, sim.events_processed
+
+        assert play(streamed=True) == play(streamed=False)
+
+    def test_pending_counts_the_rest_of_the_series_while_an_event_fires(self):
+        sim = Simulator()
+        seen = []
+
+        def steps():
+            for _ in range(4):
+                yield 1.0
+                seen.append(sim.pending_events)
+
+        sim.schedule_series(steps(), 4)
+        sim.run()
+        assert seen == [3, 2, 1, 0]
+
+    def test_compaction_keeps_series(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_series(series([1.0, 2.0], fired, "s"), 2)
+        for _ in range(2 * Simulator.COMPACT_MIN_SIZE):
+            sim.schedule(0.5, fired.append, "dead").cancel()
+        assert sim.heap_compactions > 0
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == [("s", 0), ("s", 1)]
+
+    def test_count_must_match_the_steps(self):
+        short = Simulator()
+        short.schedule_series(iter([0.0]), 2)
+        with pytest.raises(SimulationError, match="short"):
+            short.run()
+        long = Simulator()
+        long.schedule_series(iter([0.0, 1.0]), 1)
+        with pytest.raises(SimulationError, match="more"):
+            long.run()
+        with pytest.raises(SimulationError):
+            Simulator().schedule_series(iter([]), 1)
+
+    def test_times_must_not_decrease(self):
+        sim = Simulator()
+        sim.schedule_series(iter([1.0, 0.5]), 2)
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_series_cannot_start_in_the_past(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_series(iter([0.5]), 1)
+
+    def test_run_until_pauses_inside_a_series(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_series(series([0.5, 1.5, 2.5], fired, "s"), 3)
+        sim.run(until=1.0)
+        assert fired == [("s", 0)] and sim.pending_events == 2
+        assert sim.peek() == 1.5
+        sim.run()
+        assert fired == [("s", 0), ("s", 1), ("s", 2)]
