@@ -421,6 +421,8 @@ def _run_fleet_command(args) -> list[tuple[list[dict], str]]:
         raise SystemExit("--transport needs --shards")
     if args.shards is None and args.join_at_round is not None:
         raise SystemExit("--join-at-round needs --shards")
+    if args.sync_interval < 0:
+        raise SystemExit("--sync-interval must be >= 0")
     if args.shards is not None:
         if args.shards < 1:
             raise SystemExit("--shards must be >= 1")

@@ -6,6 +6,8 @@
 * :mod:`repro.experiments.runner` — end-to-end drivers that wire an
   application + trace + environment into a Khameleon session or a
   baseline session, replay the trace, and collect metrics.
+* :mod:`repro.experiments.sharded` / :mod:`repro.experiments.shard_worker`
+  — the coordinator and worker halves of the runner's sharded fleet.
 * :mod:`repro.experiments.figures` — per-figure sweeps returning the
   rows each figure plots; the benchmark harness prints them.
 """

@@ -50,6 +50,11 @@ __all__ = [
 #: this to 1/4.
 NETWORK_SHARE = 0.25
 
+#: Simulated seconds to keep running after the trace ends, so in-flight
+#: blocks land and late upcalls fire (Khameleon pushes forever; classic
+#: sessions instead drain their event queue completely).
+DEFAULT_DRAIN_S = 3.0
+
 
 @dataclass(frozen=True)
 class EnvironmentConfig:

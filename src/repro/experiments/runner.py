@@ -12,16 +12,19 @@ substrate, replays an interaction trace against it, and returns a
   prefetchers.
 * :func:`run_falcon` — Khameleon over the Falcon port with the
   PostgreSQL-like or ScalableSQL backend (§6.4).
+* :func:`run_fleet` — N sessions over one shared backend and one
+  fair-shared downlink, static or under churn.
+* :func:`run_fleet_sharded` — the same fleet split over worker
+  processes (:mod:`repro.experiments.sharded` coordinates them,
+  :mod:`repro.experiments.shard_worker` runs each), pooled into one
+  result.
 * :func:`run_convergence` — the Fig. 10 protocol: pause the trace and
   track utility upcalls until quality converges.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import tempfile
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -32,28 +35,7 @@ from repro.core.session import KhameleonSession, SessionConfig
 from repro.encoding.naive import SingleBlockEncoder
 from repro.backends.filesystem import FileSystemBackend
 from repro.fleet import KhameleonFleet
-from repro.fleet.checkpoint import (
-    CTRL_KEY,
-    CheckpointConfig,
-    CheckpointStore,
-    FleetCheckpoint,
-    ShardCheckpoint,
-    capture_session,
-    capture_shard,
-    migrate_out_of,
-    split_ctrl,
-    unwrap_sync_payload,
-    wrap_sync_payload,
-)
-from repro.fleet.ring import HashRing
-from repro.fleet.sharding import (
-    ShardRecovery,
-    ShardTask,
-    SupervisionPolicy,
-    run_sharded,
-    shard_of,
-)
-from repro.fleet.transport import PipeTransport, TcpTransport
+from repro.fleet.sharding import SupervisionPolicy, run_sharded
 from repro.metrics.collector import MetricSummary, collect, convergence_curve, overpush_rate
 from repro.metrics.fleet import (
     CohortSummary,
@@ -63,7 +45,6 @@ from repro.metrics.fleet import (
     early_hit_rate,
     jain_fairness,
     pool_snapshots,
-    pool_transport_counters,
 )
 from repro.predictors.base import MouseEvent
 from repro.predictors.shared import SharedTransitionPrior, make_shared_markov_predictor
@@ -73,12 +54,14 @@ from repro.workloads.image_app import ImageExplorationApp
 from repro.workloads.trace import InteractionTrace
 
 from .configs import (
+    DEFAULT_DRAIN_S,
     EnvironmentConfig,
     FleetEnvironment,
     make_downlink,
     make_shared_downlink,
     make_uplink,
 )
+from .sharded import ImageAppSpec, ShardCoordinator, ShardFleetSpec
 
 __all__ = [
     "RunResult",
@@ -94,11 +77,6 @@ __all__ = [
     "run_image_system",
     "extend_with_pause",
 ]
-
-#: Simulated seconds to keep running after the trace ends, so in-flight
-#: blocks land and late upcalls fire (Khameleon pushes forever; classic
-#: sessions instead drain their event queue completely).
-DEFAULT_DRAIN_S = 3.0
 
 #: Default worker supervision for the sharded fleet path: two restarts
 #: per shard with exponential backoff.  Pass ``supervision=None`` to
@@ -467,7 +445,9 @@ def run_fleet(
 
         fleet.manager.on_admit = replay_from_arrival
         fleet.start()
-        horizon = fleet.manager.horizon_s(lambda i: traces[i].duration_s)
+        horizon = fleet_env.arrival.horizon_s(
+            fleet_env.num_sessions, lambda i: traces[i].duration_s
+        )
         drive(horizon + drain_s)
         fleet.stop()
 
@@ -504,505 +484,6 @@ def run_fleet(
     )
 
 
-@dataclass(frozen=True)
-class ImageAppSpec:
-    """Spawn-safe recipe for an :class:`ImageExplorationApp`.
-
-    Shard workers run in fresh interpreters, so the application must
-    cross the process boundary as a *recipe*, not an object (the app
-    holds an image store, encoder, and utility closure).  The synthetic
-    store is a pure function of ``(num_requests, seed)``, so every
-    worker rebuilds a bit-identical app from these five numbers.
-    """
-
-    rows: int
-    cols: int
-    cell_px: float = 20.0
-    block_bytes: int = 50_000
-    seed: int = 7
-
-    @classmethod
-    def of(cls, app: ImageExplorationApp) -> "ImageAppSpec":
-        layout = app.layout
-        return cls(
-            rows=layout.rows,
-            cols=layout.cols,
-            cell_px=layout.cell_width,
-            block_bytes=app.block_bytes,
-            seed=app.seed,
-        )
-
-    def build(self) -> ImageExplorationApp:
-        return ImageExplorationApp(
-            rows=self.rows,
-            cols=self.cols,
-            cell_px=self.cell_px,
-            block_bytes=self.block_bytes,
-            seed=self.seed,
-        )
-
-
-@dataclass
-class ShardFleetSpec:
-    """Everything one shard worker needs, pickled onto its task pipe.
-
-    ``traces`` and ``fleet_env`` are the *global* fleet description —
-    every worker gets all of it and derives its own slice (route,
-    bandwidth share, admission-cap share) from ``shard``/``num_shards``,
-    so the shard split is a pure function of the spec and the coordinator
-    never has to serialize per-shard variants.
-    """
-
-    app_spec: ImageAppSpec
-    traces: list[InteractionTrace]
-    fleet_env: FleetEnvironment
-    predictor: str
-    shard: int
-    num_shards: int
-    #: Absolute sim times of the delta-sync barriers (empty = no sync).
-    sync_points: tuple[float, ...] = ()
-    drain_s: float = DEFAULT_DRAIN_S
-    seed: int = 0
-    cohort_width_s: float = 5.0
-    early_k: int = 5
-    #: Warm-start prior file every shard loads (never an object: the
-    #: prior's count table is not picklable, and one file fans out to
-    #: W workers without W copies in the coordinator's heap).
-    shared_prior_path: Optional[str] = None
-    #: Which incarnation of this shard's worker this is.  The original
-    #: spawn is attempt 0; supervision bumps it on every respawn.  Chaos
-    #: worker-crash schedules only fire on attempt 0, so a replacement
-    #: worker does not re-crash into the same injected fault.
-    attempt: int = 0
-    #: Capture a :class:`~repro.fleet.checkpoint.ShardCheckpoint` every
-    #: this many completed sync rounds and piggyback it on the barrier
-    #: exchange (0 = checkpointing off: barrier payloads stay exactly
-    #: the historical bare deltas, bit-identical to pre-checkpoint runs).
-    checkpoint_cadence: int = 0
-    #: Global index of ``sync_points[0]`` in the full barrier schedule
-    #: (respawned workers run a suffix; checkpoints carry global rounds).
-    first_round: int = 0
-    #: The shard's last coordinator-held checkpoint.  A respawned (or
-    #: re-absorbed) worker pauses its replay at ``restore.sim_time_s``,
-    #: re-captures, and compares digests — restore-in-place, verified
-    #: rather than assumed.
-    restore: Optional[ShardCheckpoint] = None
-    #: Path to a :class:`~repro.fleet.checkpoint.FleetCheckpoint` bundle
-    #: (``--checkpoint-in``): the worker counts its own checkpointed
-    #: sessions as resumed and pre-merges *other* shards' prior deltas,
-    #: so re-broadcasts of pre-drain state dedup exactly.
-    resume_from: Optional[str] = None
-    #: Stop cleanly after completing this global sync round (graceful
-    #: drain): skip the rest of the run, ship partial results plus a
-    #: final checkpoint.
-    drain_after_round: Optional[int] = None
-    #: Explicit session ownership, overriding the hash route.  A mid-run
-    #: joiner owns exactly the sessions the grown ring moved to it — not
-    #: everything the ring *would* give it, since sessions that finished
-    #: before the join never migrate.
-    route_indices: Optional[tuple[int, ...]] = None
-    #: ``(new_num_shards, at_round, at_time_s)``: a member joins the
-    #: fleet after global sync round ``at_round``.  At that barrier this
-    #: worker captures and retires every owned session the grown ring
-    #: routes to the new member, shipping the checkpoints on the barrier
-    #: payload.  A respawned worker whose suffix starts *after* the join
-    #: replays the same retirement at the same sim time instead, so its
-    #: deterministic restore matches the stored digests.
-    grow_to: Optional[tuple[int, int, float]] = None
-    #: Adoption orders re-applied on respawn: a worker that previously
-    #: adopted a lost shard's sessions (via a ``peers``-borne control
-    #: message) must re-adopt them at the same sim time when it is
-    #: itself replaced, or its replay would silently drop them.  Each
-    #: entry is ``{"checkpoint": <ShardCheckpoint payload>,
-    #: "indices": [...], "at_s": float}``.
-    adopt_orders: tuple = ()
-
-
-def _shard_owned(total: int, shard: int, num_shards: int) -> list[int]:
-    return [i for i in range(total) if shard_of(i, num_shards) == shard]
-
-
-def _suffix_trace(
-    trace: InteractionTrace, requests_seen: int, not_before_s: float
-) -> Optional[InteractionTrace]:
-    """The remainder of ``trace`` after its first ``requests_seen``
-    requests, shifted to start no earlier than ``not_before_s``.
-
-    This is how a migrated session resumes from its checkpointed
-    sequence position: the first ``requests_seen`` request-bearing
-    events (and the observe-only samples interleaved before them) are
-    already served and drop out; everything after replays at its
-    original absolute sim time, clamped up to the adoption point (the
-    clamp is monotone, so event order survives).  Returns ``None`` for
-    a session with no requests left — finished sessions don't migrate.
-    """
-    times, xs, ys, requests = trace.columns
-    request_rows = [row for row, r in enumerate(requests) if r is not None]
-    if len(request_rows) <= requests_seen:
-        return None
-    start = request_rows[requests_seen - 1] + 1 if requests_seen else 0
-    return InteractionTrace.from_columns(
-        [max(t, not_before_s) for t in times[start:]],
-        xs[start:],
-        ys[start:],
-        requests[start:],
-        name=f"{trace.name}+migrated",
-    )
-
-
-def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
-    """Run one shard's fleet; exchange prior deltas at each barrier.
-
-    Executes in a spawned worker process (entry point of
-    :func:`run_fleet_sharded`'s :class:`~repro.fleet.sharding.ShardTask`).
-    Wraps the ordinary :func:`run_fleet` with a route that keeps only
-    owned sessions, resources scaled to the owned share — bandwidth,
-    admission cap, backend budget, and expected population all scale by
-    ``owned/total``, so each *session's* slice matches the unsharded
-    fleet's — and a run driver that pauses at every sync barrier to
-    trade :class:`~repro.predictors.shared.PriorDelta` snapshots with
-    the other shards.  Returns the raw per-shard material the
-    coordinator pools (outcome streams, fairness samples, counter
-    snapshots, the shard's final prior contribution, CPU timings).
-    """
-    k, num_shards = spec.shard, spec.num_shards
-    total = spec.fleet_env.num_sessions
-    if spec.route_indices is not None:
-        owned = sorted(spec.route_indices)
-    else:
-        owned = _shard_owned(total, k, num_shards)
-    owned_set = set(owned)
-    share = len(owned) / total
-
-    env = spec.fleet_env.env
-    # A shard the hash left empty still runs (it must show up at every
-    # sync barrier), just over an epsilon link nobody will use.  The
-    # max() is exact at share=1.0, preserving W=1 bit-identity.
-    fleet_env = replace(
-        spec.fleet_env,
-        env=env.with_bandwidth(env.bandwidth_bytes_per_s * max(share, 1e-9)),
-    )
-    arrival = fleet_env.arrival
-    if arrival is not None and arrival.max_concurrent is not None:
-        fleet_env = replace(
-            fleet_env,
-            arrival=replace(
-                arrival,
-                max_concurrent=max(1, math.ceil(arrival.max_concurrent * share)),
-            ),
-        )
-    if fleet_env.backend_concurrency is not None:
-        fleet_env = replace(
-            fleet_env,
-            backend_concurrency=max(
-                1, math.ceil(fleet_env.backend_concurrency * share)
-            ),
-        )
-    if spec.fleet_env.arrival is None:
-        expected_total = float(total)
-    else:
-        expected_total = spec.fleet_env.arrival.expected_concurrency(total)
-
-    # Injected worker-crash schedule: the original worker (attempt 0)
-    # dies hard — no cleanup, no error message, exactly like a kill -9
-    # — right before its scheduled barrier, so the coordinator sees a
-    # mid-protocol death.  Replacements never re-crash.
-    chaos = spec.fleet_env.chaos
-    crash_at: Optional[int] = None
-    if chaos is not None and spec.attempt == 0:
-        crash_at = chaos.crash_round(k)
-
-    state: dict = {}
-
-    def drive(sim, until, fleet, prior) -> None:
-        state["fleet"], state["prior"] = fleet, prior
-        if prior is not None:
-            prior.enable_sharding(f"shard{k}")
-        n_requests = spec.app_spec.rows * spec.app_spec.cols
-        cadence = spec.checkpoint_cadence
-
-        # --checkpoint-in resume: count our checkpointed sessions as
-        # resumed and pre-merge the *other* shards' stored prior
-        # contributions.  Our own contribution is deliberately not
-        # merged — the deterministic replay re-observes it — and the
-        # CRDT's per-origin mass tracking makes the peers' later live
-        # re-broadcasts of pre-drain state apply as exact diffs.
-        # Replacement workers (attempt >= 1) skip the merge: their warm
-        # seed is the coordinator aggregate, which holds these already.
-        if spec.resume_from is not None:
-            bundle = FleetCheckpoint.load(spec.resume_from, n=n_requests)
-            own = bundle.shards.get(k)
-            if own is not None:
-                state["resumed_sessions"] = len(own.sessions)
-            if prior is not None and spec.attempt == 0:
-                for shard_index, ckpt in bundle.shards.items():
-                    if shard_index == k:
-                        continue
-                    peer_delta = ckpt.prior_delta_object()
-                    if peer_delta is not None:
-                        prior.merge_delta(peer_delta)
-
-        sent_vv: dict[int, int] = {}
-        cpu_run = 0.0
-        ckpt_cpu = 0.0
-        taken = 0
-        last_round: Optional[int] = None
-        wall_start = time.perf_counter()
-
-        def run_chunk(t: float) -> None:
-            nonlocal cpu_run
-            cpu_start = time.process_time()
-            sim.run(until=t)
-            cpu_run += time.process_time() - cpu_start
-
-        def capture(round_index: int, at_s: float) -> ShardCheckpoint:
-            nonlocal ckpt_cpu, taken, last_round
-            cpu_start = time.process_time()
-            ckpt = capture_shard(
-                fleet,
-                prior,
-                shard=k,
-                num_shards=num_shards,
-                round_index=round_index,
-                sim_time_s=at_s,
-                n=n_requests,
-            )
-            ckpt_cpu += time.process_time() - cpu_start
-            taken += 1
-            last_round = round_index
-            return ckpt
-
-        migrated_in: list[int] = []
-        migrated_out: list[int] = []
-
-        def adopt_sessions(order: dict, at_s: float, record: bool = True) -> None:
-            """Take over a lost shard's sessions from its checkpoint.
-
-            Each adopted session is admitted into this worker's live
-            fleet and resumes from its checkpointed request position:
-            the suffix of its trace replays at absolute sim times,
-            clamped up to the adoption barrier (events the dead shard
-            would have served between its last checkpoint and now fire
-            immediately — late, but not lost).
-            """
-            ckpt = ShardCheckpoint.from_payload(order["checkpoint"])
-            wanted = set(order.get("indices", ()))
-            for sc in ckpt.sessions:
-                if sc.index not in wanted:
-                    continue
-                suffix = _suffix_trace(
-                    spec.traces[sc.index], sc.requests_seen, at_s
-                )
-                if suffix is None:
-                    continue  # finished before the crash; nothing to resume
-                fleet._admit_session(sc.index)
-                session = fleet.sessions[-1]
-                session.start()
-                _replay(
-                    sim, suffix, session.client.observe, session.client.request
-                )
-                if record:
-                    migrated_in.append(sc.index)
-
-        def donate_sessions(at_s: float, record: bool = True) -> dict:
-            """Capture-and-retire every owned session the grown ring
-            routes to the joining member; ship the checkpoints."""
-            new_w = spec.grow_to[0]
-            moving = []
-            for idx, session in zip(
-                list(fleet.session_indices), list(fleet.sessions)
-            ):
-                if shard_of(idx, new_w) != new_w - 1:
-                    continue
-                sc = capture_session(session, idx)
-                if _suffix_trace(spec.traces[idx], sc.requests_seen, at_s) is None:
-                    continue  # finished sessions have nothing to move
-                moving.append((session, sc))
-            for session, _sc in moving:
-                fleet._retire_session(session)
-            if record:
-                migrated_out.extend(sc.index for _, sc in moving)
-            return {
-                "from_shard": k,
-                "at_s": at_s,
-                "sessions": [sc.to_payload() for _, sc in moving],
-            }
-
-        # Deterministic pre-steps for replacement workers, replayed in
-        # sim-time order before the barrier suffix: re-apply adoptions
-        # this worker's predecessor performed, re-retire sessions it
-        # donated to a joiner, and pause at the restore checkpoint to
-        # verify the replay against the stored digests.
-        pre_steps: list[tuple[float, int, Callable[[], None]]] = []
-
-        def verify_restore() -> None:
-            nonlocal ckpt_cpu
-            run_chunk(spec.restore.sim_time_s)
-            cpu_start = time.process_time()
-            ours = capture_shard(
-                fleet,
-                prior,
-                shard=k,
-                num_shards=num_shards,
-                round_index=spec.restore.round_index,
-                sim_time_s=spec.restore.sim_time_s,
-                n=n_requests,
-            )
-            ckpt_cpu += time.process_time() - cpu_start
-            state["restore_verified"] = ours.digest() == spec.restore.digest()
-
-        for order in spec.adopt_orders:
-            pre_steps.append(
-                (
-                    float(order["at_s"]),
-                    0,
-                    lambda o=order: (
-                        run_chunk(float(o["at_s"])),
-                        adopt_sessions(o, float(o["at_s"]), record=False),
-                    ),
-                )
-            )
-        if spec.grow_to is not None and spec.first_round > spec.grow_to[1]:
-            at_s = spec.grow_to[2]
-            pre_steps.append(
-                (
-                    at_s,
-                    1,
-                    lambda: (
-                        run_chunk(at_s),
-                        donate_sessions(at_s, record=False),
-                    ),
-                )
-            )
-        if spec.restore is not None and spec.restore.sim_time_s < until:
-            # Ordered after same-time adoptions/donations: the restore
-            # capture that produced the digests ran after them too.
-            pre_steps.append((spec.restore.sim_time_s, 2, verify_restore))
-        for _, _, step in sorted(pre_steps, key=lambda p: (p[0], p[1])):
-            step()
-
-        rounds_run = 0
-        drained = False
-
-        def exchange(payload) -> list:
-            """One barrier, with coordinator control orders peeled off
-            the peers list: adoption orders for a lost shard's sessions
-            apply here, at the barrier's sim time, before the next
-            chunk runs."""
-            peers = channel.exchange(payload)
-            data, ctrl = split_ctrl(peers)
-            for order in ctrl:
-                if order.get(CTRL_KEY) == "adopt":
-                    adopt_sessions(order, sim.now)
-            return data
-
-        for local_index, point in enumerate(spec.sync_points):
-            round_index = spec.first_round + local_index
-            if point >= until:
-                break
-            run_chunk(point)
-            if crash_at is not None and round_index == crash_at:
-                os._exit(17)
-            rounds_run += 1
-            migrate = None
-            if spec.grow_to is not None and round_index == spec.grow_to[1]:
-                migrate = donate_sessions(point)
-            if cadence > 0 or migrate is not None:
-                # Checkpointing on (or a migration to announce): the
-                # capture rides the barrier payload next to the prior
-                # delta.
-                ckpt = None
-                if cadence > 0 and (round_index + 1) % cadence == 0:
-                    ckpt = capture(round_index, point)
-                delta = None
-                if prior is not None:
-                    delta = prior.delta_since(sent_vv)
-                    sent_vv = prior.local_version_vector()
-                for peer in exchange(wrap_sync_payload(delta, ckpt, migrate)):
-                    peer_delta, _peer_ckpt = unwrap_sync_payload(peer)
-                    if peer_delta and prior is not None:
-                        prior.merge_delta(peer_delta)
-            elif prior is not None:
-                delta = prior.delta_since(sent_vv)
-                sent_vv = prior.local_version_vector()
-                for peer in exchange(delta):
-                    # Peers may wrap (a donor announcing a migration
-                    # checkpoints regardless of cadence); unwrap is a
-                    # pass-through for the historical bare deltas.
-                    peer_delta, _peer_ckpt = unwrap_sync_payload(peer)
-                    if peer_delta:
-                        prior.merge_delta(peer_delta)
-            else:
-                exchange(None)
-            if (
-                spec.drain_after_round is not None
-                and round_index == spec.drain_after_round
-            ):
-                drained = True
-                break
-        if not drained:
-            run_chunk(until)
-        if crash_at is not None and crash_at >= rounds_run:
-            # Fewer barriers than the schedule assumed: crash at the
-            # latest possible point instead (before the result ships).
-            os._exit(17)
-        if cadence > 0:
-            # Final capture (at the drain point or end of run) keeps the
-            # coordinator's --checkpoint-out bundle as fresh as the run.
-            final_round = spec.first_round + max(rounds_run - 1, 0)
-            state["final_checkpoint"] = capture(final_round, sim.now)
-        state["drained"] = drained
-        state["migrated_in"] = sorted(migrated_in)
-        state["migrated_out"] = sorted(migrated_out)
-        state["checkpoints_taken"] = taken
-        state["checkpoint_cpu_s"] = ckpt_cpu
-        state["last_checkpoint_round"] = last_round
-        state["timing"] = {
-            "cpu_run_s": cpu_run,
-            "wall_run_s": time.perf_counter() - wall_start,
-        }
-
-    result = run_fleet(
-        spec.app_spec.build(),
-        spec.traces,
-        fleet_env,
-        predictor=spec.predictor,
-        drain_s=spec.drain_s,
-        seed=spec.seed,
-        cohort_width_s=spec.cohort_width_s,
-        early_k=spec.early_k,
-        shared_prior=spec.shared_prior_path,
-        session_route=lambda i: i in owned_set,
-        expected_sessions=expected_total * share,
-        run_driver=drive,
-    )
-    fleet, prior = state["fleet"], state["prior"]
-    manager = fleet.manager
-    return {
-        "diagnostics": result.diagnostics,
-        "outcomes_by_session": fleet.outcomes_by_session(),
-        "session_indices": list(fleet.session_indices),
-        "fairness_samples": fleet.fairness_samples(),
-        "arrival_times": manager.arrival_times() if manager else None,
-        "session_labels": (
-            [str(r.index) for r in manager.admitted_records] if manager else None
-        ),
-        "prior_n": prior.n if prior is not None else None,
-        "prior_delta": prior.delta_since() if prior is not None else None,
-        "num_sessions": len(fleet.sessions),
-        "timing": state["timing"],
-        "drained": state.get("drained", False),
-        "migrated_in": state.get("migrated_in", []),
-        "migrated_out": state.get("migrated_out", []),
-        "resumed_sessions": state.get("resumed_sessions", 0),
-        "restore_verified": state.get("restore_verified"),
-        "checkpoints_taken": state.get("checkpoints_taken", 0),
-        "checkpoint_cpu_s": state.get("checkpoint_cpu_s", 0.0),
-        "last_checkpoint_round": state.get("last_checkpoint_round"),
-        "final_checkpoint": state.get("final_checkpoint"),
-    }
-
-
 #: Liveness-beacon cadence for supervised shard workers.
 SHARD_HEARTBEAT_S = 0.5
 
@@ -1032,13 +513,13 @@ def run_fleet_sharded(
     (:func:`~repro.fleet.sharding.shard_of` over the plan index); each
     worker process runs a full ``Simulator`` / fleet / shared-backend
     stack over its shard with its share of the downlink, admission cap,
-    and backend budget.  With ``predictor="shared-markov"`` and
-    ``sync_interval_s > 0`` the workers pause every ``sync_interval_s``
-    simulated seconds at a common barrier and exchange crowd-prior
-    deltas (the CRDT merge in :mod:`repro.predictors.shared`), so each
-    shard sees the others' transitions with at most one interval of
-    staleness.  Other predictors share no cross-session state and the
-    shards run free.
+    and backend budget.  With ``predictor="shared-markov"`` the workers
+    pause every ``sync_interval_s`` simulated seconds at a common
+    barrier and exchange crowd-prior deltas (the CRDT merge in
+    :mod:`repro.predictors.shared`), so each shard sees the others'
+    transitions with at most one interval of staleness; 0 turns the
+    barriers off and a negative interval is rejected.  Other predictors
+    share no cross-session state and the shards run free.
 
     ``shared_prior`` warm-starts every shard from one prior (a path,
     or a :class:`~repro.predictors.shared.SharedTransitionPrior` to
@@ -1047,15 +528,17 @@ def run_fleet_sharded(
 
     With ``fleet_env.checkpoint`` set (and not inert), workers capture
     :class:`~repro.fleet.checkpoint.ShardCheckpoint` snapshots at the
-    configured sync-round cadence and piggyback them on the barrier
-    exchange.  The coordinator keeps the latest per shard: supervision
-    respawns verify their deterministic replay against the stored
-    digests, shards lost past the restart budget are re-absorbed from
-    their last checkpoint (``sessions_resumed`` instead of
-    ``sessions_lost``), ``drain:R`` chaos stops the run cleanly after
-    round R, and the ``out_path``/``in_path`` pair drives the
-    drain-then-restore lifecycle.  An inert config is bit-identical to
-    no config at all (test-enforced).
+    configured sync-round cadence and offer them at the barrier.  The
+    coordinator keeps the latest per shard: supervision respawns verify
+    their deterministic replay against the stored digests, shards lost
+    past the restart budget migrate to survivors or are re-absorbed
+    (``sessions_resumed`` instead of ``sessions_lost``), ``drain:R``
+    chaos stops the run cleanly after round R, and the
+    ``out_path``/``in_path`` pair drives the drain-then-restore
+    lifecycle.  An inert config is bit-identical to no config at all
+    (test-enforced).  ``join_at_round=R`` grows the fleet by one member
+    after barrier R; :class:`~repro.experiments.sharded.ShardCoordinator`
+    describes both directions of membership change.
 
     The result pools every shard: one fleet-wide summary over the
     concatenated outcome streams, Jain's index over the union of
@@ -1066,26 +549,14 @@ def run_fleet_sharded(
     route keeps everything, every scale factor is exactly 1.0, and a
     chunked ``sim.run`` is event-exact — tests enforce this.
 
-    ``transport`` selects the coordinator↔worker wire: ``"pipe"`` (the
-    original ``multiprocessing.Pipe`` path, byte-identical to PR 7) or
-    ``"tcp"`` (framed, acked, CRC-checked loopback sockets — see
-    :mod:`repro.fleet.transport`); an already-built transport object
-    passes through.  The seam contract is that a fixed-seed W=1 run
-    produces a bit-identical pooled summary over either.  Network chaos
-    (``partition:A-B@R``, ``netdelay``, ``dup``, ``corrupt``) requires
-    ``"tcp"``; partitions are cut at the named barrier and heal after
-    ``partition_heal_s`` wall seconds.
-
-    Membership is elastic both ways.  A shard lost past its restart
-    budget has its checkpointed sessions *migrated*: the consistent-hash
-    ring minus the dead member routes each session to a survivor, which
-    adopts it mid-run via a control order on the next barrier broadcast
-    (``sessions_migrated`` in the pooled report, instead of the re-absorb
-    epilogue — which remains as the fallback when no barrier is left to
-    carry the order).  ``join_at_round=R`` grows the fleet instead: a
-    fresh worker joins after barrier R, and every session the grown
-    ring routes to it is captured, retired by its donor, and resumed by
-    the joiner from its checkpointed request position.
+    ``transport`` selects the coordinator↔worker wire: ``"pipe"``
+    (``multiprocessing.Pipe``) or ``"tcp"`` (framed, acked, CRC-checked
+    loopback sockets — see :mod:`repro.fleet.transport`); an
+    already-built transport object passes through.  A fixed-seed W=1
+    run produces a bit-identical pooled summary over either.  Network
+    chaos (``partition:A-B@R``, ``netdelay``, ``dup``, ``corrupt``)
+    requires ``"tcp"``; partitions are cut at the named barrier and
+    heal after ``partition_heal_s`` wall seconds.
     """
     if num_shards < 1:
         raise ValueError("need at least one shard")
@@ -1093,567 +564,77 @@ def run_fleet_sharded(
         raise ValueError(
             f"{len(traces)} traces for {fleet_env.num_sessions} sessions"
         )
-    app_spec = app if isinstance(app, ImageAppSpec) else ImageAppSpec.of(app)
-    traces = list(traces)
-
-    static = fleet_env.arrival is None or fleet_env.arrival.is_static
-    if static:
-        horizon = max(t.duration_s for t in traces)
-    else:
-        # Same arithmetic as SessionManager.horizon_s over the same
-        # (pure-function-of-seed) global plan the workers will build.
-        arrival = fleet_env.arrival
-        wait_s = 0.0
-        if arrival.max_concurrent is not None and arrival.patience_s > 0:
-            wait_s = arrival.patience_s
-        horizon = 0.0
-        for plan in arrival.plan(fleet_env.num_sessions):
-            span = traces[plan.index].duration_s
-            if plan.dwell_s is not None:
-                span = min(span, plan.dwell_s)
-            horizon = max(horizon, plan.arrival_s + wait_s + span)
-    until = horizon + drain_s
-
-    chaos = fleet_env.chaos
-    # An inert checkpoint config is nulled outright so every downstream
-    # branch sees exactly the no-checkpoint code path (the bit-identity
-    # contract is then trivially exact, not merely argued).
-    checkpoint = fleet_env.checkpoint
-    if checkpoint is not None and checkpoint.is_inert:
-        checkpoint = None
-    # Barriers exist for prior delta sync — and for worker-crash chaos,
-    # which needs sync rounds both as crash anchors and as the points a
-    # replacement worker can rejoin from (non-prior workers exchange
-    # ``None``: a pure liveness barrier) — and for checkpoint capture
-    # and graceful drain, which anchor to the same rounds.
-    want_barriers = (
-        (predictor == "shared-markov")
-        or (chaos is not None and (chaos.has_worker_faults or chaos.has_drain))
-        or (checkpoint is not None and checkpoint.captures)
-        or (chaos is not None and bool(chaos.partitions))
-        or join_at_round is not None
-    )
-
-    # -- transport seam -----------------------------------------------
-    # Build the coordinator↔worker wire driver.  Net chaos is injected
-    # *inside* the TCP driver (the pipe has no wire to fault), and link
-    # cuts are anchored to barrier rounds via the before_round hook.
-    if isinstance(transport, str):
-        if transport == "pipe":
-            transport_obj = PipeTransport()
-        elif transport == "tcp":
-            transport_obj = TcpTransport(
-                chaos=chaos.net_spec() if chaos is not None else None
-            )
-        else:
-            raise ValueError(f"unknown transport {transport!r}")
-    else:
-        transport_obj = transport
-    if (
-        chaos is not None
-        and chaos.has_net_faults
-        and transport_obj.name != "tcp"
-    ):
-        raise ValueError(
-            "network chaos (partition/netdelay/dup/corrupt) requires "
-            "--transport tcp: a pipe has no wire to fault"
-        )
-
+    if sync_interval_s < 0:
+        raise ValueError(f"sync_interval_s must be >= 0, got {sync_interval_s}")
     if join_at_round is not None:
         if join_at_round < 0:
             raise ValueError("join_at_round must be >= 0")
-        if not static:
+        if not (fleet_env.arrival is None or fleet_env.arrival.is_static):
             raise ValueError(
                 "mid-run join needs a static fleet (churn fleets own "
                 "their own admission schedule)"
             )
-
-    def before_round(round_index: int) -> None:
-        if chaos is None:
-            return
-        for lo, hi in chaos.partitions_at(round_index):
-            transport_obj.cut_links(range(lo, hi + 1), partition_heal_s)
-    sync_points: tuple[float, ...] = ()
-    if want_barriers and sync_interval_s > 0:
-        sync_points = tuple(
-            i * sync_interval_s
-            for i in range(1, math.ceil(until / sync_interval_s))
-            if i * sync_interval_s < until
-        )
-
-    # Graceful drain (``drain:R`` chaos): truncate the schedule after
-    # round R — workers complete that barrier (capture + exchange), skip
-    # the rest of the run, and ship partial results; --checkpoint-out
-    # then persists the fleet's state as of the drain round.
-    drained_at_round: Optional[int] = None
-    if chaos is not None and chaos.has_drain and sync_points:
-        drained_at_round = min(chaos.drain_round, len(sync_points) - 1)
-        sync_points = sync_points[: drained_at_round + 1]
-
-    # Mid-run join: after barrier ``join_at_round`` a new member (shard
-    # index W, ring membership W+1) enters.  Every original worker gets
-    # the same ``grow_to`` marker and donates, at that barrier, the
-    # owned sessions the grown ring routes to the newcomer.
-    grow_to: Optional[tuple[int, int, float]] = None
-    if join_at_round is not None:
-        if join_at_round >= len(sync_points):
-            raise ValueError(
-                f"join_at_round={join_at_round} needs at least "
-                f"{join_at_round + 1} sync rounds, run has {len(sync_points)}"
-            )
-        grow_to = (num_shards + 1, join_at_round, sync_points[join_at_round])
-
-    # Per-worker capture cadence: path-only configs capture every round
-    # so the written bundle is as fresh as the run.
-    worker_cadence = 0
-    if checkpoint is not None and checkpoint.captures:
-        worker_cadence = max(checkpoint.cadence_rounds, 1)
-
-    # --checkpoint-in: validate the bundle up front (fail-fast, before
-    # any worker spawns) and remember the path for the workers.
-    resume_path: Optional[str] = None
-    resume_bundle = None
-    if checkpoint is not None and checkpoint.in_path is not None:
-        resume_path = os.fspath(checkpoint.in_path)
-        resume_bundle = FleetCheckpoint.load(
-            resume_path, n=app_spec.rows * app_spec.cols
-        )
-        if resume_bundle.num_shards != num_shards:
-            raise ValueError(
-                f"checkpoint taken with {resume_bundle.num_shards} shards, "
-                f"cannot resume with {num_shards}"
-            )
-
-    warm_path = shared_prior
-    temp_files: list[str] = []
-    if isinstance(shared_prior, SharedTransitionPrior):
-        temp_prior = tempfile.NamedTemporaryFile(suffix=".npz", delete=False)
-        temp_prior.close()
-        shared_prior.save(temp_prior.name)
-        warm_path = temp_prior.name
-        temp_files.append(temp_prior.name)
-
-    heartbeat_s = SHARD_HEARTBEAT_S if supervision is not None else None
-
-    def make_task(
-        k: int,
-        task_sync_points: tuple[float, ...],
-        attempt: int,
-        first_round: int = 0,
-    ) -> ShardTask:
-        return ShardTask(
-            entry="repro.experiments.runner:_sharded_fleet_worker",
-            spec=ShardFleetSpec(
-                app_spec=app_spec,
-                traces=traces,
-                fleet_env=fleet_env,
-                predictor=predictor,
-                shard=k,
-                num_shards=num_shards,
-                sync_points=task_sync_points,
-                drain_s=drain_s,
-                seed=seed,
-                cohort_width_s=cohort_width_s,
-                early_k=early_k,
-                shared_prior_path=(
-                    os.fspath(warm_path) if warm_path is not None else None
-                ),
-                attempt=attempt,
-                checkpoint_cadence=worker_cadence,
-                first_round=first_round,
-                resume_from=resume_path,
-                drain_after_round=drained_at_round,
-                grow_to=grow_to,
-            ),
-            shard=k,
+    coordinator = ShardCoordinator(
+        ShardFleetSpec(
+            app_spec=app if isinstance(app, ImageAppSpec) else ImageAppSpec.of(app),
+            traces=list(traces),
+            fleet_env=fleet_env,
+            predictor=predictor,
+            shard=0,
             num_shards=num_shards,
-            heartbeat_interval_s=heartbeat_s,
-        )
-
-    # Coordinator-side merged prior: every barrier's deltas fold into
-    # this aggregate, so at any moment it holds the crowd's state as of
-    # the last completed sync round — exactly the seed a replacement
-    # worker needs to rejoin without coordination (the CRDT merge is
-    # idempotent, so the worker re-contributing its pre-crash
-    # transitions is harmless).
-    coord_state: dict = {"prior": None, "merged": 0}
-    store = CheckpointStore() if checkpoint is not None else None
-
-    # Elastic-membership bookkeeping.  ``join_state["moved"]`` collects
-    # the SessionCheckpoint payloads donors ship at the join barrier;
-    # ``pending_ctrl`` holds adoption orders for lost shards' sessions
-    # until the next ``peers`` broadcast carries them; ``adoption_log``
-    # tracks, per lost shard, whether every order actually reached a
-    # live survivor (undelivered ⇒ the legacy re-absorb fallback runs).
-    join_state: dict = {"moved": {}, "joined": False, "route": (), "traces": None}
-    pending_ctrl: dict[int, list[dict]] = {}
-    adopt_orders_by_target: dict[int, list[dict]] = {}
-    adoption_log: dict[int, dict] = {}
-
-    def ensure_coord_prior(n: int) -> "SharedTransitionPrior":
-        if coord_state["prior"] is None:
-            coord_state["prior"] = (
-                SharedTransitionPrior.load(warm_path, n=n)
-                if warm_path is not None
-                else SharedTransitionPrior(n)
-            )
-        return coord_state["prior"]
-
-    # Resuming: pre-seed the coordinator aggregate with every shard's
-    # stored contribution, so a worker that dies *before* its first
-    # post-resume barrier still respawns with the checkpointed crowd.
-    if resume_bundle is not None:
-        for ckpt in resume_bundle.shards.values():
-            delta = ckpt.prior_delta_object()
-            if delta is not None:
-                coord_state["merged"] += ensure_coord_prior(delta.n).merge_delta(
-                    delta
-                )
-
-    def on_round(round_index: int, offers: list) -> None:
-        for offer in offers:
-            delta, ckpt = unwrap_sync_payload(offer)
-            if ckpt is not None and store is not None:
-                store.put(ckpt)
-            order = migrate_out_of(offer)
-            if order is not None:
-                # A donor announcing sessions bound for the joiner:
-                # remember each session's checkpointed position so the
-                # joiner's suffix traces resume exactly there.
-                for sc in order.get("sessions", ()):
-                    join_state["moved"][int(sc["index"])] = dict(sc)
-            if not delta:
-                continue  # empty delta, or a non-prior liveness barrier
-            coord_state["merged"] += ensure_coord_prior(delta.n).merge_delta(
-                delta
-            )
-
-    # One extra slot so a mid-run joiner (shard index ``num_shards``)
-    # has a restart-attempt counter like everyone else.
-    attempts = [0] * (num_shards + 1)
-
-    def seed_prior_path() -> Optional[str]:
-        """Save the coordinator aggregate for a worker to warm from."""
-        prior = coord_state["prior"]
-        if prior is None:
-            return warm_path if warm_path is None else os.fspath(warm_path)
-        handle = tempfile.NamedTemporaryFile(suffix=".npz", delete=False)
-        handle.close()
-        prior.save(handle.name)
-        temp_files.append(handle.name)
-        return handle.name
-
-    def _joinerize(task: ShardTask) -> ShardTask:
-        """Rewrite ``task`` into the joiner's identity: it routes by an
-        explicit session set (the ring's newcomer slice), sees the
-        grown membership, and never donates or restores-by-bundle."""
-        task.spec.route_indices = join_state["route"]
-        task.spec.traces = join_state["traces"]
-        task.spec.num_shards = num_shards + 1
-        task.spec.grow_to = None
-        task.spec.resume_from = None
-        task.num_shards = num_shards + 1
-        return task
-
-    def make_joiner(round_index: int) -> Optional[ShardTask]:
-        """Build the worker that joins after barrier ``round_index``.
-
-        Its sessions are exactly those the donors shipped at this
-        barrier; each runs the suffix of its global trace past its
-        checkpointed request count, so the newcomer resumes the
-        sessions mid-flight rather than replaying them from scratch.
-        It warms from the coordinator's aggregate prior — the crowd's
-        state as of the join barrier.
-        """
-        moved = join_state["moved"]
-        at_s = sync_points[round_index]
-        route = tuple(sorted(moved))
-        joiner_traces = list(traces)
-        for idx in route:
-            suffix = _suffix_trace(
-                traces[idx], int(moved[idx]["requests_seen"]), at_s
-            )
-            if suffix is not None:
-                joiner_traces[idx] = suffix
-        join_state.update(
-            joined=True, route=route, traces=tuple(joiner_traces)
-        )
-        seed_path = seed_prior_path()
-        task = _joinerize(
-            make_task(
-                num_shards,
-                sync_points[round_index + 1 :],
-                0,
-                first_round=round_index + 1,
-            )
-        )
-        if seed_path is not None:
-            task.spec.shared_prior_path = os.fspath(seed_path)
-        return task
-
-    def respawn(shard: int, next_round: int) -> ShardTask:
-        attempts[shard] += 1
-        seed_path = seed_prior_path()
-        task = make_task(
-            shard, sync_points[next_round:], attempts[shard], first_round=next_round
-        )
-        if shard == num_shards and join_state["joined"]:
-            task = _joinerize(task)
-        orders = adopt_orders_by_target.get(shard)
-        if orders:
-            # The predecessor adopted a lost shard's sessions; its
-            # replacement must re-adopt them (as a deterministic
-            # pre-step) or they would silently vanish with the restart.
-            task.spec.adopt_orders = tuple(orders)
-        if seed_path is not None:
-            task.spec.shared_prior_path = os.fspath(seed_path)
-        if store is not None:
-            latest = store.latest(shard)
-            if latest is not None:
-                task.spec.restore = latest
-        return task
-
-    recovery = ShardRecovery()
-    reabsorbed: list[int] = []
-
-    def on_lost(lost_shard: int, next_round: int) -> None:
-        """Plan adoption of a shard lost past its restart budget.
-
-        The dead shard's last checkpoint is split by a consistent-hash
-        ring over the surviving membership — consistent hashing keeps
-        every survivor's own sessions where they are; only the dead
-        member's ranges reassign — and each survivor receives, in the
-        very next ``peers`` broadcast, an adoption order for the
-        sessions the shrunken ring routes to it.  Shards that cannot be
-        migrated (no checkpoint, no barrier left to carry the orders,
-        churn fleets, drain runs) fall through to the legacy re-absorb
-        epilogue.
-        """
-        if store is None or not static or drained_at_round is not None:
-            return
-        if next_round >= len(sync_points):
-            return  # no broadcast left to carry the orders
-        latest = store.latest(lost_shard)
-        if latest is None:
-            return
-        ring = HashRing(range(num_shards))
-        if join_state["joined"]:
-            ring.add(num_shards)
-        for dead in set(recovery.lost_shards):
-            if dead in ring:
-                ring.remove(dead)
-        if len(ring) == 0:
-            return
-        at_s = sync_points[next_round]
-        moved_away = set(join_state["moved"])
-        assign: dict[int, list[int]] = {}
-        for sc in latest.sessions:
-            if sc.index in moved_away:
-                continue  # already donated to the joiner pre-crash
-            assign.setdefault(ring.route(sc.index), []).append(sc.index)
-        payload = latest.to_payload()
-        planned = 0
-        for target, indices in sorted(assign.items()):
-            pending_ctrl.setdefault(target, []).append(
-                {
-                    CTRL_KEY: "adopt",
-                    "from_shard": lost_shard,
-                    "checkpoint": payload,
-                    "indices": indices,
-                    "at_s": at_s,
-                }
-            )
-            planned += 1
-        if planned:
-            adoption_log[lost_shard] = {"orders": planned, "delivered": 0}
-
-    def control(round_index: int, shard: int) -> list:
-        orders = pending_ctrl.pop(shard, [])
-        for order in orders:
-            adoption_log[order["from_shard"]]["delivered"] += 1
-            # Remember what this worker adopted: its own replacement,
-            # should it later crash, must re-adopt as a pre-step.
-            adopt_orders_by_target.setdefault(shard, []).append(order)
-        return orders
-
+            drain_s=drain_s,
+            seed=seed,
+            cohort_width_s=cohort_width_s,
+            early_k=early_k,
+        ),
+        sync_interval_s,
+        warm_prior=shared_prior,
+        transport=transport,
+        partition_heal_s=partition_heal_s,
+        join_at_round=join_at_round,
+        heartbeat_s=SHARD_HEARTBEAT_S if supervision is not None else None,
+    )
     try:
-        tasks = [make_task(k, sync_points, 0) for k in range(num_shards)]
         shards = run_sharded(
-            tasks,
-            sync_rounds=len(sync_points),
+            [coordinator.task(k) for k in range(num_shards)],
+            sync_rounds=len(coordinator.sync_points),
             timeout_s=timeout_s,
-            on_round=on_round,
+            on_round=coordinator.on_round,
             supervision=supervision,
-            respawn=respawn if supervision is not None else None,
-            recovery=recovery,
-            transport=transport_obj,
-            before_round=before_round,
-            on_lost=on_lost if supervision is not None else None,
-            control=control if supervision is not None else None,
+            respawn=coordinator.respawn,
+            recovery=coordinator.recovery,
+            transport=coordinator.transport,
+            before_round=coordinator.before_round,
+            on_lost=coordinator.on_lost,
+            control=coordinator.control,
             join_at_round=join_at_round,
-            make_joiner=make_joiner if join_at_round is not None else None,
+            make_joiner=coordinator.make_joiner,
         )
-
-        # Re-absorb shards lost past the restart budget: with
-        # checkpointing on, the coordinator holds each lost shard's last
-        # checkpoint and crowd state, so its slice can run to completion
-        # as a barrier-free single task (the first step toward elastic
-        # resharding).  The per-origin CRDT merge dedups its prior
-        # contribution against everything already pooled.  Drain runs
-        # skip this: the written bundle keeps the lost shard's last
-        # checkpoint for the --checkpoint-in restart instead.
-        migrated_shards = {
-            k for k, v in adoption_log.items() if v["delivered"] > 0
-        }
-        if store is not None and drained_at_round is None:
-            for k in recovery.lost_shards:
-                if k in migrated_shards:
-                    # Survivors adopted this shard's sessions mid-run;
-                    # re-running its slice would double-serve them.
-                    continue
-                seed_path = seed_prior_path()
-                salvage = make_task(
-                    k, (), attempts[k] + 1, first_round=len(sync_points)
-                )
-                if seed_path is not None:
-                    salvage.spec.shared_prior_path = os.fspath(seed_path)
-                latest = store.latest(k)
-                if latest is not None:
-                    salvage.spec.restore = latest
-                salvage_task = ShardTask(
-                    entry=salvage.entry,
-                    spec=salvage.spec,
-                    shard=0,
-                    num_shards=1,
-                    heartbeat_interval_s=heartbeat_s,
-                )
-                try:
-                    shards[k] = run_sharded(
-                        [salvage_task], sync_rounds=0, timeout_s=timeout_s
-                    )[0]
-                except Exception:
-                    continue  # still lost; the pooled report says so
-                reabsorbed.append(k)
-
-        pooled_prior = None
-        transitions_merged = coord_state["merged"]
-        if predictor == "shared-markov":
-            prior_ns = [
-                s["prior_n"]
-                for s in shards
-                if s is not None and s["prior_n"] is not None
-            ]
-            if prior_ns:
-                pooled_prior = coord_state["prior"]
-                if pooled_prior is None:
-                    pooled_prior = (
-                        SharedTransitionPrior.load(warm_path, n=prior_ns[0])
-                        if warm_path is not None
-                        else SharedTransitionPrior(prior_ns[0])
-                    )
-                for s in shards:
-                    if s is not None and s["prior_delta"] is not None:
-                        transitions_merged += pooled_prior.merge_delta(
-                            s["prior_delta"]
-                        )
+        coordinator.reabsorb(shards, timeout_s)
+        sharding = coordinator.finish(shards)
     finally:
-        # Idempotent: run_sharded's teardown already closed it on the
-        # happy path; this covers validation failures before spawn.
-        transport_obj.close()
-        for path in temp_files:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _owned_now(k: int) -> list[int]:
-        """Sessions shard ``k`` is responsible for at end of run: its
-        hash slice, minus anything donated to a mid-run joiner — or,
-        for the joiner itself, exactly the adopted set."""
-        if join_state["joined"] and k == num_shards:
-            return list(join_state["route"])
-        owned = _shard_owned(len(traces), k, num_shards)
-        if join_state["joined"]:
-            owned = [i for i in owned if i not in join_state["moved"]]
-        return owned
-
-    lost_shard_list = [k for k in recovery.lost_shards if k not in reabsorbed]
-    # Sessions on a migrated shard live on in their adopters; only the
-    # indices in orders that never reached a live survivor are lost.
-    undelivered: dict[int, int] = {}
-    for orders in pending_ctrl.values():
-        for order in orders:
-            undelivered[order["from_shard"]] = undelivered.get(
-                order["from_shard"], 0
-            ) + len(order["indices"])
-    lost_sessions = sum(
-        undelivered.get(k, 0) if k in migrated_shards else len(_owned_now(k))
-        for k in lost_shard_list
-    )
-    sessions_migrated = sum(
-        len(s["migrated_in"]) for s in shards if s is not None
-    )
-    if join_state["joined"]:
-        sessions_migrated += len(join_state["route"])
-
-    # --checkpoint-out: fold every surviving worker's final capture in
-    # (fresher than the last barrier's) and persist the bundle.
-    drained = any(s is not None and s.get("drained") for s in shards)
-    if store is not None:
-        for s in shards:
-            if s is not None and s.get("final_checkpoint") is not None:
-                store.put(s["final_checkpoint"])
-    if checkpoint is not None and checkpoint.out_path is not None:
-        store.bundle(
-            n=app_spec.rows * app_spec.cols,
-            num_shards=num_shards,
-            sync_interval_s=sync_interval_s,
-            drained_at_round=drained_at_round if drained else None,
-        ).save(os.fspath(checkpoint.out_path))
-
-    # Resumed sessions, by provenance: restored from a --checkpoint-in
-    # bundle, restored in place by supervision's respawn, or re-absorbed
-    # from a lost shard's last checkpoint.
-    sessions_resumed = 0
-    if checkpoint is not None:
-        sessions_resumed += sum(
-            s["resumed_sessions"] for s in shards if s is not None
-        )
-        sessions_resumed += sum(
-            len(_owned_now(k)) for k in recovery.recovered_shards
-        )
-        sessions_resumed += sum(len(_owned_now(k)) for k in reabsorbed)
-
-    shards = [s for s in shards if s is not None]
+        coordinator.close()
 
     # -- pool the shards into one fleet-wide result -------------------
+    shards = [s for s in shards if s is not None]
     reports = [s["diagnostics"] for s in shards]
-    outcomes_by_session = [o for s in shards for o in s["outcomes_by_session"]]
-    session_indices = [i for s in shards for i in s["session_indices"]]
     samples = [v for s in shards for v in s["fairness_samples"]]
-    dup_sessions = 0
-    if join_state["joined"]:
-        # A migrated session appears twice — the donor's served prefix
-        # and the joiner's suffix.  Results pool in shard order (donors
-        # before the joiner), so folding later occurrences into the
-        # first stitches prefix + suffix back into one logical session.
-        first_at: dict[int, int] = {}
-        merged_indices: list[int] = []
-        merged_outcomes: list[list] = []
-        for idx, outs in zip(session_indices, outcomes_by_session):
-            if idx in first_at:
-                merged_outcomes[first_at[idx]] = (
-                    merged_outcomes[first_at[idx]] + outs
-                )
-                dup_sessions += 1
+    # A session donated to a mid-run joiner reports twice: the donor's
+    # served prefix and the joiner's suffix.  Results pool in shard order
+    # (donors first), so later streams stitch onto the first.
+    position: dict[int, int] = {}
+    session_indices: list[int] = []
+    outcomes_by_session: list[list] = []
+    for s in shards:
+        for idx, outs in zip(s["session_indices"], s["outcomes_by_session"]):
+            if idx in position:
+                outcomes_by_session[position[idx]] = outcomes_by_session[position[idx]] + outs
             else:
-                first_at[idx] = len(merged_indices)
-                merged_indices.append(idx)
-                merged_outcomes.append(outs)
-        session_indices = merged_indices
-        outcomes_by_session = merged_outcomes
+                position[idx] = len(session_indices)
+                session_indices.append(idx)
+                outcomes_by_session.append(outs)
     diagnostics: dict = {
-        "sessions": sum(d["sessions"] for d in reports) - dup_sessions,
+        "sessions": len(session_indices),
         "blocks_sent": sum(d["blocks_sent"] for d in reports),
         "bytes_sent": sum(d["bytes_sent"] for d in reports),
         "blocks_deferred": sum(d["blocks_deferred"] for d in reports),
@@ -1670,80 +651,21 @@ def run_fleet_sharded(
         )
     if all("chaos" in d for d in reports):
         diagnostics["chaos"] = pool_snapshots([d["chaos"] for d in reports])
-    if not static:
+    if not coordinator.static:
         diagnostics["churn"] = pool_snapshots([d["churn"] for d in reports])
         rates = [
             early_hit_rate(o, first_k=early_k) for o in outcomes_by_session if o
         ]
         diagnostics["early_hit_rate"] = sum(rates) / len(rates) if rates else 0.0
-
-    if pooled_prior is not None:
-        diagnostics["shared_prior"] = pooled_prior.snapshot()
+    if predictor == "shared-markov" and coordinator.prior is not None:
+        diagnostics["shared_prior"] = coordinator.prior.snapshot()
         if prior_out is not None:
-            pooled_prior.save(prior_out)
-
-    diagnostics["sharding"] = {
-        "shards": num_shards,
-        "sync_interval_s": sync_interval_s,
-        "sync_rounds": len(sync_points),
-        "sessions_per_shard": [s["num_sessions"] for s in shards],
-        "transitions_merged": transitions_merged,
-        "cpu_run_s": [s["timing"]["cpu_run_s"] for s in shards],
-        "wall_run_s": [s["timing"]["wall_run_s"] for s in shards],
-        # Supervision outcome: how many shards died and came back, how
-        # many were dropped past the restart budget (after any
-        # checkpoint re-absorption), and how many planned sessions that
-        # loss cost the pooled report.
-        "shards_recovered": len(recovery.recovered_shards),
-        "shards_lost": len(lost_shard_list),
-        "sessions_lost": lost_sessions,
-        "restarts": len(recovery.restarts),
-        "restarts_by_shard": [
-            sum(1 for s, _, _ in recovery.restarts if s == k)
-            for k in range(
-                num_shards + (1 if join_state["joined"] else 0)
-            )
-        ],
-        # Elastic membership: sessions carried to a new owner mid-run
-        # (adopted from a lost shard, or donated to a mid-run joiner).
-        "sessions_migrated": sessions_migrated,
-        "shards_migrated": len(migrated_shards),
-        "members": num_shards + (1 if join_state["joined"] else 0),
-    }
-    if join_state["joined"]:
-        diagnostics["sharding"]["joined_at_round"] = join_at_round
-    per_shard_counters = transport_obj.counter_snapshots()
-    diagnostics["sharding"]["transport"] = {
-        "driver": transport_obj.name,
-        "per_shard": per_shard_counters,
-        "totals": pool_transport_counters(per_shard_counters.values()),
-    }
-    if checkpoint is not None:
-        final_round = len(sync_points) - 1
-        verdicts = [
-            s["restore_verified"]
-            for s in shards
-            if s["restore_verified"] is not None
-        ]
-        diagnostics["sharding"].update(
-            {
-                "checkpoints_taken": sum(s["checkpoints_taken"] for s in shards),
-                "checkpoint_cpu_s": [s["checkpoint_cpu_s"] for s in shards],
-                "last_checkpoint_round": store.last_rounds(num_shards),
-                "checkpoint_age_rounds": store.ages(num_shards, final_round),
-                "sessions_resumed": sessions_resumed,
-                "shards_reabsorbed": len(reabsorbed),
-                # True when every restored shard's replay reproduced its
-                # checkpoint digests; None when nothing was restored.
-                "restore_verified": (all(verdicts) if verdicts else None),
-            }
-        )
-        if drained:
-            diagnostics["sharding"]["drained_at_round"] = drained_at_round
+            coordinator.prior.save(prior_out)
+    diagnostics["sharding"] = sharding
 
     cohorts: list[CohortSummary] = []
     session_labels = None
-    if not static:
+    if not coordinator.static:
         arrival_times = [t for s in shards for t in s["arrival_times"]]
         cohorts = collect_cohorts(
             outcomes_by_session, arrival_times, cohort_width_s=cohort_width_s

@@ -1,0 +1,298 @@
+"""The worker half of a sharded fleet run: one process's slice.
+
+A spawned worker calls :func:`run_shard` with the
+:class:`~repro.experiments.sharded.ShardFleetSpec` its task carries.
+:class:`ShardWorker` wraps the ordinary
+:func:`~repro.experiments.runner.run_fleet` with a route that keeps only
+the sessions this shard owns and resources scaled to the owned share —
+bandwidth, admission cap, backend budget and expected population all
+scale by ``owned/total``, so each *session's* slice matches the
+unsharded fleet's — and a ``run_driver`` that pauses at every sync barrier
+to offer a :class:`~repro.fleet.checkpoint.SyncOffer` and apply what the
+other shards and the coordinator send back.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import time
+from dataclasses import replace
+from typing import Optional
+
+from repro.fleet.checkpoint import (
+    AdoptOrder,
+    FleetCheckpoint,
+    SessionCheckpoint,
+    ShardCheckpoint,
+    SyncOffer,
+    capture_session,
+    capture_shard,
+)
+from repro.fleet.sharding import ShardChannel, assign_shards, shard_of
+
+from .runner import _replay, run_fleet
+from .sharded import ShardFleetSpec, _suffix_trace
+
+__all__ = ["ShardWorker", "run_shard"]
+
+
+def run_shard(spec: ShardFleetSpec, channel: ShardChannel) -> dict:
+    """Entry point of :class:`~repro.experiments.sharded.ShardCoordinator`'s tasks."""
+    return ShardWorker(spec, channel).run()
+
+
+class ShardWorker:
+    """One shard's fleet, run from barrier to barrier.
+
+    :meth:`run` returns the raw material the coordinator pools: outcome
+    streams, fairness samples, counter snapshots, the shard's final
+    prior contribution, and checkpoint, migration and CPU accounting.
+    """
+
+    def __init__(self, spec: ShardFleetSpec, channel: ShardChannel) -> None:
+        self.spec = spec
+        self.channel = channel
+        self.n = spec.app_spec.rows * spec.app_spec.cols
+        # run_fleet hands these to _drive.
+        self.sim = self.fleet = self.prior = None
+        self.sent_vv: dict[int, int] = {}
+        self.cpu_run_s = self.wall_run_s = self.checkpoint_cpu_s = 0.0
+        self.checkpoints_taken = 0
+        self.final_checkpoint: Optional[ShardCheckpoint] = None
+        self.restore_verified: Optional[bool] = None
+        self.resumed_sessions = 0
+        self.migrated_in: list[int] = []
+        self.drained = False
+
+    def run(self) -> dict:
+        spec = self.spec
+        total = spec.fleet_env.num_sessions
+        if spec.route_indices is not None:
+            owned = set(spec.route_indices)
+        else:
+            owned = set(assign_shards(range(total), spec.num_shards)[spec.shard])
+        share = len(owned) / total
+        # A shard the hash left empty still runs (it must show up at every
+        # sync barrier), just over an epsilon link nobody will use.  The
+        # max() is exact at share=1.0, preserving W=1 bit-identity.
+        env, arrival = spec.fleet_env.env, spec.fleet_env.arrival
+        scaled = {"env": env.with_bandwidth(env.bandwidth_bytes_per_s * max(share, 1e-9))}
+        if arrival is not None and arrival.max_concurrent is not None:
+            scaled["arrival"] = replace(
+                arrival, max_concurrent=max(1, math.ceil(arrival.max_concurrent * share))
+            )
+        if spec.fleet_env.backend_concurrency is not None:
+            scaled["backend_concurrency"] = max(
+                1, math.ceil(spec.fleet_env.backend_concurrency * share)
+            )
+        expected_total = (
+            float(total) if arrival is None else arrival.expected_concurrency(total)
+        )
+        result = run_fleet(
+            spec.app_spec.build(),
+            spec.traces,
+            replace(spec.fleet_env, **scaled),
+            predictor=spec.predictor,
+            drain_s=spec.drain_s,
+            seed=spec.seed,
+            cohort_width_s=spec.cohort_width_s,
+            early_k=spec.early_k,
+            shared_prior=spec.shared_prior_path,
+            session_route=owned.__contains__,
+            expected_sessions=expected_total * share,
+            run_driver=self._drive,
+        )
+        fleet, prior, manager = self.fleet, self.prior, self.fleet.manager
+        return {
+            "diagnostics": result.diagnostics,
+            "outcomes_by_session": fleet.outcomes_by_session(),
+            "session_indices": list(fleet.session_indices),
+            "fairness_samples": fleet.fairness_samples(),
+            "arrival_times": manager.arrival_times() if manager else None,
+            "session_labels": (
+                [str(r.index) for r in manager.admitted_records] if manager else None
+            ),
+            "prior_delta": prior.delta_since() if prior is not None else None,
+            "num_sessions": len(fleet.sessions),
+            "timing": {"cpu_run_s": self.cpu_run_s, "wall_run_s": self.wall_run_s},
+            "drained": self.drained,
+            "migrated_in": sorted(self.migrated_in),
+            "resumed_sessions": self.resumed_sessions,
+            "restore_verified": self.restore_verified,
+            "checkpoints_taken": self.checkpoints_taken,
+            "checkpoint_cpu_s": self.checkpoint_cpu_s,
+            "final_checkpoint": self.final_checkpoint,
+        }
+
+    def _drive(self, sim, until: float, fleet, prior) -> None:
+        """``run_fleet``'s ``run_driver``: the run, cut at the sync barriers."""
+        self.sim, self.fleet, self.prior = sim, fleet, prior
+        spec = self.spec
+        if prior is not None:
+            prior.enable_sharding(f"shard{spec.shard}")
+        if spec.resume_from is not None:
+            self._resume(spec.resume_from)
+        wall_start = time.perf_counter()
+        self._replay_predecessor(until)
+        # Injected worker crash: the original worker (attempt 0) dies hard
+        # — no cleanup, no error message, like kill -9 — right before its
+        # scheduled barrier, so the coordinator sees a mid-protocol death.
+        chaos = spec.fleet_env.chaos
+        crash_at = None
+        if chaos is not None and spec.attempt == 0:
+            crash_at = chaos.crash_round(spec.shard)
+        rounds_run = 0
+        for round_index, point in enumerate(spec.sync_points, spec.first_round):
+            if point >= until:
+                break
+            self._run_to(point)
+            if round_index == crash_at:
+                os._exit(17)
+            rounds_run += 1
+            self._barrier(round_index)
+            if round_index == spec.drain_after_round:
+                self.drained = True
+                break
+        if not self.drained:
+            self._run_to(until)
+        if crash_at is not None and crash_at >= rounds_run:
+            # Fewer barriers than the schedule assumed: crash at the
+            # latest possible point instead (before the result ships).
+            os._exit(17)
+        if spec.checkpoint_cadence > 0:
+            # A final capture keeps --checkpoint-out as fresh as the run.
+            final_round = spec.first_round + max(rounds_run - 1, 0)
+            self.final_checkpoint = self._capture(final_round, sim.now)
+        self.wall_run_s = time.perf_counter() - wall_start
+
+    def _run_to(self, t: float) -> None:
+        cpu_start = time.process_time()
+        self.sim.run(until=t)
+        self.cpu_run_s += time.process_time() - cpu_start
+
+    def _barrier(self, round_index: int) -> None:
+        """Offer this round's :class:`SyncOffer`, adopt the sessions the
+        coordinator orders, then merge the peers' prior deltas."""
+        spec, prior, at_s = self.spec, self.prior, self.sim.now
+        migrate_out: tuple[SessionCheckpoint, ...] = ()
+        if spec.grow_to is not None and round_index == spec.grow_to[1]:
+            migrate_out = self._donate(at_s)
+        checkpoint = None
+        cadence = spec.checkpoint_cadence
+        if cadence > 0 and (round_index + 1) % cadence == 0:
+            checkpoint = self._capture(round_index, at_s)
+        delta = None
+        if prior is not None:
+            delta = prior.delta_since(self.sent_vv)
+            self.sent_vv = prior.local_version_vector()
+        peers = self.channel.exchange(SyncOffer(delta, checkpoint, migrate_out))
+        for order in peers:
+            if isinstance(order, AdoptOrder):
+                self._adopt(order, at_s)
+        for offer in peers:
+            if isinstance(offer, SyncOffer) and offer.delta and prior is not None:
+                prior.merge_delta(offer.delta)
+
+    def _resume(self, path: str) -> None:
+        """``--checkpoint-in``: count our checkpointed sessions as resumed
+        and pre-merge the *other* shards' stored prior contributions.
+
+        Our own is not merged — the deterministic replay re-observes it —
+        and the CRDT's per-origin mass tracking makes the peers' later
+        re-broadcasts of pre-drain state apply as exact diffs.  A
+        replacement worker skips the merge: it warms from the
+        coordinator's aggregate, which holds these already.
+        """
+        bundle = FleetCheckpoint.load(path, n=self.n)
+        own = bundle.shards.get(self.spec.shard)
+        if own is not None:
+            self.resumed_sessions = len(own.sessions)
+        if self.prior is not None and self.spec.attempt == 0:
+            for shard, ckpt in bundle.shards.items():
+                if shard == self.spec.shard:
+                    continue
+                delta = ckpt.prior_delta_object()
+                if delta is not None:
+                    self.prior.merge_delta(delta)
+
+    def _replay_predecessor(self, until: float) -> None:
+        """Redo, in sim-time order, what this shard's earlier worker did
+        before the round this one starts at: re-adopt its adopted
+        sessions, re-retire the sessions it donated to a joiner, and pause
+        at the restore checkpoint to verify the replay against its digests.
+        """
+        spec = self.spec
+        steps: list[tuple] = [(order.at_s, 0, order) for order in spec.adopt_orders]
+        if spec.grow_to is not None and spec.first_round > spec.grow_to[1]:
+            steps.append((spec.grow_to[2], 1, None))
+        if spec.restore is not None and spec.restore.sim_time_s < until:
+            # After same-time adoptions and donations: the capture that
+            # produced the digests ran after them too.
+            steps.append((spec.restore.sim_time_s, 2, spec.restore))
+        for at_s, kind, what in sorted(steps, key=lambda step: step[:2]):
+            self._run_to(at_s)
+            if kind == 0:
+                self._adopt(what, at_s, record=False)
+            elif kind == 1:
+                self._donate(at_s)
+            else:
+                ours = self._capture(what.round_index, at_s, counted=False)
+                self.restore_verified = ours.digest() == what.digest()
+
+    def _capture(
+        self, round_index: int, at_s: float, counted: bool = True
+    ) -> ShardCheckpoint:
+        """Snapshot the shard; a restore check (``counted=False``) costs
+        checkpoint CPU but is not a checkpoint taken."""
+        cpu_start = time.process_time()
+        ckpt = capture_shard(
+            self.fleet,
+            self.prior,
+            shard=self.spec.shard,
+            num_shards=self.spec.num_shards,
+            round_index=round_index,
+            sim_time_s=at_s,
+            n=self.n,
+        )
+        self.checkpoint_cpu_s += time.process_time() - cpu_start
+        if counted:
+            self.checkpoints_taken += 1
+        return ckpt
+
+    def _adopt(self, order: AdoptOrder, at_s: float, record: bool = True) -> None:
+        """Take over a lost shard's sessions from its checkpoint.
+
+        Each adopted session joins this worker's live fleet and resumes
+        from its checkpointed request position: the suffix of its trace
+        replays at absolute sim times, clamped up to ``at_s`` (events the
+        dead shard would have served since its last checkpoint fire at
+        once — late, but not lost).
+        """
+        wanted = set(order.indices)
+        for sc in order.checkpoint.sessions:
+            if sc.index not in wanted:
+                continue
+            suffix = _suffix_trace(self.spec.traces[sc.index], sc.requests_seen, at_s)
+            if suffix is None:
+                continue  # finished before the crash; nothing to resume
+            session = self.fleet.admit_session(sc.index)
+            session.start()
+            _replay(self.sim, suffix, session.client.observe, session.client.request)
+            if record:
+                self.migrated_in.append(sc.index)
+
+    def _donate(self, at_s: float) -> tuple[SessionCheckpoint, ...]:
+        """Capture and retire every owned session the grown ring routes
+        to the joining member; return their checkpoints."""
+        new_w = self.spec.grow_to[0]
+        moving = []
+        for idx, session in zip(list(self.fleet.session_indices), list(self.fleet.sessions)):
+            if shard_of(idx, new_w) != new_w - 1:
+                continue
+            sc = capture_session(session, idx)
+            if _suffix_trace(self.spec.traces[idx], sc.requests_seen, at_s) is not None:
+                moving.append((session, sc))  # finished sessions stay put
+        for session, _ in moving:
+            self.fleet.retire_session(session)
+        return tuple(sc for _, sc in moving)

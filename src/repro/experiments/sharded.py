@@ -1,0 +1,639 @@
+"""The coordinator side of a sharded fleet run.
+
+:func:`repro.experiments.runner.run_fleet_sharded` splits a fleet over
+worker processes, which :func:`repro.fleet.sharding.run_sharded`
+spawns and relays, and pools what they return.  This module holds what
+sits between the two:
+
+* :class:`ImageAppSpec` and :class:`ShardFleetSpec`, the plain data a
+  worker is spawned with;
+* :class:`ShardCoordinator`, the state the coordinator keeps across
+  barriers (the merged crowd prior, the latest checkpoint per shard,
+  who joined and which sessions moved) and the hooks ``run_sharded``
+  calls to update it.
+
+At every barrier each worker offers one
+:class:`~repro.fleet.checkpoint.SyncOffer`; the coordinator appends
+:class:`~repro.fleet.checkpoint.AdoptOrder`\\ s for a lost shard's
+sessions to the ``peers`` broadcast.  The worker half lives in
+:mod:`repro.experiments.shard_worker`.  This module does not import the
+runner, so the coordinator runs in-process without spawning anything.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import os
+import tempfile
+from dataclasses import dataclass, replace
+from typing import Any, Optional
+
+from repro.fleet.checkpoint import (
+    AdoptOrder,
+    CheckpointStore,
+    FleetCheckpoint,
+    SessionCheckpoint,
+    ShardCheckpoint,
+    SyncOffer,
+)
+from repro.fleet.ring import HashRing
+from repro.fleet.sharding import (
+    ShardError,
+    ShardRecovery,
+    ShardTask,
+    assign_shards,
+    run_sharded,
+)
+from repro.fleet.transport import PipeTransport, TcpTransport
+from repro.metrics.fleet import pool_transport_counters
+from repro.predictors.shared import PriorDelta, SharedTransitionPrior
+from repro.workloads.image_app import ImageExplorationApp
+from repro.workloads.trace import InteractionTrace
+
+from .configs import DEFAULT_DRAIN_S, FleetEnvironment
+
+__all__ = ["ImageAppSpec", "ShardFleetSpec", "ShardCoordinator"]
+
+
+@dataclass(frozen=True)
+class ImageAppSpec:
+    """Spawn-safe recipe for an :class:`ImageExplorationApp`.
+
+    Shard workers run in fresh interpreters, so the application must
+    cross the process boundary as a *recipe*, not an object (the app
+    holds an image store, encoder, and utility closure).  The synthetic
+    store is a pure function of ``(num_requests, seed)``, so every
+    worker rebuilds a bit-identical app from these five numbers.
+    """
+
+    rows: int
+    cols: int
+    cell_px: float = 20.0
+    block_bytes: int = 50_000
+    seed: int = 7
+
+    @classmethod
+    def of(cls, app: ImageExplorationApp) -> "ImageAppSpec":
+        layout = app.layout
+        return cls(
+            rows=layout.rows,
+            cols=layout.cols,
+            cell_px=layout.cell_width,
+            block_bytes=app.block_bytes,
+            seed=app.seed,
+        )
+
+    def build(self) -> ImageExplorationApp:
+        return ImageExplorationApp(
+            rows=self.rows,
+            cols=self.cols,
+            cell_px=self.cell_px,
+            block_bytes=self.block_bytes,
+            seed=self.seed,
+        )
+
+
+@dataclass
+class ShardFleetSpec:
+    """Everything one shard worker needs, pickled onto its task pipe.
+
+    ``traces`` and ``fleet_env`` are the *global* fleet description —
+    every worker gets all of it and derives its own slice (route,
+    bandwidth share, admission-cap share) from ``shard``/``num_shards``,
+    so the shard split is a pure function of the spec and the coordinator
+    never has to serialize per-shard variants.
+    """
+
+    app_spec: ImageAppSpec
+    traces: list[InteractionTrace]
+    fleet_env: FleetEnvironment
+    predictor: str
+    shard: int
+    num_shards: int
+    #: Absolute sim times of the delta-sync barriers (empty = no sync).
+    sync_points: tuple[float, ...] = ()
+    drain_s: float = DEFAULT_DRAIN_S
+    seed: int = 0
+    cohort_width_s: float = 5.0
+    early_k: int = 5
+    #: Warm-start prior file every shard loads (never an object: the
+    #: prior's count table is not picklable, and one file fans out to
+    #: W workers without W copies in the coordinator's heap).
+    shared_prior_path: Optional[str] = None
+    #: Which incarnation of this shard's worker this is.  The original
+    #: spawn is attempt 0; supervision bumps it on every respawn.  Chaos
+    #: worker-crash schedules only fire on attempt 0, so a replacement
+    #: worker does not re-crash into the same injected fault.
+    attempt: int = 0
+    #: Capture a :class:`~repro.fleet.checkpoint.ShardCheckpoint` every
+    #: this many completed sync rounds and offer it at the barrier (0 =
+    #: checkpointing off: reports and results are bit-identical to a run
+    #: that never heard of checkpoints).
+    checkpoint_cadence: int = 0
+    #: Global index of ``sync_points[0]`` in the full barrier schedule
+    #: (respawned workers run a suffix; checkpoints carry global rounds).
+    first_round: int = 0
+    #: The shard's last coordinator-held checkpoint.  A respawned (or
+    #: re-absorbed) worker pauses its replay at ``restore.sim_time_s``,
+    #: re-captures, and compares digests — restore-in-place, verified
+    #: rather than assumed.
+    restore: Optional[ShardCheckpoint] = None
+    #: Path to a :class:`~repro.fleet.checkpoint.FleetCheckpoint` bundle
+    #: (``--checkpoint-in``): the worker counts its own checkpointed
+    #: sessions as resumed and pre-merges *other* shards' prior deltas,
+    #: so re-broadcasts of pre-drain state dedup exactly.
+    resume_from: Optional[str] = None
+    #: Stop cleanly after completing this global sync round (graceful
+    #: drain): skip the rest of the run, ship partial results plus a
+    #: final checkpoint.
+    drain_after_round: Optional[int] = None
+    #: Explicit session ownership, overriding the hash route.  A mid-run
+    #: joiner owns exactly the sessions the grown ring moved to it — not
+    #: everything the ring *would* give it, since sessions that finished
+    #: before the join never migrate.
+    route_indices: Optional[tuple[int, ...]] = None
+    #: ``(new_num_shards, at_round, at_time_s)``: a member joins the
+    #: fleet after global sync round ``at_round``.  At that barrier this
+    #: worker captures and retires every owned session the grown ring
+    #: routes to the new member and offers their checkpoints.  A
+    #: respawned worker whose suffix starts *after* the join replays the
+    #: same retirement at the same sim time instead, so its
+    #: deterministic restore matches the stored digests.
+    grow_to: Optional[tuple[int, int, float]] = None
+    #: Adoption orders re-applied on respawn: a worker that adopted a
+    #: lost shard's sessions must re-adopt them at the same sim time when
+    #: it is itself replaced, or its replay would silently drop them.
+    adopt_orders: tuple[AdoptOrder, ...] = ()
+
+
+def _suffix_trace(
+    trace: InteractionTrace, requests_seen: int, not_before_s: float
+) -> Optional[InteractionTrace]:
+    """The remainder of ``trace`` after its first ``requests_seen``
+    requests, shifted to start no earlier than ``not_before_s``.
+
+    This is how a migrated session resumes from its checkpointed
+    sequence position: the first ``requests_seen`` request-bearing
+    events (and the observe-only samples interleaved before them) are
+    already served and drop out; everything after replays at its
+    original absolute sim time, clamped up to the adoption point (the
+    clamp is monotone, so event order survives).  Returns ``None`` for
+    a session with no requests left — finished sessions don't migrate.
+    """
+    times, xs, ys, requests = trace.columns
+    request_rows = [row for row, r in enumerate(requests) if r is not None]
+    if len(request_rows) <= requests_seen:
+        return None
+    start = request_rows[requests_seen - 1] + 1 if requests_seen else 0
+    return InteractionTrace.from_columns(
+        [max(t, not_before_s) for t in times[start:]],
+        xs[start:],
+        ys[start:],
+        requests[start:],
+        name=f"{trace.name}+migrated",
+    )
+
+
+class ShardCoordinator:
+    """The coordinator's state across barriers, and the hooks that move it.
+
+    ``spec`` describes the whole fleet (its ``shard`` is ignored); the
+    constructor plans the barrier schedule and fills in the plan-wide
+    fields every task shares.  :meth:`task` derives one worker's task
+    from it.  The bound methods :meth:`before_round`, :meth:`on_round`,
+    :meth:`respawn`, :meth:`on_lost`, :meth:`control` and
+    :meth:`make_joiner` are :func:`~repro.fleet.sharding.run_sharded`'s
+    hooks; :meth:`reabsorb` and :meth:`finish` run after it returns, and
+    :meth:`close` releases the transport and temporary prior files.
+
+    Membership is elastic both ways.  A shard lost past its restart
+    budget has its last checkpoint split over a consistent-hash ring of
+    the survivors, which adopt the sessions at the next barrier; with no
+    barrier left to carry the orders, :meth:`reabsorb` re-runs the lost
+    slice instead.  A member that joins after barrier ``join_at_round``
+    resumes the sessions the grown ring moves to it from the positions
+    their donors offered.
+    """
+
+    #: The worker entry point (:mod:`repro.experiments.shard_worker`).
+    entry = "repro.experiments.shard_worker:run_shard"
+
+    def __init__(
+        self,
+        spec: ShardFleetSpec,
+        sync_interval_s: float,
+        *,
+        warm_prior: Any = None,
+        transport: Any = "pipe",
+        partition_heal_s: float = 1.0,
+        join_at_round: Optional[int] = None,
+        heartbeat_s: Optional[float] = None,
+    ) -> None:
+        fleet_env = spec.fleet_env
+        arrival, chaos = fleet_env.arrival, fleet_env.chaos
+        self.num_shards = spec.num_shards
+        self.sync_interval_s = sync_interval_s
+        self.partition_heal_s = partition_heal_s
+        self.join_at_round = join_at_round
+        self.heartbeat_s = heartbeat_s
+        self.n = spec.app_spec.rows * spec.app_spec.cols
+        self.static = arrival is None or arrival.is_static
+        durations = [t.duration_s for t in spec.traces]
+        horizon = (
+            max(durations)
+            if arrival is None
+            else arrival.horizon_s(fleet_env.num_sessions, durations.__getitem__)
+        )
+        until = horizon + spec.drain_s
+
+        # An inert checkpoint config is nulled outright, so every branch
+        # sees exactly the no-checkpoint path.
+        checkpoint = fleet_env.checkpoint
+        self.checkpoint = None if checkpoint is None or checkpoint.is_inert else checkpoint
+        # Barriers carry prior deltas, and anchor worker crashes, drains,
+        # partitions, checkpoint captures and joins; a worker with none of
+        # these offers an empty SyncOffer (a pure liveness barrier).
+        want_barriers = (
+            spec.predictor == "shared-markov"
+            or (chaos is not None and (chaos.has_worker_faults or chaos.has_drain))
+            or (self.checkpoint is not None and self.checkpoint.captures)
+            or (chaos is not None and bool(chaos.partitions))
+            or join_at_round is not None
+        )
+        sync_points: tuple[float, ...] = ()
+        if want_barriers and sync_interval_s > 0:
+            sync_points = tuple(
+                i * sync_interval_s
+                for i in range(1, math.ceil(until / sync_interval_s))
+                if i * sync_interval_s < until
+            )
+        # Graceful drain (``drain:R`` chaos): workers complete round R,
+        # skip the rest of the run and ship partial results.
+        self.drained_at_round: Optional[int] = None
+        if chaos is not None and chaos.has_drain and sync_points:
+            self.drained_at_round = min(chaos.drain_round, len(sync_points) - 1)
+            sync_points = sync_points[: self.drained_at_round + 1]
+        self.sync_points = sync_points
+        # A mid-run join: every original worker donates, at barrier
+        # ``join_at_round``, the sessions the grown ring routes to shard W.
+        grow_to = None
+        if join_at_round is not None:
+            if join_at_round >= len(sync_points):
+                raise ValueError(
+                    f"join_at_round={join_at_round} needs at least "
+                    f"{join_at_round + 1} sync rounds, run has {len(sync_points)}"
+                )
+            grow_to = (self.num_shards + 1, join_at_round, sync_points[join_at_round])
+        resume_from, bundle = None, None
+        if self.checkpoint is not None and self.checkpoint.in_path is not None:
+            resume_from = os.fspath(self.checkpoint.in_path)
+            bundle = FleetCheckpoint.load(resume_from, n=self.n)
+            if bundle.num_shards != self.num_shards:
+                raise ValueError(
+                    f"checkpoint taken with {bundle.num_shards} shards, "
+                    f"cannot resume with {self.num_shards}"
+                )
+        # Net chaos is injected inside the TCP transport (a pipe has no wire
+        # to fault); partitions are cut at barriers by before_round.
+        if isinstance(transport, str) and transport not in ("pipe", "tcp"):
+            raise ValueError(f"unknown transport {transport!r}")
+        name = transport if isinstance(transport, str) else transport.name
+        if chaos is not None and chaos.has_net_faults and name != "tcp":
+            raise ValueError(
+                "network chaos (partition/netdelay/dup/corrupt) requires "
+                "--transport tcp: a pipe has no wire to fault"
+            )
+        if transport == "pipe":
+            transport = PipeTransport()
+        elif transport == "tcp":
+            transport = TcpTransport(chaos=chaos.net_spec() if chaos is not None else None)
+        self.transport = transport
+
+        self.temp_files: list[str] = []
+        if isinstance(warm_prior, SharedTransitionPrior):
+            warm_prior = self._save(warm_prior)
+        self.warm_path = os.fspath(warm_prior) if warm_prior is not None else None
+        self.spec = replace(
+            spec,
+            sync_points=sync_points,
+            shared_prior_path=self.warm_path,
+            # Path-only configs capture every round, so the written
+            # bundle is as fresh as the run.
+            checkpoint_cadence=(
+                max(self.checkpoint.cadence_rounds, 1)
+                if self.checkpoint is not None and self.checkpoint.captures
+                else 0
+            ),
+            resume_from=resume_from,
+            drain_after_round=self.drained_at_round,
+            grow_to=grow_to,
+        )
+
+        #: Every barrier's deltas fold into this aggregate, so it holds the
+        #: crowd as of the last completed round: the seed a rejoining
+        #: worker warms from (the CRDT merge is idempotent, so its
+        #: re-contributing pre-crash transitions is harmless).
+        self.prior: Optional[SharedTransitionPrior] = None
+        self.merged = 0
+        self.store = CheckpointStore() if self.checkpoint is not None else None
+        self.recovery = ShardRecovery()
+        #: Restart attempts per shard; the extra slot is the joiner's.
+        self.attempts = [0] * (self.num_shards + 1)
+        #: Sessions donors retired for the joiner, by index.
+        self.moved: dict[int, SessionCheckpoint] = {}
+        self.joiner_route: Optional[tuple[int, ...]] = None
+        self.joiner_traces: Optional[tuple[InteractionTrace, ...]] = None
+        #: Adopt orders waiting for the next broadcast, and those
+        #: delivered, by target shard (a respawned adopter re-applies them).
+        self.pending: dict[int, list[AdoptOrder]] = {}
+        self.adopted: dict[int, list[AdoptOrder]] = {}
+        self.reabsorbed: list[int] = []
+        # Resuming: pre-seed the aggregate with every shard's stored
+        # contribution, so a worker that dies before its first barrier
+        # still respawns with the checkpointed crowd.
+        if bundle is not None:
+            for ckpt in bundle.shards.values():
+                delta = ckpt.prior_delta_object()
+                if delta is not None:
+                    self._merge(delta)
+
+    @property
+    def joined(self) -> bool:
+        return self.joiner_route is not None
+
+    @property
+    def migrated_shards(self) -> set[int]:
+        """Lost shards whose sessions at least one survivor adopted."""
+        return {o.from_shard for orders in self.adopted.values() for o in orders}
+
+    # -- tasks -----------------------------------------------------------
+
+    def task(self, shard: int, first_round: int = 0, attempt: int = 0) -> ShardTask:
+        """Shard ``shard``'s task from global round ``first_round`` on.
+
+        Attempt 0 of an original shard boots from the plan.  Any other
+        worker (a respawn, the joiner, a re-absorbed slice) rejoins a
+        running fleet: it warms from the coordinator's aggregate prior
+        and restores from its shard's latest checkpoint.  Every task
+        carries the adopt orders delivered to its shard; the joiner's
+        routes exactly the donated sessions, on their suffix traces.
+        """
+        spec = replace(
+            self.spec,
+            shard=shard,
+            sync_points=self.sync_points[first_round:],
+            first_round=first_round,
+            attempt=attempt,
+            restore=self.store.latest(shard) if self.store is not None else None,
+            adopt_orders=tuple(self.adopted.get(shard, ())),
+        )
+        if attempt > 0 or shard == self.num_shards:
+            spec = replace(spec, shared_prior_path=self._seed_path())
+        if shard == self.num_shards:
+            spec = replace(
+                spec,
+                num_shards=shard + 1,
+                route_indices=self.joiner_route,
+                traces=self.joiner_traces,
+                grow_to=None,
+                resume_from=None,
+            )
+        return ShardTask(
+            entry=self.entry,
+            spec=spec,
+            shard=shard,
+            num_shards=spec.num_shards,
+            heartbeat_interval_s=self.heartbeat_s,
+        )
+
+    def _seed_path(self) -> Optional[str]:
+        """The aggregate prior saved for a rejoining worker to warm from."""
+        return self.warm_path if self.prior is None else self._save(self.prior)
+
+    def _save(self, prior: SharedTransitionPrior) -> str:
+        handle = tempfile.NamedTemporaryFile(suffix=".npz", delete=False)
+        handle.close()
+        prior.save(handle.name)
+        self.temp_files.append(handle.name)
+        return handle.name
+
+    def _merge(self, delta: PriorDelta) -> None:
+        """Fold ``delta`` into the aggregate, loading it on first use."""
+        if self.prior is None:
+            self.prior = (
+                SharedTransitionPrior.load(self.warm_path, n=delta.n)
+                if self.warm_path is not None
+                else SharedTransitionPrior(delta.n)
+            )
+        self.merged += self.prior.merge_delta(delta)
+
+    # -- run_sharded hooks -----------------------------------------------
+
+    def before_round(self, round_index: int) -> None:
+        chaos = self.spec.fleet_env.chaos
+        if chaos is not None:
+            for lo, hi in chaos.partitions_at(round_index):
+                self.transport.cut_links(range(lo, hi + 1), self.partition_heal_s)
+
+    def on_round(self, round_index: int, offers: list[SyncOffer]) -> None:
+        for offer in offers:
+            if offer.checkpoint is not None:
+                self.store.put(offer.checkpoint)
+            for sc in offer.migrate_out:
+                self.moved[sc.index] = sc
+            if offer.delta:
+                self._merge(offer.delta)
+
+    def respawn(self, shard: int, next_round: int) -> ShardTask:
+        self.attempts[shard] += 1
+        return self.task(shard, next_round, self.attempts[shard])
+
+    def on_lost(self, lost_shard: int, next_round: int) -> None:
+        """Plan the adoption of a shard lost past its restart budget.
+
+        Its last checkpoint is split by a consistent-hash ring over the
+        surviving members — every survivor keeps its own sessions; only
+        the dead member's ranges reassign — and :meth:`control` hands each
+        survivor its order in the next broadcast.  A shard that cannot
+        migrate (no checkpoint, no barrier left, a churn fleet, a drain
+        run) is left to :meth:`reabsorb`.
+        """
+        if self.store is None or not self.static or self.drained_at_round is not None:
+            return
+        latest = self.store.latest(lost_shard)
+        if next_round >= len(self.sync_points) or latest is None:
+            return
+        dead = set(self.recovery.lost_shards)
+        ring = HashRing(k for k in range(self.num_shards + self.joined) if k not in dead)
+        if len(ring) == 0:
+            return
+        assign: dict[int, list[int]] = {}
+        for sc in latest.sessions:
+            if sc.index not in self.moved:  # donated to the joiner pre-crash
+                assign.setdefault(ring.route(sc.index), []).append(sc.index)
+        at_s = self.sync_points[next_round]
+        for target, indices in sorted(assign.items()):
+            self.pending.setdefault(target, []).append(
+                AdoptOrder(lost_shard, latest, tuple(indices), at_s)
+            )
+
+    def control(self, round_index: int, shard: int) -> list[AdoptOrder]:
+        orders = self.pending.pop(shard, [])
+        self.adopted.setdefault(shard, []).extend(orders)
+        return orders
+
+    def make_joiner(self, round_index: int) -> ShardTask:
+        """The member joining after barrier ``round_index``.
+
+        It owns exactly the sessions the donors offered at this barrier,
+        each replaying the suffix of its trace past its checkpointed
+        request count, so the newcomer resumes them mid-flight.
+        """
+        at_s = self.sync_points[round_index]
+        self.joiner_route = tuple(sorted(self.moved))
+        traces = list(self.spec.traces)
+        for idx in self.joiner_route:
+            suffix = _suffix_trace(traces[idx], self.moved[idx].requests_seen, at_s)
+            if suffix is not None:
+                traces[idx] = suffix
+        self.joiner_traces = tuple(traces)
+        return self.task(self.num_shards, first_round=round_index + 1)
+
+    # -- after the run ---------------------------------------------------
+
+    def reabsorb(self, shards: list, timeout_s: Optional[float]) -> None:
+        """Run each lost, unmigrated shard's slice to completion in place.
+
+        The slice restarts from its last checkpoint and the aggregate
+        prior, as a barrier-free single task; the per-origin CRDT merge
+        dedups its prior contribution against everything already pooled.
+        Drain runs skip this: the written bundle keeps the lost shard's
+        last checkpoint for the ``--checkpoint-in`` restart instead.
+        """
+        if self.store is None or self.drained_at_round is not None:
+            return
+        migrated = self.migrated_shards
+        for k in self.recovery.lost_shards:
+            if k in migrated:
+                continue  # its adopters serve its sessions already
+            task = self.task(k, len(self.sync_points), self.attempts[k] + 1)
+            try:
+                shards[k] = run_sharded(
+                    [replace(task, shard=0, num_shards=1)], timeout_s=timeout_s
+                )[0]
+            except ShardError:
+                continue  # still lost; the pooled report says so
+            self.reabsorbed.append(k)
+
+    def _owned_now(self, k: int) -> list[int]:
+        """The sessions shard ``k`` answers for at the end of the run."""
+        if self.joined and k == self.num_shards:
+            return list(self.joiner_route)
+        owned = assign_shards(range(len(self.spec.traces)), self.num_shards)[k]
+        return [i for i in owned if i not in self.moved]
+
+    def finish(self, shards: list) -> dict:
+        """Fold the workers' final prior deltas and checkpoints in, write
+        ``--checkpoint-out``, and return ``diagnostics["sharding"]``."""
+        survivors = [s for s in shards if s is not None]
+        for s in survivors:
+            if s["prior_delta"] is not None:
+                self._merge(s["prior_delta"])
+            if s["final_checkpoint"] is not None:
+                self.store.put(s["final_checkpoint"])
+        drained = any(s["drained"] for s in survivors)
+        checkpoint = self.checkpoint
+        if checkpoint is not None and checkpoint.out_path is not None:
+            self.store.bundle(
+                n=self.n,
+                num_shards=self.num_shards,
+                sync_interval_s=self.sync_interval_s,
+                drained_at_round=self.drained_at_round if drained else None,
+            ).save(os.fspath(checkpoint.out_path))
+
+        recovery = self.recovery
+        migrated = self.migrated_shards
+        lost = [k for k in recovery.lost_shards if k not in self.reabsorbed]
+        # A migrated shard's sessions live on in their adopters; only
+        # those in orders that never reached a live survivor are lost.
+        undelivered: dict[int, int] = {}
+        for orders in self.pending.values():
+            for order in orders:
+                undelivered[order.from_shard] = (
+                    undelivered.get(order.from_shard, 0) + len(order.indices)
+                )
+        members = self.num_shards + self.joined
+        report = {
+            "shards": self.num_shards,
+            "sync_interval_s": self.sync_interval_s,
+            "sync_rounds": len(self.sync_points),
+            "sessions_per_shard": [s["num_sessions"] for s in survivors],
+            "transitions_merged": self.merged,
+            "cpu_run_s": [s["timing"]["cpu_run_s"] for s in survivors],
+            "wall_run_s": [s["timing"]["wall_run_s"] for s in survivors],
+            # Supervision: shards that died and came back, shards dropped
+            # past the restart budget (after re-absorption), and the
+            # planned sessions that loss cost the pooled report.
+            "shards_recovered": len(recovery.recovered_shards),
+            "shards_lost": len(lost),
+            "sessions_lost": sum(
+                undelivered.get(k, 0) if k in migrated else len(self._owned_now(k))
+                for k in lost
+            ),
+            "restarts": len(recovery.restarts),
+            "restarts_by_shard": [
+                sum(1 for s, _, _ in recovery.restarts if s == k)
+                for k in range(members)
+            ],
+            # Sessions carried to a new owner mid-run (adopted from a
+            # lost shard, or donated to a mid-run joiner).
+            "sessions_migrated": sum(len(s["migrated_in"]) for s in survivors)
+            + len(self.joiner_route or ()),
+            "shards_migrated": len(migrated),
+            "members": members,
+        }
+        if self.joined:
+            report["joined_at_round"] = self.join_at_round
+        per_shard = self.transport.counter_snapshots()
+        report["transport"] = {
+            "driver": self.transport.name,
+            "per_shard": per_shard,
+            "totals": pool_transport_counters(per_shard.values()),
+        }
+        if checkpoint is not None:
+            verdicts = [
+                s["restore_verified"]
+                for s in survivors
+                if s["restore_verified"] is not None
+            ]
+            report.update(
+                checkpoints_taken=sum(s["checkpoints_taken"] for s in survivors),
+                checkpoint_cpu_s=[s["checkpoint_cpu_s"] for s in survivors],
+                last_checkpoint_round=self.store.last_rounds(self.num_shards),
+                checkpoint_age_rounds=self.store.ages(
+                    self.num_shards, len(self.sync_points) - 1
+                ),
+                # Restored from a --checkpoint-in bundle, in place by a
+                # respawn, or re-absorbed from a lost shard's checkpoint.
+                sessions_resumed=sum(s["resumed_sessions"] for s in survivors)
+                + sum(
+                    len(self._owned_now(k))
+                    for k in recovery.recovered_shards + self.reabsorbed
+                ),
+                shards_reabsorbed=len(self.reabsorbed),
+                # True when every restored shard's replay reproduced its
+                # checkpoint digests; None when nothing was restored.
+                restore_verified=all(verdicts) if verdicts else None,
+            )
+            if drained:
+                report["drained_at_round"] = self.drained_at_round
+        return report
+
+    def close(self) -> None:
+        """Close the transport (idempotent) and delete temporary priors."""
+        self.transport.close()
+        for path in self.temp_files:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        self.temp_files.clear()

@@ -26,9 +26,9 @@ Three layers:
   corrupt entries each raise a distinct, actionable :class:`ValueError`.
 * :class:`CheckpointConfig` — cadence + paths, threaded through
   :class:`~repro.experiments.configs.FleetEnvironment` and the CLI.  A
-  cadence of 0 with no paths is inert: the sharded runner's barrier
-  payloads, reports, and results are bit-identical to a run with no
-  checkpoint config at all (test-enforced).
+  cadence of 0 with no paths is inert: the sharded runner's reports
+  and results are bit-identical to a run with no checkpoint config at
+  all (test-enforced).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.session import KhameleonSession
 from repro.fleet.fleet import KhameleonFleet
@@ -51,8 +51,8 @@ __all__ = [
     "CheckpointStore",
     "capture_session",
     "capture_shard",
-    "wrap_sync_payload",
-    "unwrap_sync_payload",
+    "SyncOffer",
+    "AdoptOrder",
 ]
 
 #: Bump on any incompatible change to the checkpoint layout.
@@ -245,9 +245,6 @@ class ShardCheckpoint:
 
     def digest(self) -> int:
         return _digest(self.to_payload())
-
-    def session_indices(self) -> list[int]:
-        return [s.index for s in self.sessions]
 
     def prior_delta_object(self) -> Optional[PriorDelta]:
         if self.prior_delta is None:
@@ -463,51 +460,30 @@ class CheckpointStore:
         )
 
 
-# -- barrier payload wrapping ----------------------------------------
-#
-# Checkpoints ride the existing sync exchange: when capturing, a worker
-# sends {"delta": <PriorDelta|None>, "checkpoint": <ShardCheckpoint|None>}
-# instead of the bare delta.  The wrap only exists when checkpointing is
-# on — an inert config keeps the historical payloads byte-for-byte, so
-# cadence-0 runs stay bit-identical to pre-checkpoint behavior.
-
-_SYNC_KEY = "__ckpt_sync__"
-
-#: Coordinator→worker control order riding a ``peers`` broadcast (PR 10
-#: elastic resharding): survivors are told to adopt a lost shard's
-#: sessions, carried as the lost shard's last ShardCheckpoint payload.
-CTRL_KEY = "__fleet_ctrl__"
+# -- barrier messages --------------------------------------------------
 
 
-def wrap_sync_payload(
-    delta,
-    checkpoint: Optional[ShardCheckpoint],
-    migrate_out: Optional[dict] = None,
-) -> dict:
-    payload = {_SYNC_KEY: True, "delta": delta, "checkpoint": checkpoint}
-    if migrate_out is not None:
-        # Only present when a worker hands sessions to a joining member
-        # — absent, the wrapped payload keeps its historical shape.
-        payload["migrate_out"] = migrate_out
-    return payload
+class SyncOffer(NamedTuple):
+    """What a shard worker offers at every sync barrier.
+
+    ``delta`` is its crowd-prior contribution since its last offer
+    (``None`` without a shared prior), ``checkpoint`` its capture when
+    one is due, and ``migrate_out`` the sessions it retired for a
+    joining member at this barrier.
+    """
+
+    delta: Optional[PriorDelta] = None
+    checkpoint: Optional[ShardCheckpoint] = None
+    migrate_out: tuple[SessionCheckpoint, ...] = ()
 
 
-def unwrap_sync_payload(payload):
-    """``(delta, checkpoint)`` from a wrapped or bare sync payload."""
-    if isinstance(payload, dict) and payload.get(_SYNC_KEY):
-        return payload.get("delta"), payload.get("checkpoint")
-    return payload, None
+@dataclass(frozen=True)
+class AdoptOrder:
+    """Coordinator order riding a ``peers`` broadcast: resume the
+    sessions ``indices`` of lost shard ``from_shard`` from its last
+    checkpoint, at sim time ``at_s``."""
 
-
-def migrate_out_of(payload) -> Optional[dict]:
-    """The ``migrate_out`` order riding a wrapped sync payload, if any."""
-    if isinstance(payload, dict) and payload.get(_SYNC_KEY):
-        return payload.get("migrate_out")
-    return None
-
-
-def split_ctrl(peers: list) -> tuple[list, list]:
-    """Separate coordinator control orders from real peer payloads."""
-    data = [p for p in peers if not (isinstance(p, dict) and CTRL_KEY in p)]
-    ctrl = [p for p in peers if isinstance(p, dict) and CTRL_KEY in p]
-    return data, ctrl
+    from_shard: int
+    checkpoint: ShardCheckpoint
+    indices: tuple[int, ...]
+    at_s: float

@@ -28,8 +28,8 @@ that contend for exactly two shared resources:
 
 **Sessions are dynamic.**  Each session acquires its port, throttle
 share, and metrics collector when it is *admitted*
-(:meth:`_admit_session`) and releases them when it *departs*
-(:meth:`_retire_session`).  With the default static
+(:meth:`admit_session`) and releases them when it *departs*
+(:meth:`retire_session`).  With the default static
 :class:`~repro.fleet.lifecycle.ArrivalConfig` every session is admitted
 up front and none departs — exactly the original closed fleet — while a
 churn config hands the schedule to a
@@ -265,7 +265,7 @@ class KhameleonFleet:
         if cfg.is_static:
             for i in range(cfg.num_sessions):
                 if cfg.owns(i):
-                    self._admit_session(i)
+                    self.admit_session(i)
         else:
             self.manager = SessionManager(
                 sim, self, cfg.arrival, route=cfg.session_route
@@ -287,7 +287,7 @@ class KhameleonFleet:
             backend_concurrency=None,  # the fleet-level throttle rules
         )
 
-    def _admit_session(self, i: int) -> KhameleonSession:
+    def admit_session(self, i: int) -> KhameleonSession:
         """Build session ``i`` and attach its shared-resource handles.
 
         This is the acquisition point: the fair-share port, the
@@ -319,7 +319,7 @@ class KhameleonFleet:
         self.session_indices.append(i)
         return session
 
-    def _retire_session(self, session: KhameleonSession) -> int:
+    def retire_session(self, session: KhameleonSession) -> int:
         """Departure: stop the session and release its shared resources.
 
         Returns the number of backlogged bytes dropped from its port —

@@ -137,6 +137,31 @@ class ArrivalConfig:
             expected = min(expected, float(self.max_concurrent))
         return max(1.0, expected)
 
+    def horizon_s(
+        self, num_sessions: int, trace_duration_of: Callable[[int], float]
+    ) -> float:
+        """Latest instant any planned session could still be interacting.
+
+        ``trace_duration_of(index)`` maps a session to its trace length;
+        the horizon is the max over sessions of arrival + min(trace,
+        dwell), plus the patience allowance when a queue can delay
+        admissions (a queued session replays its trace from the moment
+        it is finally admitted).  Rejected sessions never interact, but
+        their plans are included — rejection is decided at run time,
+        not plan time.  Every shard of a sharded fleet computes the same
+        horizon from the same global plan.
+        """
+        wait_s = 0.0
+        if self.max_concurrent is not None and self.patience_s > 0:
+            wait_s = self.patience_s
+        horizon = 0.0
+        for plan in self.plan(num_sessions):
+            span = trace_duration_of(plan.index)
+            if plan.dwell_s is not None:
+                span = min(span, plan.dwell_s)
+            horizon = max(horizon, plan.arrival_s + wait_s + span)
+        return horizon
+
     def plan(self, num_sessions: int) -> list["SessionPlan"]:
         """Materialize the arrival times and dwells for each session."""
         if num_sessions < 1:
@@ -237,7 +262,7 @@ class SessionManager:
         The shared simulator clock.
     fleet:
         The :class:`~repro.fleet.fleet.KhameleonFleet` whose
-        ``_admit_session`` / ``_retire_session`` acquire and release the
+        ``admit_session`` / ``retire_session`` acquire and release the
         per-session resources (fair-share port, throttle share, metrics
         collector).
     arrival:
@@ -254,8 +279,8 @@ class SessionManager:
         arrival times and dwells from the same seed, then drops the
         sessions routed elsewhere, so a session's timeline is identical
         no matter how many shards the fleet is split into (and
-        :meth:`horizon_s` spans the whole fleet's plan, giving every
-        shard the same run horizon for lock-step delta sync).
+        :meth:`ArrivalConfig.horizon_s` spans the whole fleet's plan,
+        giving every shard the same run horizon for lock-step delta sync).
     """
 
     def __init__(
@@ -340,7 +365,7 @@ class SessionManager:
         self._admit(record)
 
     def _admit(self, record: SessionRecord) -> None:
-        session = self.fleet._admit_session(record.index)
+        session = self.fleet.admit_session(record.index)
         record.session = session
         record.admitted = True
         record.admitted_at = self.sim.now
@@ -360,7 +385,7 @@ class SessionManager:
         self._active.remove(record)
         record.departed_at = self.sim.now
         self.stats.departed += 1
-        self.stats.bytes_dropped_on_departure += self.fleet._retire_session(
+        self.stats.bytes_dropped_on_departure += self.fleet.retire_session(
             record.session
         )
         if self.on_depart is not None:
@@ -439,25 +464,3 @@ class SessionManager:
         once per admission, inside :meth:`_on_arrival`.
         """
         return [r.arrived_at for r in self.admitted_records]
-
-    def horizon_s(self, trace_duration_of: Callable[[int], float]) -> float:
-        """Latest instant any planned session could still be interacting.
-
-        ``trace_duration_of(index)`` maps a session to its trace length;
-        the horizon is the max over sessions of arrival + min(trace,
-        dwell), plus the patience allowance when a queue can delay
-        admissions (a queued session replays its trace from the moment
-        it is finally admitted).  Rejected sessions never interact, but
-        their plans are included — rejection is decided at run time,
-        not plan time.
-        """
-        wait_s = 0.0
-        if self.arrival.max_concurrent is not None and self.arrival.patience_s > 0:
-            wait_s = self.arrival.patience_s
-        horizon = 0.0
-        for plan in self.plans:
-            span = trace_duration_of(plan.index)
-            if plan.dwell_s is not None:
-                span = min(span, plan.dwell_s)
-            horizon = max(horizon, plan.arrival_s + wait_s + span)
-        return horizon

@@ -15,13 +15,15 @@ boundary.
 This module is the *generic* half — routing, process lifecycle, the
 barrier protocol, and worker supervision; it knows nothing about
 fleets or priors beyond "workers exchange picklable payloads".  The
-experiment-aware half (building shard fleets, merging
-:class:`PriorDelta` objects, pooling metrics) lives in
-:func:`repro.experiments.runner.run_fleet_sharded`.
+experiment-aware half lives in :mod:`repro.experiments`:
+:class:`~repro.experiments.sharded.ShardCoordinator` keeps the
+coordinator's state and supplies :func:`run_sharded`'s hooks,
+:mod:`repro.experiments.shard_worker` runs one shard's fleet, and
+:func:`~repro.experiments.runner.run_fleet_sharded` pools the results.
 
 Protocol (bulk-synchronous, coordinator-relayed)::
 
-    worker w:  for each sync point: run sim chunk; exchange(delta)
+    worker w:  for each sync point: run sim chunk; exchange(offer)
                then: result(report)
     coordinator: per round, gather one payload from every worker,
                broadcast each worker the OTHER workers' payloads;

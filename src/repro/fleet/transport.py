@@ -30,6 +30,8 @@ the framing/ack machinery itself, not a mock of it.
 
 from __future__ import annotations
 
+import hmac
+import json
 import pickle
 import secrets
 import socket
@@ -485,9 +487,12 @@ class FramedEndpoint:
 # ---------------------------------------------------------------------------
 
 
-def _sock_send_frame(sock: socket.socket, ftype: int, obj: Any) -> None:
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(encode_frame(ftype, 0, payload))
+# HELLO and HELLO_ACK travel as JSON: a HELLO arrives from any local
+# process before its token is checked, so it is never unpickled.
+
+
+def _sock_send_frame(sock: socket.socket, ftype: int, obj: dict) -> None:
+    sock.sendall(encode_frame(ftype, 0, json.dumps(obj).encode("utf-8")))
 
 
 def _sock_recv_frame(sock: socket.socket, timeout_s: float) -> tuple[int, Any]:
@@ -501,7 +506,7 @@ def _sock_recv_frame(sock: socket.socket, timeout_s: float) -> tuple[int, Any]:
             frames = decoder.feed(chunk)
             if frames:
                 ftype, _seq, payload = frames[0]
-                return ftype, pickle.loads(payload)
+                return ftype, json.loads(payload)
     finally:
         sock.settimeout(None)
 
@@ -774,7 +779,10 @@ class TcpTransport:
             ftype, hello = _sock_recv_frame(sock, timeout_s=10.0)
             if ftype != T_HELLO or not isinstance(hello, dict):
                 raise TransportError("expected HELLO")
-            if hello.get("token") != self._token:
+            token = hello.get("token")
+            if not isinstance(token, str) or not hmac.compare_digest(
+                token.encode("utf-8"), self._token.encode("utf-8")
+            ):
                 raise TransportError("bad fleet token")
             if hello.get("version") != FRAME_VERSION:
                 raise TransportError(
@@ -806,7 +814,7 @@ class TcpTransport:
             with self._lock:
                 self._live[shard] = endpoint
             slot.fulfill(endpoint)
-        except (TransportError, OSError, KeyError, ValueError, pickle.PickleError):
+        except (TransportError, OSError, KeyError, TypeError, ValueError):
             try:
                 sock.close()
             except OSError:

@@ -18,14 +18,14 @@ Session lifecycle maps 1:1 onto the fleet's attach/detach points:
   an optional fair-share ``weight`` for its downlink port;
 * an admitted connection gets a full
   :class:`~repro.core.session.KhameleonSession` via
-  :meth:`KhameleonFleet._admit_session` — predictor, scheduler, mirror,
+  :meth:`KhameleonFleet.admit_session` — predictor, scheduler, mirror,
   sender, cache manager — plus a tap on the sender's delivery callback
   that frames every scheduled block onto the socket.  The
   server-resident client model keeps receiving blocks too, so the §6.1
   metric surfaces (:mod:`repro.metrics`) observe the live session
   exactly as they observe a simulated one;
 * a disconnect (or ``bye``) is a *departure*:
-  :meth:`KhameleonFleet._retire_session` stops the session, releases
+  :meth:`KhameleonFleet.retire_session` stops the session, releases
   its throttle share, and drops its port's backlog so surviving
   sessions immediately reclaim the capacity.
 
@@ -322,7 +322,7 @@ class KhameleonServeApp:
         while len(self._weights) <= i:
             self._weights.append(1.0)
         self._weights[i] = min(MAX_WEIGHT, max(MIN_WEIGHT, weight))
-        session = self.fleet._admit_session(i)
+        session = self.fleet.admit_session(i)
         conn = _Connection(
             index=i,
             session=session,
@@ -352,7 +352,7 @@ class KhameleonServeApp:
             return
         conn.detached = True
         assert self.fleet is not None
-        self.fleet._retire_session(conn.session)
+        self.fleet.retire_session(conn.session)
         self._live.pop(conn.index, None)
         if conn.parked:
             self._parked.pop(conn.token, None)

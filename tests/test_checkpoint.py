@@ -22,6 +22,7 @@ Three layers of guarantees, strongest last:
 import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,8 @@ from repro.fleet import (
     SessionCheckpoint,
     ShardCheckpoint,
 )
-from repro.fleet.checkpoint import unwrap_sync_payload, wrap_sync_payload
+from repro.fleet.checkpoint import SyncOffer
+from repro.predictors.shared import PriorDelta
 from repro.workloads.image_app import ImageExplorationApp
 from repro.workloads.mouse import MouseTraceGenerator
 
@@ -304,17 +306,16 @@ class TestConfigAndStore:
         assert store.last_rounds(2) == [3, None]
         assert store.ages(2, final_round=5) == [2, None]
 
-    def test_sync_payload_wrap_round_trip(self):
+    def test_sync_offer_pickle_round_trip(self):
         ckpt = ShardCheckpoint(
             shard=0, num_shards=1, round_index=0, sim_time_s=0.0,
             n=64, sessions=(),
         )
-        assert unwrap_sync_payload(wrap_sync_payload("delta", ckpt)) == (
-            "delta", ckpt,
-        )
-        # bare legacy payloads pass through untouched
-        assert unwrap_sync_payload("delta") == ("delta", None)
-        assert unwrap_sync_payload(None) == (None, None)
+        moved = (SessionCheckpoint(3, 2, 5, 5, 250, 11, 12),)
+        delta = PriorDelta("shard0", 64, rows={1: {2: 3}}, row_mass={1: 3})
+        offer = SyncOffer(delta, ckpt, moved)
+        assert pickle.loads(pickle.dumps(offer)) == offer
+        assert SyncOffer() == (None, None, ())
 
 
 class TestInertCheckpointIsInvisible:

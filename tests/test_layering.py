@@ -179,6 +179,8 @@ def test_serving_path_does_not_load_scipy():
 import json, sys
 import repro.cli
 import repro.experiments.runner
+import repro.experiments.shard_worker
+import repro.experiments.sharded
 import repro.fleet
 import repro.serve
 repro.cli._build_parser()

@@ -1,0 +1,232 @@
+"""The sharded fleet's coordinator, driven in-process.
+
+:class:`~repro.experiments.sharded.ShardCoordinator` is what
+``run_fleet_sharded`` hands ``run_sharded`` as hooks.  These tests call
+those hooks directly with hand-built barrier messages, so every
+membership path (adoption, respawn, join, re-absorb) runs in
+milliseconds without spawning a worker.
+"""
+
+import importlib
+
+import pytest
+
+from repro.experiments import sharded as sharded_module
+from repro.experiments.configs import DEFAULT_ENV, FleetEnvironment
+from repro.experiments.runner import run_fleet_sharded
+from repro.experiments.sharded import (
+    ImageAppSpec,
+    ShardCoordinator,
+    ShardFleetSpec,
+    _suffix_trace,
+)
+from repro.fleet import CheckpointConfig, HashRing
+from repro.fleet.checkpoint import (
+    AdoptOrder,
+    SessionCheckpoint,
+    ShardCheckpoint,
+    SyncOffer,
+)
+from repro.fleet.sharding import ShardError, assign_shards, shard_of
+from repro.predictors.shared import SharedTransitionPrior
+from repro.workloads.mouse import MouseTraceGenerator
+
+APP = ImageAppSpec(rows=8, cols=8)
+SESSIONS = 12
+
+
+@pytest.fixture(scope="module")
+def traces():
+    layout = APP.build().layout
+    return [
+        MouseTraceGenerator(layout, seed=100 + i).generate(duration_s=4.0)
+        for i in range(SESSIONS)
+    ]
+
+
+def coordinator(traces, num_shards, predictor="kalman", checkpoint=None, **kw):
+    fleet_env = FleetEnvironment(
+        num_sessions=len(traces), env=DEFAULT_ENV, checkpoint=checkpoint
+    )
+    spec = ShardFleetSpec(
+        app_spec=APP,
+        traces=list(traces),
+        fleet_env=fleet_env,
+        predictor=predictor,
+        shard=0,
+        num_shards=num_shards,
+    )
+    return ShardCoordinator(spec, 1.0, **kw)
+
+
+def shard_checkpoint(shard, num_shards, round_index, sessions, at_s=1.0):
+    return ShardCheckpoint(
+        shard=shard,
+        num_shards=num_shards,
+        round_index=round_index,
+        sim_time_s=at_s,
+        n=APP.rows * APP.cols,
+        sessions=tuple(
+            SessionCheckpoint(i, requests_seen=2, blocks_received=0, blocks_sent=0,
+                              bytes_sent=0, cache_digest=0, rng_digest=0)
+            for i in sessions
+        ),
+    )
+
+
+def test_task_entry_resolves_to_the_worker(traces):
+    coord = coordinator(traces, 2)
+    try:
+        module, _, name = coord.task(0).entry.partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+    finally:
+        coord.close()
+
+
+def test_on_round_folds_every_delta_and_stores_every_checkpoint(traces):
+    coord = coordinator(
+        traces, 2, predictor="shared-markov",
+        checkpoint=CheckpointConfig(cadence_rounds=1),
+    )
+    try:
+        offers, expected = [], SharedTransitionPrior(APP.rows * APP.cols)
+        for shard, moves in enumerate([[(1, 2), (2, 3)], [(1, 2), (5, 6)]]):
+            local = SharedTransitionPrior(APP.rows * APP.cols)
+            local.enable_sharding(f"shard{shard}")
+            for prev, nxt in moves:
+                local.observe(prev, nxt)
+            delta = local.delta_since()
+            expected.merge_delta(delta)
+            offers.append(SyncOffer(delta, shard_checkpoint(shard, 2, 0, [shard])))
+        offers.append(SyncOffer())  # a liveness-only offer changes nothing
+        coord.on_round(0, offers)
+        assert coord.prior.snapshot() == expected.snapshot()
+        assert coord.merged == 4
+        for shard in (0, 1):
+            assert coord.store.latest(shard) is offers[shard].checkpoint
+    finally:
+        coord.close()
+
+
+def test_lost_shard_is_split_over_the_shrunken_ring(traces):
+    coord = coordinator(traces, 3, checkpoint=CheckpointConfig(cadence_rounds=1))
+    try:
+        owned = assign_shards(range(SESSIONS), 3)
+        checkpoints = [shard_checkpoint(k, 3, 0, owned[k]) for k in range(3)]
+        coord.on_round(0, [SyncOffer(checkpoint=c) for c in checkpoints])
+        coord.recovery.lost_shards.append(1)
+        coord.on_lost(1, 1)
+
+        orders = {k: coord.control(1, k) for k in (0, 2)}
+        survivors = HashRing([0, 2])
+        adopted = []
+        for target, target_orders in orders.items():
+            for order in target_orders:
+                assert order == AdoptOrder(1, checkpoints[1], order.indices, 2.0)
+                assert all(survivors.route(i) == target for i in order.indices)
+                adopted.extend(order.indices)
+        assert sorted(adopted) == owned[1]
+        # Delivered exactly once.
+        assert coord.control(2, 0) == [] and coord.control(2, 2) == []
+        assert coord.migrated_shards == {1}
+        assert coord.pending == {}
+    finally:
+        coord.close()
+
+
+def test_respawned_adopter_re_applies_its_adopt_orders(traces):
+    coord = coordinator(traces, 3, checkpoint=CheckpointConfig(cadence_rounds=1))
+    try:
+        owned = assign_shards(range(SESSIONS), 3)
+        coord.on_round(
+            0, [SyncOffer(checkpoint=shard_checkpoint(k, 3, 0, owned[k])) for k in range(3)]
+        )
+        coord.recovery.lost_shards.append(1)
+        coord.on_lost(1, 1)
+        delivered = {k: coord.control(1, k) for k in (0, 2)}
+        target = next(k for k, orders in delivered.items() if orders)
+
+        spec = coord.respawn(target, 3).spec
+        assert spec.adopt_orders == tuple(delivered[target])
+        assert (spec.attempt, spec.first_round) == (1, 3)
+        assert spec.sync_points == coord.sync_points[3:]
+        assert spec.restore is coord.store.latest(target)
+        # The plan-wide spec is never touched.
+        assert coord.spec.adopt_orders == () and coord.spec.restore is None
+    finally:
+        coord.close()
+
+
+def test_joiner_routes_exactly_the_donated_sessions_on_suffix_traces(traces):
+    coord = coordinator(traces, 2, join_at_round=1)
+    try:
+        at_s = coord.sync_points[1]
+        assert coord.spec.grow_to == (3, 1, at_s)
+        donated = [i for i in range(SESSIONS) if shard_of(i, 3) == 2]
+        assert donated
+        seen = {i: 1 + i % 3 for i in donated}
+        offers = [
+            SyncOffer(migrate_out=tuple(
+                SessionCheckpoint(i, seen[i], 0, 0, 0, 0, 0)
+                for i in donated if shard_of(i, 2) == k
+            ))
+            for k in range(2)
+        ]
+        coord.on_round(1, offers)
+        task = coord.make_joiner(1)
+        spec = task.spec
+        assert (task.shard, task.num_shards) == (2, 3)
+        assert (spec.shard, spec.num_shards) == (2, 3)
+        assert spec.route_indices == tuple(donated)
+        assert spec.grow_to is None and spec.resume_from is None
+        assert spec.first_round == 2 and spec.sync_points == coord.sync_points[2:]
+        for i, trace in enumerate(spec.traces):
+            if i in seen:
+                assert trace == _suffix_trace(traces[i], seen[i], at_s)
+            else:
+                assert trace is traces[i]
+        assert coord.joined
+        assert coord.task(0).spec.traces == traces  # donors keep the plan
+    finally:
+        coord.close()
+
+
+def test_reabsorb_retries_lost_shards_but_never_hides_bugs(traces, monkeypatch):
+    coord = coordinator(traces, 2, checkpoint=CheckpointConfig(cadence_rounds=1))
+    try:
+        coord.recovery.lost_shards.append(1)
+        ran = []
+
+        def still_lost(tasks, **kw):
+            ran.append(tasks)
+            raise ShardError(1, "died again")
+
+        monkeypatch.setattr(sharded_module, "run_sharded", still_lost)
+        shards = [{"ok": True}, None]
+        coord.reabsorb(shards, timeout_s=1.0)
+        assert shards[1] is None and coord.reabsorbed == []
+        (salvage,) = ran[0]
+        assert (salvage.shard, salvage.num_shards) == (0, 1)
+        assert salvage.spec.shard == 1 and salvage.spec.sync_points == ()
+
+        def broken(tasks, **kw):
+            raise TypeError("a bug, not a lost shard")
+
+        monkeypatch.setattr(sharded_module, "run_sharded", broken)
+        with pytest.raises(TypeError):
+            coord.reabsorb(shards, timeout_s=1.0)
+    finally:
+        coord.close()
+
+
+def test_join_past_the_last_barrier_is_rejected(traces):
+    with pytest.raises(ValueError, match="join_at_round=99"):
+        coordinator(traces, 2, join_at_round=99)
+
+
+def test_negative_sync_interval_is_rejected(traces):
+    with pytest.raises(ValueError, match="sync_interval_s"):
+        run_fleet_sharded(
+            APP, traces, FleetEnvironment(num_sessions=SESSIONS, env=DEFAULT_ENV),
+            num_shards=2, predictor="shared-markov", sync_interval_s=-1.0,
+        )

@@ -15,6 +15,7 @@ Three layers, three contracts:
   the fleet-report totals row.
 """
 
+import os
 import pickle
 import random
 import socket
@@ -30,6 +31,7 @@ from repro.fleet.transport import (
     HEADER_SIZE,
     MAX_PAYLOAD,
     T_DATA,
+    T_HELLO,
     FrameDecoder,
     FramedEndpoint,
     PipeTransport,
@@ -239,6 +241,37 @@ class TestTcpDriver:
                 assert sorted(peers) == sorted(
                     f"w{j}:r{r}" for j in range(2) if j != k
                 )
+
+    def test_handshake_never_unpickles_a_hello(self, tmp_path):
+        """A local process that knows no token sends a HELLO that is a
+        pickle whose load would run code.  The coordinator rejects it
+        without running it, and the real worker still gets the slot."""
+        target = tmp_path / "pwned"
+
+        class Payload:
+            def __reduce__(self):
+                return os.mkdir, (str(target),)
+
+        transport = TcpTransport()
+        try:
+            parent_conn, worker_spec = transport.open_endpoint(0, 0)
+            hello = pickle.dumps(
+                {"version": 1, "shard": 0, "attempt": 0, "token": Payload()}
+            )
+            with socket.create_connection((transport.host, transport.port)) as raw:
+                raw.settimeout(10.0)
+                raw.sendall(encode_frame(T_HELLO, 0, hello))
+                assert raw.recv(1024) == b""  # refused and closed
+            assert not target.exists()
+
+            worker = worker_spec.connect()
+            try:
+                worker.send("after")
+                assert parent_conn.recv() == "after"
+            finally:
+                worker.close()
+        finally:
+            transport.close()
 
     def test_pipe_transport_has_no_wire(self):
         transport = PipeTransport()
