@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.estimators import EWMAEstimator, SlidingMaxEstimator
+from estimators import EWMAEstimator, SlidingMaxEstimator
 
 
 class TestEWMA:

@@ -11,10 +11,11 @@ from repro.core.session import KhameleonSession, SessionConfig
 from repro.metrics.collector import collect
 from repro.predictors.base import MouseEvent
 from repro.sim.engine import Simulator
-from repro.sim.estimators import EWMAEstimator, SlidingMaxEstimator
 from repro.sim.bandwidth import HarmonicMeanEstimator
 from repro.workloads.image_app import ImageExplorationApp
 from repro.workloads.mouse import MouseTraceGenerator
+
+from estimators import EWMAEstimator, SlidingMaxEstimator
 
 ENV = EnvironmentConfig(name="att", cellular="att", min_rtt_s=0.100)
 

@@ -17,10 +17,10 @@ above it in this list (see DESIGN.md for the full inventory):
   assembly; the offline ILP reference is :mod:`repro.core.ilp`.
 - :mod:`repro.encoding` / :mod:`repro.predictors` /
   :mod:`repro.metrics` — progressive encoders; Kalman, oracle, Markov,
-  point, uniform, hover and ACC-style predictors behind the §4 API;
-  the §6.1 metrics.
-- :mod:`repro.backends` — filesystem / key-value / mini column-store
-  database backends, retries and fault injection.
+  point, uniform and hover predictors behind the §4 API; the §6.1
+  metrics.
+- :mod:`repro.backends` — filesystem and mini column-store database
+  backends, retries and fault injection.
 - :mod:`repro.baselines` / :mod:`repro.workloads` / :mod:`repro.chaos` —
   Baseline, Progressive and ACC-<acc>-<hor>; trace generators and the
   two evaluation applications (image exploration, Falcon); the seeded

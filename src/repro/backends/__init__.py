@@ -1,11 +1,10 @@
-"""Backends: file system, key-value, mini SQL column store (real
+"""Backends: file system, mini SQL column store (real
 histogram execution + simulated PostgreSQL-like latency/concurrency),
 the ScalableSQL simulation, retries, and fault injection."""
 
 from .base import Backend, BackendFetchError, BackendStats, BackendWrapper
 from .database import ColumnTable, HistogramQuery, RangeFilter, SimulatedSQLDatabase
-from .filesystem import FileSystemBackend, KeyValueBackend
-from .pool import ConnectionPoolBackend
+from .filesystem import FileSystemBackend
 from .retry import RetryingBackend, RetryPolicy
 from .scalable import ScalableSQLDatabase
 
@@ -17,8 +16,6 @@ __all__ = [
     "RetryPolicy",
     "RetryingBackend",
     "FileSystemBackend",
-    "KeyValueBackend",
-    "ConnectionPoolBackend",
     "ColumnTable",
     "HistogramQuery",
     "RangeFilter",

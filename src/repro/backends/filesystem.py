@@ -1,4 +1,4 @@
-"""File-system and key-value backends (§3.3).
+"""File-system backend (§3.3).
 
 The image application "pre-loads the file system with the blocks for
 progressively encoded images": fetching is a fixed, predictable delay
@@ -15,7 +15,7 @@ the way a pre-loaded file system hands out the files that are opened.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Optional
+from typing import Optional
 
 from repro.core.blocks import ProgressiveResponse
 from repro.encoding.base import ProgressiveEncoder
@@ -23,7 +23,7 @@ from repro.clock import Clock
 
 from .base import Backend
 
-__all__ = ["FileSystemBackend", "KeyValueBackend"]
+__all__ = ["FileSystemBackend"]
 
 
 class FileSystemBackend(Backend):
@@ -59,35 +59,3 @@ class FileSystemBackend(Backend):
     def scalable_concurrency(self) -> Optional[int]:
         return None  # unbounded
 
-
-class KeyValueBackend(Backend):
-    """A key-value store: values put up front, encoded on fetch.
-
-    Anna-style KV stores [81] are the paper's example of a backend that
-    scales to any number of concurrent speculative requests.  The value
-    for a request id comes from ``value_of``; per-get latency is fixed.
-    """
-
-    def __init__(
-        self,
-        sim: Clock,
-        encoder: ProgressiveEncoder,
-        value_of: Callable[[int], Any],
-        get_latency_s: float = 0.001,
-    ) -> None:
-        if get_latency_s < 0:
-            raise ValueError("get latency must be non-negative")
-        super().__init__(sim)
-        self.encoder = encoder
-        self.value_of = value_of
-        self.get_latency_s = get_latency_s
-
-    def _produce(self, request: int) -> ProgressiveResponse:
-        return self.encoder.encode(request, self.value_of(request))
-
-    def _delay_s(self, request: int) -> float:
-        return self.get_latency_s
-
-    @property
-    def scalable_concurrency(self) -> Optional[int]:
-        return None  # unbounded

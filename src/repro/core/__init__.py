@@ -7,13 +7,12 @@ is :mod:`repro.core.ilp`, imported on its own so the serving path never
 loads the LP solver.
 """
 
-from .blocks import Block, BlockSequence, ProgressiveResponse, RequestSpace
+from .blocks import Block, BlockSequence, ProgressiveResponse
 from .cache import LRUCache, RingBufferCache
 from .cache_manager import CacheManager, RequestOutcome, Upcall
 from .client import KhameleonClient
 from .distribution import RequestDistribution
 from .greedy import GreedyScheduler
-from .semantics import PredictionArrival, ReferenceScheduler
 from .predictor_manager import PredictorManager
 from .scheduler import GainTable, ScheduledBlock, Scheduler, expected_utility
 from .sender import Sender
@@ -31,7 +30,6 @@ __all__ = [
     "Block",
     "BlockSequence",
     "ProgressiveResponse",
-    "RequestSpace",
     "RingBufferCache",
     "LRUCache",
     "CacheManager",
@@ -48,8 +46,6 @@ __all__ = [
     "Scheduler",
     "expected_utility",
     "GreedyScheduler",
-    "ReferenceScheduler",
-    "PredictionArrival",
     "Sender",
     "KhameleonServer",
     "KhameleonClient",

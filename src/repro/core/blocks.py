@@ -3,9 +3,7 @@
 Khameleon models every response as an ordered list of fixed-size
 blocks: any prefix renders a (possibly lower-quality) result, and the
 full list renders the complete result.  A single block is a complete —
-if coarse — response.  Requests are integers in ``[0, n)``; applications
-map their domain objects (image ids, query signatures) to request ids
-via :class:`RequestSpace`.
+if coarse — response.  Requests are integers in ``[0, n)``.
 
 A fetch makes a response *available*; the sender then reads the one
 block the schedule names (§3.3's image application "pre-loads the file
@@ -19,9 +17,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-__all__ = ["Block", "BlockSequence", "ProgressiveResponse", "RequestSpace"]
+__all__ = ["Block", "BlockSequence", "ProgressiveResponse"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,46 +159,3 @@ class ProgressiveResponse:
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
 
-
-class RequestSpace:
-    """Bidirectional mapping between application keys and request ids.
-
-    The scheduler works over dense integer ids (it holds per-request
-    NumPy arrays); applications think in domain keys (thumbnail (row,
-    col), query signatures).  A ``RequestSpace`` freezes the universe of
-    possible requests — the paper's ``Q = q_1 .. q_n`` — and translates
-    both ways in O(1).
-    """
-
-    def __init__(self, keys: Sequence[Hashable]) -> None:
-        if not keys:
-            raise ValueError("request space must not be empty")
-        self._keys: tuple[Hashable, ...] = tuple(keys)
-        self._ids: dict[Hashable, int] = {}
-        for i, key in enumerate(self._keys):
-            if key in self._ids:
-                raise ValueError(f"duplicate request key: {key!r}")
-            self._ids[key] = i
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def id_of(self, key: Hashable) -> int:
-        """Request id for an application key (KeyError if unknown)."""
-        return self._ids[key]
-
-    def key_of(self, request: int) -> Hashable:
-        """Application key for a request id (IndexError if out of range)."""
-        if not 0 <= request < len(self._keys):
-            raise IndexError(f"request id {request} outside [0, {len(self._keys)})")
-        return self._keys[request]
-
-    def get_id(self, key: Hashable) -> Optional[int]:
-        """Like :meth:`id_of`, but None for unknown keys."""
-        return self._ids.get(key)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._ids
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._keys)

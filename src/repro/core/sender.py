@@ -236,20 +236,12 @@ class Sender:
         # §5.4: "cached or in flight" counts as materialized — an
         # in-flight fetch already holds its backend slot, so re-admitting
         # the request (e.g. after refresh() cleared the pipeline) must
-        # not be deferred or charged a second slot.
-        materialized = (
+        # not be deferred or take a second slot.
+        return (
             self.backend.is_materialized(block.request)
             or self._pipeline_counts.get(block.request, 0) > 0
+            or self.throttle.available_slots > 0
         )
-        if materialized:
-            return True
-        if self.throttle.available_slots <= 0:
-            return False
-        # Attribute the slot to this sender (weighted shares track it;
-        # the global throttle's charge is a no-op since it reads the
-        # backend's own active count).
-        self.throttle.charge(block.request)
-        return True
 
     def _ensure_fetch(self, request: int) -> None:
         if self.backend.is_cached(request):

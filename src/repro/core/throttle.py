@@ -8,62 +8,20 @@ schedules are post-processed so they "do not refer to blocks from more
 than ``C - n`` distinct requests" — backend limits are treated the
 same way as network constraints.
 
-:class:`BackendThrottle` implements that post-processing over any
-iterable of scheduled blocks: blocks whose responses are already
-materialized pass through freely; blocks needing a *new* backend fetch
-are admitted only while the distinct-request budget lasts, and the
-rest are deferred (handed back to be rescheduled later).
-
-For multi-tenant fleets, :class:`WeightedBackendThrottle` splits one
-``C``-slot budget among attached sessions in proportion to their
-weights — mirroring the downlink's weighted fair shares on the backend
-side, so a weight-2 tenant gets roughly twice the speculation slots of
-a weight-1 tenant under contention.  Sessions attach at arrival and
-detach at departure; a departing session's share returns to the pool.
+:class:`BackendThrottle` holds that budget; the
+:class:`~repro.core.sender.Sender` applies it while filling its
+pipeline: blocks whose responses are already materialized pass through
+freely, and a block needing a *new* backend fetch is admitted only
+while ``C - n`` is positive — otherwise it and the rest of its window
+are rolled back for rescheduling.  A fleet shares one throttle among
+all its sessions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable
 
-__all__ = [
-    "BackendThrottle",
-    "WeightedBackendThrottle",
-    "SessionThrottleShare",
-    "throttle_schedule",
-]
-
-T = TypeVar("T")
-
-
-def throttle_schedule(
-    schedule: Sequence[T],
-    request_of: Callable[[T], int],
-    is_materialized: Callable[[int], bool],
-    available_slots: int,
-) -> tuple[list[T], list[T]]:
-    """Split ``schedule`` into (admitted, deferred) per the §5.4 rule.
-
-    Walks the schedule in order.  A block is admitted if its request's
-    response is already materialized (cached or in flight), or if
-    admitting it keeps the number of distinct *new* requests within
-    ``available_slots``.  Deferred blocks keep their relative order.
-    """
-    if available_slots < 0:
-        raise ValueError("available_slots must be non-negative")
-    admitted: list[T] = []
-    deferred: list[T] = []
-    new_requests: set[int] = set()
-    for item in schedule:
-        request = request_of(item)
-        if is_materialized(request) or request in new_requests:
-            admitted.append(item)
-        elif len(new_requests) < available_slots:
-            new_requests.add(request)
-            admitted.append(item)
-        else:
-            deferred.append(item)
-    return admitted, deferred
+__all__ = ["BackendThrottle"]
 
 
 class BackendThrottle:
@@ -79,165 +37,7 @@ class BackendThrottle:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._active = active
-        self.deferred_blocks = 0
 
     @property
     def available_slots(self) -> int:
         return max(0, self.capacity - self._active())
-
-    def charge(self, request: int) -> None:
-        """Record that an admitted block will issue a fetch for ``request``.
-
-        The global budget reads the backend's own active-request count,
-        so there is nothing to track here; weighted shares override this
-        to attribute the slot to the admitting session.
-        """
-
-    def apply(
-        self,
-        schedule: Sequence[T],
-        request_of: Callable[[T], int],
-        is_materialized: Callable[[int], bool],
-    ) -> tuple[list[T], list[T]]:
-        admitted, deferred = throttle_schedule(
-            schedule, request_of, is_materialized, self.available_slots
-        )
-        self.deferred_blocks += len(deferred)
-        return admitted, deferred
-
-
-class SessionThrottleShare:
-    """One session's weight-proportional slice of a shared §5.4 budget.
-
-    Exposes the same admission surface a
-    :class:`~repro.core.sender.Sender` uses on :class:`BackendThrottle`
-    (``available_slots`` + ``charge``).  The sender charges each request
-    it admits for a *new* backend fetch; a charged request occupies one
-    of this session's slots until its fetch completes (checked lazily
-    against the backend's in-flight set, so no completion hook is
-    needed).  Piggybacked fetches are never charged — only the session
-    that started the fetch holds the slot, exactly as the backend only
-    processes it once.
-    """
-
-    def __init__(
-        self, shared: "WeightedBackendThrottle", weight: float, label: str
-    ) -> None:
-        if weight <= 0:
-            raise ValueError("throttle share weight must be positive")
-        self.shared = shared
-        self.weight = weight
-        self.label = label
-        self._charged: set[int] = set()
-
-    @property
-    def active_requests(self) -> int:
-        """Distinct requests this session charged that are still in flight."""
-        self._charged = {r for r in self._charged if self.shared._is_inflight(r)}
-        return len(self._charged)
-
-    @property
-    def slot_share(self) -> int:
-        """This session's current slice of the capacity (≥ 1)."""
-        return self.shared.share_of(self)
-
-    @property
-    def available_slots(self) -> int:
-        """Slots this session may still spend on *new* fetches.
-
-        Bounded by both the weighted slice and the backend's live
-        global headroom: around churn events (a new tenant shrinking
-        everyone's slice, a leaver's fetches still draining) the slices
-        alone would transiently oversubscribe ``C`` — the hard §5.4
-        budget must hold regardless.
-        """
-        available = self.slot_share - self.active_requests
-        headroom = self.shared.global_headroom()
-        if headroom is not None:
-            available = min(available, headroom)
-        return max(0, available)
-
-    def charge(self, request: int) -> None:
-        self._charged.add(request)
-
-
-class WeightedBackendThrottle:
-    """Shared §5.4 budget split by per-session weights.
-
-    ``capacity`` is the backend's scalable concurrency ``C``;
-    ``is_inflight`` is the backend's in-flight predicate (used to expire
-    charges when fetches complete).  Sessions :meth:`attach` with the
-    same weight as their downlink fair share and :meth:`detach` on
-    departure, at which point their slice returns to the survivors.
-    Slices are a largest-remainder apportionment of ``C`` over the
-    weights (attach order breaks remainder ties), so they sum to
-    exactly ``C`` — no slot is stranded and none is double-counted —
-    except that every tenant keeps a floor of one slot: a low-weight
-    session is never starved of speculation entirely, at the cost of
-    mild oversubscription when there are more tenants than slots or
-    weights are extreme relative to ``C``.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        is_inflight: Callable[[int], bool],
-        active: Optional[Callable[[], int]] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._is_inflight = is_inflight
-        self._active = active
-        self._shares: list[SessionThrottleShare] = []
-        self._slices: dict[int, int] = {}  # id(share) -> apportioned slots
-
-    def global_headroom(self) -> Optional[int]:
-        """Capacity minus the backend's live request count (if known)."""
-        if self._active is None:
-            return None
-        return self.capacity - self._active()
-
-    def attach(
-        self, weight: float = 1.0, label: Optional[str] = None
-    ) -> SessionThrottleShare:
-        share = SessionThrottleShare(
-            self, weight, label or f"share{len(self._shares)}"
-        )
-        self._shares.append(share)
-        self._apportion()
-        return share
-
-    def detach(self, share: SessionThrottleShare) -> None:
-        if share in self._shares:
-            self._shares.remove(share)
-            self._apportion()
-
-    @property
-    def total_weight(self) -> float:
-        return sum(s.weight for s in self._shares)
-
-    @property
-    def attached(self) -> int:
-        return len(self._shares)
-
-    def share_of(self, share: SessionThrottleShare) -> int:
-        return self._slices.get(id(share), self.capacity)
-
-    def _apportion(self) -> None:
-        """Largest-remainder split of ``capacity`` over attached weights."""
-        total = self.total_weight
-        if not self._shares or total <= 0:
-            self._slices = {}
-            return
-        quotas = [self.capacity * s.weight / total for s in self._shares]
-        slots = [int(q) for q in quotas]
-        leftover = self.capacity - sum(slots)
-        by_remainder = sorted(
-            range(len(quotas)), key=lambda i: quotas[i] - slots[i], reverse=True
-        )
-        for i in by_remainder[:leftover]:
-            slots[i] += 1
-        self._slices = {
-            id(share): max(1, n) for share, n in zip(self._shares, slots)
-        }

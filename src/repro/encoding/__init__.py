@@ -4,7 +4,6 @@ round-robin row sampling for query results."""
 from .base import ProgressiveEncoder, padded_block_count, split_padded
 from .image import ImageAsset, ProgressiveImageEncoder
 from .naive import SingleBlockEncoder
-from .wavelet import WaveletEncoder, WaveletPass, wavelet_utility
 from .rowsample import (
     RowSampleEncoder,
     RowSamplePayload,
@@ -18,9 +17,6 @@ __all__ = [
     "padded_block_count",
     "split_padded",
     "SingleBlockEncoder",
-    "WaveletEncoder",
-    "WaveletPass",
-    "wavelet_utility",
     "ImageAsset",
     "ProgressiveImageEncoder",
     "RowSampleEncoder",

@@ -114,8 +114,7 @@ class FleetEnvironment:
     system; fleet experiments additionally vary how many sessions
     contend for the one downlink and backend.  ``weights`` sets the
     downlink fair shares (None = equal); ``backend_concurrency`` sizes
-    the *shared* §5.4 speculation budget over the common backend
-    (``weighted_backend`` slices it by the downlink weights); and
+    the *shared* §5.4 speculation budget over the common backend; and
     ``arrival`` selects the session churn process (None = the static
     all-at-t0 fleet).
 
@@ -127,8 +126,6 @@ class FleetEnvironment:
     env: EnvironmentConfig = DEFAULT_ENV
     weights: Optional[tuple[float, ...]] = None
     backend_concurrency: Optional[int] = None
-    weighted_backend: bool = False
-    batched_prediction: bool = True
     arrival: Optional[ArrivalConfig] = None
     #: Fault schedule for robustness runs (None = well-behaved world).
     #: Backend faults are wrapped around the fleet's backend, link
@@ -152,8 +149,6 @@ class FleetEnvironment:
             num_sessions=self.num_sessions,
             weights=self.weights,
             backend_concurrency=self.backend_concurrency,
-            weighted_backend=self.weighted_backend,
-            batched_prediction=self.batched_prediction,
             arrival=self.arrival,
             session=session,
             chaos=self.chaos,

@@ -2,15 +2,15 @@
 backend and downlink resources, under static or churning populations.
 
 :mod:`repro.fleet.fleet` assembles the shared substrate — one backend
-(cross-session fetch dedup, shared or weight-sliced §5.4 speculation
-budget) and one weighted fair-shared downlink — and builds an
-independent Khameleon stack per session.  :mod:`repro.fleet.lifecycle`
+(cross-session fetch dedup, one shared §5.4 speculation budget) and
+one weighted fair-shared downlink — and builds an independent
+Khameleon stack per session.  :mod:`repro.fleet.lifecycle`
 turns that static assembly into a *serving layer*: a
 :class:`SessionManager` drives an open-loop arrival/departure process
 (Poisson arrivals, lognormal dwell times, admission control when the
 fleet is oversubscribed), with sessions acquiring their fair-share
-port, throttle share, and metrics collector at arrival and releasing
-them at departure.  The closed N-session fleet is exactly the
+port and metrics collector at arrival and releasing them at
+departure.  The closed N-session fleet is exactly the
 degenerate :class:`ArrivalConfig`: all arrivals at t = 0, no
 departures.
 

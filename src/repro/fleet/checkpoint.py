@@ -51,6 +51,7 @@ __all__ = [
     "CheckpointStore",
     "capture_session",
     "capture_shard",
+    "read_checkpoint",
     "SyncOffer",
     "AdoptOrder",
 ]
@@ -73,6 +74,47 @@ def _require_int(payload: dict, key: str, minimum: int = 0) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"corrupt checkpoint entry: {key}={value!r}")
     return value
+
+
+def read_checkpoint(
+    path: str,
+    magic: str,
+    version: int,
+    n: Optional[int] = None,
+    sections: tuple[str, ...] = (),
+) -> dict:
+    """Decode the versioned JSON checkpoint at ``path``; check its header.
+
+    Every fault is a :class:`ValueError`: the file is not a JSON object
+    whose ``format`` is ``magic``; its ``format_version`` is not
+    ``version``; its ``n`` is not a positive integer, or not ``n`` when
+    one is expected; or one of ``sections`` is present but not an
+    object.  Returns the payload for the caller to read the body.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path!s} is not a saved checkpoint: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != magic:
+        raise ValueError(f"{path!s} is not a saved checkpoint")
+    found = payload.get("format_version")
+    if found != version:
+        raise ValueError(
+            f"checkpoint format v{found} unsupported (expected v{version})"
+        )
+    try:
+        saved_n = _require_int(payload, "n", minimum=1)
+    except ValueError as exc:
+        raise ValueError(f"{path!s} is not a saved checkpoint: {exc}") from exc
+    if n is not None and saved_n != n:
+        raise ValueError(f"checkpoint over {saved_n} requests, expected {n}")
+    for key in sections:
+        if not isinstance(payload.get(key, {}), dict):
+            raise ValueError(
+                f"{path!s} is not a saved checkpoint: {key} is not an object"
+            )
+    return payload
 
 
 @dataclass(frozen=True)
@@ -361,27 +403,15 @@ class FleetCheckpoint:
         pass the app's ``num_requests`` so a checkpoint from a different
         application is rejected before it corrupts every session.
         """
+        payload = read_checkpoint(
+            path, MAGIC, FORMAT_VERSION, n=n, sections=("shards",)
+        )
+        saved_n = payload["n"]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path!s} is not a saved checkpoint: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format") != MAGIC:
-            raise ValueError(f"{path!s} is not a saved checkpoint")
-        version = payload.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint format v{version} unsupported "
-                f"(expected v{FORMAT_VERSION})"
-            )
-        try:
-            saved_n = _require_int(payload, "n", minimum=1)
             num_shards = _require_int(payload, "num_shards", minimum=1)
             shards_payload = payload["shards"]
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path!s} is not a saved checkpoint: {exc}") from exc
-        if n is not None and saved_n != n:
-            raise ValueError(f"checkpoint over {saved_n} requests, expected {n}")
         drained = payload.get("drained_at_round")
         if drained is not None and (not isinstance(drained, int) or drained < 0):
             raise ValueError(f"corrupt checkpoint entry: drained_at_round={drained!r}")

@@ -14,11 +14,8 @@ that contend for exactly two shared resources:
   duplicate (``stats.piggybacked``), and B's later fetches hit A's
   cached responses (``stats.cache_hits``).  With
   ``backend_concurrency`` set, all sessions draw §5.4 throttle slots
-  from one shared budget — a single global
-  :class:`~repro.core.throttle.BackendThrottle`, or (with
-  ``weighted_backend``) a
-  :class:`~repro.core.throttle.WeightedBackendThrottle` that splits
-  the budget in proportion to each session's downlink weight.
+  from one shared budget, a single global
+  :class:`~repro.core.throttle.BackendThrottle`.
 
 * **the downlink.**  Senders transmit through per-session
   :class:`~repro.sim.fairshare.FairSharePort` handles of one
@@ -26,8 +23,8 @@ that contend for exactly two shared resources:
   weight among backlogged sessions and one aggressive sender cannot
   starve the rest.
 
-**Sessions are dynamic.**  Each session acquires its port, throttle
-share, and metrics collector when it is *admitted*
+**Sessions are dynamic.**  Each session acquires its port and metrics
+collector when it is *admitted*
 (:meth:`admit_session`) and releases them when it *departs*
 (:meth:`retire_session`).  With the default static
 :class:`~repro.fleet.lifecycle.ArrivalConfig` every session is admitted
@@ -51,7 +48,7 @@ from repro.backends.base import Backend
 from repro.chaos import BackendFaultStack, ChaosConfig
 from repro.core.scheduler import GainTable
 from repro.core.session import KhameleonSession, SessionConfig
-from repro.core.throttle import BackendThrottle, WeightedBackendThrottle
+from repro.core.throttle import BackendThrottle
 from repro.core.utility import UtilityFunction
 from repro.metrics.fleet import FleetSummary, collect_fleet, jain_fairness
 from repro.predictors.base import Predictor
@@ -79,10 +76,6 @@ class FleetConfig:
     backend_concurrency:
         Size of the *shared* §5.4 throttle budget over the common
         backend; ``None`` leaves speculation unthrottled.
-    weighted_backend:
-        Mirror the downlink weights in the backend budget: each session
-        owns a weight-proportional slice of ``backend_concurrency``
-        instead of racing for one global pool.
     batched_prediction:
         Coalesce the per-session 150 ms prediction ticks into one
         :class:`~repro.fleet.schedule_service.FleetScheduleService`
@@ -90,7 +83,8 @@ class FleetConfig:
         predictions together, one uplink latency later, decoding each
         stock predictor family in one stacked pass (default True —
         bit-identical for static fleets, one sim event per tick instead
-        of N).  Set False to fall back to per-session periodic ticks.
+        of N).  False runs per-session periodic ticks: the reference
+        tests compare the batched path against; no CLI path sets it.
     arrival:
         The session arrival/departure process.  ``None`` (or any
         :class:`ArrivalConfig` whose ``is_static`` holds) is the
@@ -125,7 +119,6 @@ class FleetConfig:
     num_sessions: int = 1
     weights: Optional[Sequence[float]] = None
     backend_concurrency: Optional[int] = None
-    weighted_backend: bool = False
     batched_prediction: bool = True
     arrival: Optional[ArrivalConfig] = None
     session: SessionConfig = field(default_factory=SessionConfig)
@@ -140,8 +133,6 @@ class FleetConfig:
             raise ValueError(
                 f"{len(self.weights)} weights for {self.num_sessions} sessions"
             )
-        if self.weighted_backend and self.backend_concurrency is None:
-            raise ValueError("weighted_backend needs a backend_concurrency budget")
 
     def weight_of(self, i: int) -> float:
         return 1.0 if self.weights is None else float(self.weights[i])
@@ -226,18 +217,11 @@ class KhameleonFleet:
             if isinstance(downlink, SharedDownlink)
             else SharedDownlink(sim, downlink)
         )
-        self.throttle: Optional[Union[BackendThrottle, WeightedBackendThrottle]] = None
+        self.throttle: Optional[BackendThrottle] = None
         if cfg.backend_concurrency is not None:
-            if cfg.weighted_backend:
-                self.throttle = WeightedBackendThrottle(
-                    cfg.backend_concurrency,
-                    is_inflight=backend.is_inflight,
-                    active=lambda: backend.active_requests,
-                )
-            else:
-                self.throttle = BackendThrottle(
-                    cfg.backend_concurrency, active=lambda: backend.active_requests
-                )
+            self.throttle = BackendThrottle(
+                cfg.backend_concurrency, active=lambda: backend.active_requests
+            )
 
         self._make_predictor = make_predictor
         self._utility = utility
@@ -290,17 +274,13 @@ class KhameleonFleet:
     def admit_session(self, i: int) -> KhameleonSession:
         """Build session ``i`` and attach its shared-resource handles.
 
-        This is the acquisition point: the fair-share port, the
-        (possibly weighted) throttle share, and the metrics collector
-        all come into existence here — at arrival, not at fleet
-        construction.
+        This is the acquisition point: the fair-share port and the
+        metrics collector come into existence here — at arrival, not at
+        fleet construction.
         """
-        cfg = self.config
-        weight = cfg.weight_of(i)
-        port = self.shared_downlink.port(weight, label=f"session{i}")
-        throttle = self.throttle
-        if isinstance(throttle, WeightedBackendThrottle):
-            throttle = throttle.attach(weight, label=f"session{i}")
+        port = self.shared_downlink.port(
+            self.config.weight_of(i), label=f"session{i}"
+        )
         session = KhameleonSession(
             sim=self.sim,
             backend=self.backend,
@@ -310,7 +290,7 @@ class KhameleonFleet:
             downlink=port,
             uplink=self._make_uplink(i),
             config=self._session_config(i),
-            throttle=throttle,
+            throttle=self.throttle,
             schedule_service=self.schedule_service,
             gains=self._gains,
         )
@@ -327,8 +307,6 @@ class KhameleonFleet:
         must not occupy capacity surviving sessions should get.
         """
         session.stop()
-        if isinstance(self.throttle, WeightedBackendThrottle):
-            self.throttle.detach(session.throttle)
         return session.downlink.close()
 
     # -- lifecycle -----------------------------------------------------

@@ -23,11 +23,11 @@ Two pieces implement that here:
   ``max_concurrent`` sessions are already attached — an oversubscribed
   fleet should shed load at the door, not thrash every tenant), asks the
   fleet to *build and attach* the session — which is when the session
-  acquires its :class:`~repro.sim.fairshare.FairSharePort`, its backend
-  throttle share, and its metrics collector — and starts it.  At the
-  departure time it stops the session and releases those resources
+  acquires its :class:`~repro.sim.fairshare.FairSharePort` and its
+  metrics collector — and starts it.  At the departure time it stops
+  the session and releases those resources
   (:meth:`~repro.sim.fairshare.FairSharePort.close` retires the port
-  mid-backlog; a weighted throttle share returns to the pool).
+  mid-backlog).
 
 The manager records a :class:`SessionRecord` per planned session —
 including rejected ones — so churn metrics (per-cohort latency,
@@ -263,8 +263,7 @@ class SessionManager:
     fleet:
         The :class:`~repro.fleet.fleet.KhameleonFleet` whose
         ``admit_session`` / ``retire_session`` acquire and release the
-        per-session resources (fair-share port, throttle share, metrics
-        collector).
+        per-session resources (fair-share port, metrics collector).
     arrival:
         The churn process.
     on_admit / on_depart / on_reject:

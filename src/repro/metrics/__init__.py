@@ -22,12 +22,10 @@ from .fleet import (
     FleetSummary,
     collect_cohorts,
     collect_fleet,
-    collect_windows,
     early_hit_rate,
     jain_fairness,
 )
-from .report import format_table, format_series
-from .timeseries import WindowMetrics, bin_outcomes
+from .report import format_table
 
 __all__ = [
     "MetricSummary",
@@ -36,13 +34,9 @@ __all__ = [
     "CohortSummary",
     "collect_fleet",
     "collect_cohorts",
-    "collect_windows",
     "early_hit_rate",
     "jain_fairness",
     "convergence_curve",
     "overpush_rate",
     "format_table",
-    "format_series",
-    "WindowMetrics",
-    "bin_outcomes",
 ]

@@ -10,11 +10,9 @@ delivered bytes and the backend's cross-session dedup rate.
 Under **churn** a single run-wide aggregate is misleading: sessions
 that arrive into a loaded fleet see different service than the t = 0
 pioneers, and a session's first seconds (cold predictor, empty cache)
-differ from its steady state.  Three churn-aware views make metrics
+differ from its steady state.  Two churn-aware views make metrics
 comparable:
 
-* :func:`collect_windows` — the pooled stream re-aggregated per
-  wall-clock window, so load transients are visible;
 * :func:`collect_cohorts` — sessions grouped into arrival-time cohorts
   (all t = 0 sessions form one cohort in the static degenerate case);
 * :func:`early_hit_rate` — the cache-hit rate over a session's first
@@ -30,13 +28,11 @@ from typing import Optional, Sequence
 from repro.core.cache_manager import RequestOutcome
 
 from .collector import MetricSummary, collect
-from .timeseries import WindowMetrics, bin_outcomes
 
 __all__ = [
     "FleetSummary",
     "CohortSummary",
     "collect_fleet",
-    "collect_windows",
     "collect_cohorts",
     "early_hit_rate",
     "jain_fairness",
@@ -98,23 +94,6 @@ def collect_fleet(
             for outcomes in outcomes_by_session
         ),
     )
-
-
-def collect_windows(
-    outcomes_by_session: Sequence[Sequence[RequestOutcome]],
-    window_s: float,
-    duration_s: float = 0.0,
-) -> list[WindowMetrics]:
-    """Fleet-pooled time-windowed metrics.
-
-    Pools every session's outcome stream and slices it with
-    :func:`repro.metrics.timeseries.bin_outcomes`, so the per-window
-    accounting matches the single-session debugging view.  Under churn
-    this is the load curve: windows where arrivals outpace departures
-    show their latency cost instead of averaging into the run total.
-    """
-    pooled = [o for outcomes in outcomes_by_session for o in outcomes]
-    return bin_outcomes(pooled, window_s, duration_s=duration_s)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness prints the same rows/series the paper's figures
-plot; these helpers keep that output consistent and diff-friendly.
+The benchmark harness prints the same rows the paper's figures plot;
+this helper keeps that output consistent and diff-friendly.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def _fmt(value: Any) -> str:
@@ -46,12 +46,3 @@ def format_table(rows: Sequence[Mapping[str, Any]], title: str = "") -> str:
         out.append("  ".join(v.ljust(w) for v, w in zip(line, widths)))
     return "\n".join(out)
 
-
-def format_series(
-    name: str, xs: Sequence[Any], ys: Sequence[Any], x_label: str = "x", y_label: str = "y"
-) -> str:
-    """Render one figure series as ``name: (x, y) ...`` pairs."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    pairs = ", ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in zip(xs, ys))
-    return f"{name} [{x_label} -> {y_label}]: {pairs}"

@@ -31,7 +31,6 @@ from .layout import BoundingBox, ChartLayout, GridLayout
 from .markov import MarkovModel, make_markov_predictor
 from .oracle import make_oracle_predictor
 from .shared import SharedTransitionPrior, make_shared_markov_predictor
-from .perfect import make_acc_predictor
 from .simple import (
     HoverClientPredictor,
     make_hover_predictor,
@@ -54,7 +53,6 @@ __all__ = [
     "KalmanState",
     "make_kalman_predictor",
     "make_oracle_predictor",
-    "make_acc_predictor",
     "make_point_predictor",
     "make_uniform_predictor",
     "make_hover_predictor",

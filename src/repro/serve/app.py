@@ -25,9 +25,9 @@ Session lifecycle maps 1:1 onto the fleet's attach/detach points:
   metric surfaces (:mod:`repro.metrics`) observe the live session
   exactly as they observe a simulated one;
 * a disconnect (or ``bye``) is a *departure*:
-  :meth:`KhameleonFleet.retire_session` stops the session, releases
-  its throttle share, and drops its port's backlog so surviving
-  sessions immediately reclaim the capacity.
+  :meth:`KhameleonFleet.retire_session` stops the session and drops
+  its port's backlog so surviving sessions immediately reclaim the
+  capacity.
 
 The modeled egress link is the pacing authority: blocks reach the
 socket at the configured bandwidth/latency, so one serve process
@@ -47,6 +47,7 @@ from repro.clock import WallClock
 from repro.core.blocks import Block
 from repro.core.session import KhameleonSession, SessionConfig
 from repro.experiments.configs import FleetEnvironment
+from repro.fleet.checkpoint import read_checkpoint
 from repro.fleet.fleet import FleetConfig, KhameleonFleet
 from repro.fleet.lifecycle import ArrivalConfig
 from repro.metrics.collector import collect
@@ -735,36 +736,27 @@ class KhameleonServeApp:
     def _load_checkpoint(self, path: str) -> None:
         """Warm the prior and token table from a drained predecessor.
 
-        Fail-fast validation in the style of
-        :meth:`SharedTransitionPrior.load`: not-a-checkpoint, version,
-        and universe mismatches each raise a clear :class:`ValueError`
-        before any client connects.
+        Fail-fast validation (:func:`~repro.fleet.checkpoint.read_checkpoint`
+        for the header): a malformed file raises a clear
+        :class:`ValueError` before any client connects.
         """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path!s} is not a saved checkpoint: {exc}") from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != self.CHECKPOINT_MAGIC
+        payload = read_checkpoint(
+            path,
+            self.CHECKPOINT_MAGIC,
+            self.CHECKPOINT_VERSION,
+            n=self.app.num_requests,
+            sections=("prior", "tokens"),
+        )
+        coo = payload.get("prior", {}).get("coo", [])
+        if not isinstance(coo, list) or not all(
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(type(v) is int for v in entry)
+            for entry in coo
         ):
-            raise ValueError(f"{path!s} is not a saved checkpoint")
-        version = payload.get("format_version")
-        if version != self.CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint format v{version} unsupported "
-                f"(expected v{self.CHECKPOINT_VERSION})"
-            )
-        saved_n = payload.get("n")
-        if saved_n != self.app.num_requests:
-            raise ValueError(
-                f"checkpoint over {saved_n} requests, "
-                f"expected {self.app.num_requests}"
-            )
-        for entry in payload.get("prior", {}).get("coo", []):
-            prev, nxt, count = entry
-            self.prior.warm(int(prev), int(nxt), int(count))
+            raise ValueError(f"{path!s} is not a saved checkpoint: bad prior coo")
+        for prev, nxt, count in coo:
+            self.prior.warm(prev, nxt, count)
         for token, info in payload.get("tokens", {}).items():
             try:
                 weight = float(info.get("weight", 1.0))

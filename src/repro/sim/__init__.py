@@ -8,7 +8,6 @@ bandwidth estimator of §5.4 (:mod:`.bandwidth`).
 """
 
 from .bandwidth import HarmonicMeanEstimator, ReceiveRateMonitor
-from .estimators import EWMAEstimator, SlidingMaxEstimator
 from .failures import OutageLink
 from .cellular import ATT_LTE, VERIZON_LTE, CellularProfile, CellularTraceGenerator
 from .engine import EventHandle, SimulationError, Simulator
@@ -34,7 +33,5 @@ __all__ = [
     "ATT_LTE",
     "HarmonicMeanEstimator",
     "ReceiveRateMonitor",
-    "EWMAEstimator",
-    "SlidingMaxEstimator",
     "OutageLink",
 ]

@@ -30,7 +30,6 @@ from repro.predictors.kalman import make_kalman_predictor
 from repro.predictors.layout import GridLayout
 from repro.predictors.markov import make_markov_predictor
 from repro.predictors.oracle import make_oracle_predictor
-from repro.predictors.perfect import make_acc_predictor
 from repro.predictors.simple import make_point_predictor, make_uniform_predictor
 from repro.clock import Clock
 
@@ -169,19 +168,4 @@ class ImageExplorationApp:
             # (the fleet runner swaps in the crowd-shared variant when
             # asked for "shared-markov").
             return make_markov_predictor(self.num_requests, deltas_s=deltas_s)
-        if name.startswith("acc-"):
-            # ACC's oracle signal as a *Khameleon* predictor (Fig. 9):
-            # name format acc-<accuracy>-<horizon>.
-            if trace is None:
-                raise ValueError("ACC predictor needs the replay trace")
-            parts = name.split("-")
-            if len(parts) != 3:
-                raise ValueError(f"bad ACC spec {name!r} (want acc-<acc>-<hor>)")
-            return make_acc_predictor(
-                self.num_requests,
-                [e.request for e in trace.requests()],
-                accuracy=float(parts[1]),
-                horizon=int(parts[2]),
-                deltas_s=deltas_s,
-            )
         raise ValueError(f"unknown predictor {name!r}")

@@ -7,16 +7,11 @@ from repro.backends import (
     ColumnTable,
     FileSystemBackend,
     HistogramQuery,
-    KeyValueBackend,
     RangeFilter,
     ScalableSQLDatabase,
     SimulatedSQLDatabase,
 )
-from repro.core.throttle import (
-    BackendThrottle,
-    WeightedBackendThrottle,
-    throttle_schedule,
-)
+from repro.core.throttle import BackendThrottle
 from repro.encoding import ImageAsset, ProgressiveImageEncoder
 from repro.sim import Simulator
 
@@ -80,24 +75,6 @@ class TestFileSystemBackend:
     def test_unbounded_scalability(self):
         sim = Simulator()
         assert make_fs_backend(sim).scalable_concurrency is None
-
-
-class TestKeyValueBackend:
-    def test_value_passed_to_encoder(self):
-        from repro.encoding import SingleBlockEncoder
-
-        sim = Simulator()
-        backend = KeyValueBackend(
-            sim,
-            SingleBlockEncoder(size_of=lambda r: 100),
-            value_of=lambda r: f"value-{r}",
-            get_latency_s=0.002,
-        )
-        done = []
-        backend.fetch(3, lambda r: done.append(r.blocks[0].payload))
-        sim.run()
-        assert done == ["value-3"]
-        assert sim.now == pytest.approx(0.002)
 
 
 def flights_table(n=10_000, seed=0):
@@ -258,157 +235,13 @@ class TestScalableSQLDatabase:
 
 
 class TestThrottle:
-    def test_admits_within_budget(self):
-        schedule = [(r, b) for r, b in [(1, 0), (2, 0), (1, 1), (3, 0)]]
-        admitted, deferred = throttle_schedule(
-            schedule, lambda it: it[0], lambda r: False, available_slots=2
-        )
-        assert admitted == [(1, 0), (2, 0), (1, 1)]
-        assert deferred == [(3, 0)]
-
-    def test_materialized_requests_bypass_budget(self):
-        schedule = [(1, 0), (2, 0), (3, 0)]
-        admitted, deferred = throttle_schedule(
-            schedule, lambda it: it[0], lambda r: r == 3, available_slots=1
-        )
-        assert admitted == [(1, 0), (3, 0)]
-        assert deferred == [(2, 0)]
-
-    def test_zero_budget_defers_all_new(self):
-        schedule = [(1, 0), (2, 0)]
-        admitted, deferred = throttle_schedule(
-            schedule, lambda it: it[0], lambda r: False, available_slots=0
-        )
-        assert admitted == []
-        assert deferred == schedule
-
     def test_stateful_throttle_tracks_live_load(self):
         active = [0]
         throttle = BackendThrottle(capacity=3, active=lambda: active[0])
         assert throttle.available_slots == 3
         active[0] = 2
         assert throttle.available_slots == 1
-        admitted, deferred = throttle.apply(
-            [(1, 0), (2, 0)], lambda it: it[0], lambda r: False
-        )
-        assert len(admitted) == 1
-        assert throttle.deferred_blocks == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BackendThrottle(0, lambda: 0)
-        with pytest.raises(ValueError):
-            throttle_schedule([], lambda it: 0, lambda r: False, -1)
-
-    def test_global_throttle_charge_is_a_noop(self):
-        throttle = BackendThrottle(capacity=2, active=lambda: 0)
-        throttle.charge(7)
-        assert throttle.available_slots == 2
-
-
-class TestWeightedThrottle:
-    def test_shares_split_by_weight(self):
-        """A weight-2 session owns ~2x the speculation slots (§5.4)."""
-        inflight = set()
-        throttle = WeightedBackendThrottle(6, is_inflight=inflight.__contains__)
-        heavy = throttle.attach(2.0, label="heavy")
-        light = throttle.attach(1.0, label="light")
-        assert heavy.slot_share == 4
-        assert light.slot_share == 2
-        assert heavy.available_slots == 2 * light.available_slots
-
-    def test_contention_admits_by_weight(self):
-        """Under contention each session fills exactly its own slice."""
-        inflight = set()
-        throttle = WeightedBackendThrottle(6, is_inflight=inflight.__contains__)
-        heavy = throttle.attach(2.0)
-        light = throttle.attach(1.0)
-        request = iter(range(100))
-
-        def fill(share):
-            admitted = 0
-            while share.available_slots > 0:
-                r = next(request)
-                share.charge(r)
-                inflight.add(r)  # fetch starts and stays in flight
-                admitted += 1
-            return admitted
-
-        assert fill(heavy) == 4
-        assert fill(light) == 2
-        # Saturated: neither admits another new request.
-        assert heavy.available_slots == 0
-        assert light.available_slots == 0
-
-    def test_charges_expire_when_fetches_complete(self):
-        inflight = {1, 2}
-        throttle = WeightedBackendThrottle(4, is_inflight=inflight.__contains__)
-        share = throttle.attach(1.0)
-        share.charge(1)
-        share.charge(2)
-        assert share.available_slots == 2
-        inflight.discard(1)  # backend finished request 1
-        assert share.active_requests == 1
-        assert share.available_slots == 3
-
-    def test_detach_returns_share_to_survivors(self):
-        inflight = set()
-        throttle = WeightedBackendThrottle(6, is_inflight=inflight.__contains__)
-        a = throttle.attach(1.0)
-        b = throttle.attach(1.0)
-        assert a.slot_share == 3
-        throttle.detach(b)
-        assert a.slot_share == 6
-        throttle.detach(b)  # idempotent
-        assert throttle.attached == 1
-
-    def test_global_headroom_caps_slices_during_churn(self):
-        """Around attach/detach the slices alone can transiently exceed
-        C (a leaver's fetches still draining, a newcomer's fresh slice);
-        the live global headroom keeps the hard §5.4 budget intact."""
-        inflight = set()
-        active = [0]
-        throttle = WeightedBackendThrottle(
-            5, is_inflight=inflight.__contains__, active=lambda: active[0]
-        )
-        lone = throttle.attach(1.0)
-        # The lone tenant filled the whole budget ...
-        for r in range(5):
-            lone.charge(r)
-            inflight.add(r)
-        active[0] = 5
-        # ... then a second tenant attaches: its slice says 2, but the
-        # backend is already processing C requests.
-        late = throttle.attach(1.0)
-        assert late.slot_share == 2
-        assert late.available_slots == 0
-        # Slots open up only as the backend actually drains.
-        active[0] = 4
-        assert late.available_slots == 1
-
-    def test_slices_sum_to_capacity(self):
-        """Largest-remainder apportionment: no slot stranded, none
-        double-counted, even when quotas don't divide evenly."""
-        throttle = WeightedBackendThrottle(5, is_inflight=lambda r: False)
-        a = throttle.attach(1.0)
-        b = throttle.attach(1.0)
-        assert a.slot_share + b.slot_share == 5
-        assert a.slot_share == 3  # attach order breaks the remainder tie
-        c = throttle.attach(1.0)
-        assert a.slot_share + b.slot_share + c.slot_share == 5
-        throttle.detach(a)
-        assert b.slot_share + c.slot_share == 5
-
-    def test_minimum_one_slot_per_tenant(self):
-        """Low-weight tenants keep a speculation floor of one slot."""
-        throttle = WeightedBackendThrottle(2, is_inflight=lambda r: False)
-        throttle.attach(100.0)
-        tiny = throttle.attach(0.01)
-        assert tiny.slot_share == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightedBackendThrottle(0, is_inflight=lambda r: False)
-        throttle = WeightedBackendThrottle(2, is_inflight=lambda r: False)
-        with pytest.raises(ValueError):
-            throttle.attach(0.0)

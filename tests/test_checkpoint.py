@@ -213,6 +213,16 @@ class TestLoadFailsFast:
         with pytest.raises(ValueError, match="is not a saved checkpoint"):
             FleetCheckpoint.load(str(path))
 
+    def test_shards_not_an_object(self, tmp_path):
+        bundle = FleetCheckpoint(n=64, num_shards=1, sync_interval_s=1.0)
+        path = tmp_path / "shards_list.json"
+        bundle.save(str(path))
+        payload = json.loads(path.read_text())
+        payload["shards"] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="shards is not an object"):
+            FleetCheckpoint.load(str(path))
+
     @given(
         bundle=fleet_checkpoints(),
         key=st.sampled_from(

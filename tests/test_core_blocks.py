@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.blocks import Block, ProgressiveResponse, RequestSpace
+from repro.core.blocks import Block, ProgressiveResponse
 
 
 def make_response(request=0, nb=4, size=100):
@@ -66,39 +66,3 @@ class TestProgressiveResponse:
     def test_iteration(self):
         assert [b.index for b in make_response(nb=3)] == [0, 1, 2]
 
-
-class TestRequestSpace:
-    def test_roundtrip(self):
-        space = RequestSpace(["a", "b", "c"])
-        assert len(space) == 3
-        assert space.id_of("b") == 1
-        assert space.key_of(1) == "b"
-
-    def test_tuple_keys(self):
-        keys = [(r, c) for r in range(3) for c in range(3)]
-        space = RequestSpace(keys)
-        assert space.key_of(space.id_of((2, 1))) == (2, 1)
-
-    def test_duplicate_keys_rejected(self):
-        with pytest.raises(ValueError):
-            RequestSpace(["a", "a"])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RequestSpace([])
-
-    def test_unknown_key(self):
-        space = RequestSpace(["a"])
-        with pytest.raises(KeyError):
-            space.id_of("z")
-        assert space.get_id("z") is None
-        assert "z" not in space
-        assert "a" in space
-
-    def test_bad_id(self):
-        space = RequestSpace(["a"])
-        with pytest.raises(IndexError):
-            space.key_of(5)
-
-    def test_iteration_preserves_order(self):
-        assert list(RequestSpace(["x", "y"])) == ["x", "y"]

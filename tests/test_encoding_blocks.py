@@ -18,12 +18,10 @@ from repro.encoding import (
     ProgressiveImageEncoder,
     RowSampleEncoder,
     SingleBlockEncoder,
-    WaveletEncoder,
     split_padded,
 )
 from repro.encoding.image import ImageScan
 from repro.encoding.rowsample import RowSamplePayload
-from repro.encoding.wavelet import WaveletPass
 from repro.experiments.configs import DEFAULT_ENV
 from repro.experiments.runner import run_khameleon
 from repro.workloads.image_app import ImageExplorationApp
@@ -46,14 +44,6 @@ def eager_response(request, sizes, payloads):
 def eager_image(request, total_bytes, block_bytes):
     sizes = split_padded(total_bytes, block_bytes)
     payloads = [ImageScan(request + 100, i, len(sizes)) for i in range(len(sizes))]
-    return eager_response(request, sizes, payloads)
-
-
-def eager_wavelet(request, total_bytes, block_bytes, decay):
-    sizes = split_padded(total_bytes, block_bytes)
-    total = len(sizes)
-    norm = sum(decay**k for k in range(total))
-    payloads = [WaveletPass(request, k, total, decay**k / norm) for k in range(total)]
     return eager_response(request, sizes, payloads)
 
 
@@ -105,7 +95,7 @@ def byte_sizes(draw):
 @st.composite
 def encoded_pairs(draw):
     """(lazy response from the encoder, eager oracle response)."""
-    kind = draw(st.sampled_from(["image", "naive", "rowsample", "wavelet"]))
+    kind = draw(st.sampled_from(["image", "naive", "rowsample"]))
     request = draw(st.integers(min_value=0, max_value=50))
     if kind == "rowsample":
         n_rows = draw(st.integers(min_value=1, max_value=120))
@@ -119,10 +109,6 @@ def encoded_pairs(draw):
         assets = {request: ImageAsset(image_id=request + 100, size_bytes=total)}
         lazy = ProgressiveImageEncoder(assets, block).encode(request)
         return lazy, eager_image(request, total, block)
-    if kind == "wavelet":
-        decay = draw(st.sampled_from([0.3, 0.5, 0.9]))
-        lazy = WaveletEncoder(lambda r: total, block, decay).encode(request)
-        return lazy, eager_wavelet(request, total, block, decay)
     lazy = SingleBlockEncoder(lambda r: total).encode(request, "data")
     return lazy, eager_response(request, [total], ["data"])
 

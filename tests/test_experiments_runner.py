@@ -287,18 +287,3 @@ class TestRunFleetChurn:
         assert set(row_labels) <= set(labels)
         # At least one admitted user is NOT at their list position.
         assert labels != [str(i) for i in range(len(labels))]
-
-
-class TestACCAsKhameleonPredictor:
-    def test_acc_oracle_signal_drives_the_push_scheduler(self, app, trace):
-        """Fig. 9's 'Khameleon vs ACC using perfect predictors': the
-        ACC baselines' oracle signal plugged into Khameleon's push
-        architecture outperforms the same signal in the pull-based
-        prefetcher — the architecture, not the prediction, is the win."""
-        from repro.experiments.runner import run_classic, run_khameleon
-
-        kham = run_khameleon(app, trace, DEFAULT_ENV, predictor="acc-1-5")
-        pull = run_classic(app, trace, DEFAULT_ENV, acc=(1.0, 5))
-        assert kham.system == "khameleon-acc-1-5"
-        assert kham.summary.mean_latency_s < pull.summary.mean_latency_s
-        assert kham.summary.cache_hit_rate > pull.summary.cache_hit_rate

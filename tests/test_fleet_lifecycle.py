@@ -3,7 +3,6 @@
 import pytest
 
 from repro.backends import FileSystemBackend
-from repro.core.throttle import SessionThrottleShare
 from repro.core import LinearUtility, SessionConfig
 from repro.encoding import ImageAsset, ProgressiveImageEncoder
 from repro.fleet import ArrivalConfig, FleetConfig, KhameleonFleet
@@ -18,19 +17,15 @@ def make_fleet(
     n=6,
     nb=3,
     bw=1_000_000,
-    fetch_delay=0.0,
     weights=None,
-    backend_concurrency=None,
-    weighted_backend=False,
     arrival=None,
     predictor="point",
     cache_blocks=24,
-    lookahead=4,
 ):
     sim = Simulator()
     assets = {i: ImageAsset(image_id=i, size_bytes=nb * BLOCK) for i in range(n)}
     encoder = ProgressiveImageEncoder(assets, block_size_bytes=BLOCK)
-    backend = FileSystemBackend(sim, encoder, fetch_delay_s=fetch_delay)
+    backend = FileSystemBackend(sim, encoder)
     link = FixedRateLink(sim, bytes_per_second=bw, propagation_delay_s=0.01)
     make = make_point_predictor if predictor == "point" else make_uniform_predictor
     fleet = KhameleonFleet(
@@ -44,14 +39,12 @@ def make_fleet(
         config=FleetConfig(
             num_sessions=num_sessions,
             weights=weights,
-            backend_concurrency=backend_concurrency,
-            weighted_backend=weighted_backend,
             arrival=arrival,
             session=SessionConfig(
                 cache_bytes=cache_blocks * BLOCK,
                 block_bytes=BLOCK,
                 initial_bandwidth_bytes_per_s=float(bw),
-                lookahead=lookahead,
+                lookahead=4,
             ),
         ),
     )
@@ -109,8 +102,6 @@ class TestArrivalConfig:
             ArrivalConfig(max_concurrent=0)
         with pytest.raises(ValueError):
             ArrivalConfig().plan(0)
-        with pytest.raises(ValueError):
-            FleetConfig(num_sessions=2, weighted_backend=True)  # needs a budget
 
 
 class TestDegenerateCase:
@@ -477,68 +468,3 @@ class TestOracleUnderChurn:
         # be absolute time 3.15 -> request 3.
         assert dist.prob_of(0, 0.05) == pytest.approx(1.0)
         assert dist.prob_of(3, 0.05) < 0.01
-
-
-class TestWeightedBackendFleet:
-    def test_sessions_get_weighted_throttle_shares(self):
-        sim, fleet, backend = make_fleet(
-            2,
-            weights=[2.0, 1.0],
-            backend_concurrency=6,
-            weighted_backend=True,
-        )
-        heavy, light = (s.throttle for s in fleet.sessions)
-        assert isinstance(heavy, SessionThrottleShare)
-        assert heavy.slot_share == 4
-        assert light.slot_share == 2
-
-    def test_weighted_contention_respects_shares(self):
-        """Under backend contention each session speculates within its
-        weighted slice: the weight-2 session holds ~2x the in-flight
-        fetches of the weight-1 session."""
-        sim, fleet, backend = make_fleet(
-            2,
-            n=24,
-            nb=1,
-            fetch_delay=0.5,
-            weights=[2.0, 1.0],
-            backend_concurrency=6,
-            weighted_backend=True,
-            predictor="uniform",
-            lookahead=8,
-            cache_blocks=48,
-        )
-        heavy, light = (s.throttle for s in fleet.sessions)
-        peaks = {"heavy": 0, "light": 0}
-
-        def sample():
-            peaks["heavy"] = max(peaks["heavy"], heavy.active_requests)
-            peaks["light"] = max(peaks["light"], light.active_requests)
-
-        fleet.start()
-        sim.every(0.01, sample)
-        sim.run(until=2.0)
-        fleet.stop()
-        assert peaks["heavy"] <= 4  # never exceeds its slice
-        assert peaks["light"] <= 2
-        assert peaks["heavy"] >= 3  # actually used the bigger slice
-        assert peaks["light"] >= 1
-        # Global §5.4 invariant: combined slices fit the budget.
-        assert backend.stats.peak_concurrency <= 6
-
-    def test_departed_share_returns_to_pool(self):
-        arrival = ArrivalConfig(mean_dwell_s=0.5, dwell_sigma=0.0, max_concurrent=2)
-        sim, fleet, backend = make_fleet(
-            2,
-            weights=[1.0, 1.0],
-            backend_concurrency=4,
-            weighted_backend=True,
-            arrival=arrival,
-        )
-        fleet.start()
-        sim.run(until=0.3)
-        first = fleet.sessions[0].throttle
-        assert first.slot_share == 2  # two tenants attached
-        sim.run(until=5.0)
-        fleet.stop()
-        assert fleet.throttle.attached == 0  # both departed and detached

@@ -174,6 +174,108 @@ print(json.dumps(failures))
     assert not failures, "\n".join(failures)
 
 
+#: Modules a process starts in by name rather than by import.
+ENTRY_POINTS = {"repro.__main__", "repro.experiments.shard_worker"}
+
+#: Code outside ``src/`` that counts as a user; tests do not.
+USERS = [SRC.parent / d for d in ("examples", "bench", "benchmarks")]
+
+
+def _imported_modules(path: Path, module: str) -> set[str]:
+    """Every ``repro`` module ``path`` may load at run time.
+
+    ``from pkg import name`` counts for both ``pkg`` and ``pkg.name``;
+    imports under ``if TYPE_CHECKING`` do not count.
+    """
+    is_pkg = path.name == "__init__.py"
+    out: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                for base in _targets(child, module, is_pkg):
+                    out.add(base)
+                    if isinstance(child, ast.ImportFrom):
+                        out.update(f"{base}.{a.name}" for a in child.names)
+            elif not _is_type_checking(child):
+                visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return {m for m in out if m in MODULES}
+
+
+def _names_used(path: Path) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _reexports(init: Path, module: str) -> set[str]:
+    """Names the package ``init`` takes from its submodule ``module``."""
+    package = module.rsplit(".", 1)[0]
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and _targets(node, package, True)[0] == module
+        for alias in node.names
+    }
+
+
+def test_no_module_is_reachable_only_from_tests():
+    """Every module has a user that is not a test.
+
+    A module is used when another ``src/`` module, an example, the
+    ``bench/`` harness or a benchmark imports it, or it is an entry
+    point.  A package ``__init__`` re-export alone does not count: one
+    of the names it re-exports must then be used in ``src/``,
+    ``examples/``, ``bench/`` or ``benchmarks/``.
+    """
+    src_files = {
+        _module_name(p): p for p in sorted((SRC / "repro").rglob("*.py"))
+    }
+    user_files = [p for d in USERS for p in sorted(d.rglob("*.py"))]
+    importers: dict[str, set[str]] = {m: set() for m in MODULES}
+    for name, path in src_files.items():
+        for target in _imported_modules(path, name) - {name}:
+            importers[target].add(name)
+    for path in user_files:
+        for target in _imported_modules(path, "__user__"):
+            importers[target].add(str(path.relative_to(SRC.parent)))
+    names = {str(p): _names_used(p) for p in [*src_files.values(), *user_files]}
+
+    problems = []
+    for module, path in src_files.items():
+        if path.name == "__init__.py" or module in ENTRY_POINTS:
+            continue
+        package = module.rsplit(".", 1)[0]
+        users = importers[module]
+        if users - {package}:
+            continue
+        if users == {package}:
+            exported = _reexports(src_files[package], module)
+            elsewhere = [
+                n
+                for p, n in names.items()
+                if p not in (str(path), str(src_files[package]))
+            ]
+            if any(exported & n for n in elsewhere):
+                continue
+            problems.append(
+                f"{module}: only {package} re-exports it, and no user "
+                f"names any of {sorted(exported)}"
+            )
+        else:
+            problems.append(f"{module}: nothing outside the tests imports it")
+    assert not problems, "\n".join(problems)
+
+
 def test_serving_path_does_not_load_scipy():
     code = """
 import json, sys

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cache_manager import RequestOutcome, Upcall
 from repro.metrics.collector import collect, convergence_curve, overpush_rate
-from repro.metrics.report import format_series, format_table
+from repro.metrics.report import format_table
 
 
 def outcome(
@@ -114,16 +114,6 @@ class TestReport:
     def test_empty_table(self):
         assert "(no rows)" in format_table([])
 
-    def test_series(self):
-        text = format_series("s", [1, 2], [3.0, 4.0], "x", "y")
-        assert text.startswith("s [x -> y]:")
-        assert "(1, 3.000)" in text
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1], [1, 2])
-
-
 class TestChurnMetrics:
     def test_collect_cohorts_groups_by_arrival_bucket(self):
         from repro.metrics.fleet import collect_cohorts
@@ -156,19 +146,6 @@ class TestChurnMetrics:
             collect_cohorts([[]], [0.0, 1.0], cohort_width_s=1.0)
         with pytest.raises(ValueError):
             collect_cohorts([[]], [0.0], cohort_width_s=0.0)
-
-    def test_collect_windows_pools_sessions(self):
-        from repro.metrics.fleet import collect_windows
-
-        streams = [
-            [outcome(ts=0, registered=0.2, served=0.3)],
-            [outcome(ts=0, registered=1.7, served=1.9)],
-        ]
-        windows = collect_windows(streams, window_s=1.0)
-        assert len(windows) == 2
-        assert windows[0].num_requests == 1
-        assert windows[1].num_requests == 1
-        assert windows[1].start_s == 1.0
 
     def test_early_hit_rate_counts_first_k_registrations(self):
         from repro.metrics.fleet import early_hit_rate

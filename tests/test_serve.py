@@ -751,31 +751,46 @@ class TestGracefulDrain:
 
         run(main())
 
-    def test_checkpoint_in_rejects_wrong_universe(self, tmp_path):
+    @staticmethod
+    def _start_from_checkpoint(tmp_path, match, **fields):
+        """``start()`` on a hand-written checkpoint must raise ValueError."""
         import json
 
         path = str(tmp_path / "bad.ckpt.json")
+        payload = {
+            "format": "khameleon-serve-checkpoint",
+            "format_version": 1,
+            "n": 36,
+            "tokens": {},
+            "prior": {"transitions_observed": 0, "coo": []},
+        }
         with open(path, "w") as fh:
-            json.dump(
-                {
-                    "format": "khameleon-serve-checkpoint",
-                    "format_version": 1,
-                    "n": 999,
-                    "tokens": {},
-                    "prior": {"transitions_observed": 0, "coo": []},
-                },
-                fh,
-            )
+            json.dump({**payload, **fields}, fh)
 
         async def main():
             app = create_app(
                 make_env(), rows=6, cols=6, predictor="uniform", port=0,
                 checkpoint_in=path,
             )
-            with pytest.raises(ValueError, match="999"):
+            with pytest.raises(ValueError, match=match):
                 await app.start()
 
         run(main())
+
+    def test_checkpoint_in_rejects_wrong_universe(self, tmp_path):
+        self._start_from_checkpoint(tmp_path, "999", n=999)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"prior": []}, "prior is not an object"),
+            ({"tokens": []}, "tokens is not an object"),
+            ({"prior": {"transitions_observed": 0, "coo": [5]}}, "bad prior coo"),
+        ],
+        ids=["prior-list", "tokens-list", "coo-scalar-entry"],
+    )
+    def test_checkpoint_in_rejects_malformed_payload(self, tmp_path, fields, match):
+        self._start_from_checkpoint(tmp_path, match, **fields)
 
     def test_resume_grace_validation(self):
         with pytest.raises(ValueError, match="resume_grace_s"):
