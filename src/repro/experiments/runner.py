@@ -530,15 +530,17 @@ def run_fleet_sharded(
     :class:`~repro.fleet.checkpoint.ShardCheckpoint` snapshots at the
     configured sync-round cadence and offer them at the barrier.  The
     coordinator keeps the latest per shard: supervision respawns verify
-    their deterministic replay against the stored digests, shards lost
-    past the restart budget migrate to survivors or are re-absorbed
+    their deterministic replay against the stored digests, a shard lost
+    past the restart budget is replayed from its last checkpoint after
+    the barriers end, so its sessions report every request they issued
     (``sessions_resumed`` instead of ``sessions_lost``), ``drain:R``
     chaos stops the run cleanly after round R, and the
     ``out_path``/``in_path`` pair drives the drain-then-restore
     lifecycle.  An inert config is bit-identical to no config at all
     (test-enforced).  ``join_at_round=R`` grows the fleet by one member
-    after barrier R; :class:`~repro.experiments.sharded.ShardCoordinator`
-    describes both directions of membership change.
+    after barrier R (``sessions_migrated`` counts the sessions it
+    takes over); :class:`~repro.experiments.sharded.ShardCoordinator`
+    describes both the replay and the join.
 
     The result pools every shard: one fleet-wide summary over the
     concatenated outcome streams, Jain's index over the union of
@@ -605,8 +607,6 @@ def run_fleet_sharded(
             recovery=coordinator.recovery,
             transport=coordinator.transport,
             before_round=coordinator.before_round,
-            on_lost=coordinator.on_lost,
-            control=coordinator.control,
             join_at_round=join_at_round,
             make_joiner=coordinator.make_joiner,
         )

@@ -8,8 +8,8 @@ the sessions this shard owns and resources scaled to the owned share —
 bandwidth, admission cap, backend budget and expected population all
 scale by ``owned/total``, so each *session's* slice matches the
 unsharded fleet's — and a ``run_driver`` that pauses at every sync barrier
-to offer a :class:`~repro.fleet.checkpoint.SyncOffer` and apply what the
-other shards and the coordinator send back.
+to offer a :class:`~repro.fleet.checkpoint.SyncOffer` and merge the prior
+deltas in the other shards' offers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.fleet.checkpoint import (
-    AdoptOrder,
     FleetCheckpoint,
     SessionCheckpoint,
     ShardCheckpoint,
@@ -31,7 +30,7 @@ from repro.fleet.checkpoint import (
 )
 from repro.fleet.sharding import ShardChannel, assign_shards, shard_of
 
-from .runner import _replay, run_fleet
+from .runner import run_fleet
 from .sharded import ShardFleetSpec, _suffix_trace
 
 __all__ = ["ShardWorker", "run_shard"]
@@ -47,7 +46,7 @@ class ShardWorker:
 
     :meth:`run` returns the raw material the coordinator pools: outcome
     streams, fairness samples, counter snapshots, the shard's final
-    prior contribution, and checkpoint, migration and CPU accounting.
+    prior contribution, and checkpoint and CPU accounting.
     """
 
     def __init__(self, spec: ShardFleetSpec, channel: ShardChannel) -> None:
@@ -62,7 +61,6 @@ class ShardWorker:
         self.final_checkpoint: Optional[ShardCheckpoint] = None
         self.restore_verified: Optional[bool] = None
         self.resumed_sessions = 0
-        self.migrated_in: list[int] = []
         self.drained = False
 
     def run(self) -> dict:
@@ -117,7 +115,6 @@ class ShardWorker:
             "num_sessions": len(fleet.sessions),
             "timing": {"cpu_run_s": self.cpu_run_s, "wall_run_s": self.wall_run_s},
             "drained": self.drained,
-            "migrated_in": sorted(self.migrated_in),
             "resumed_sessions": self.resumed_sessions,
             "restore_verified": self.restore_verified,
             "checkpoints_taken": self.checkpoints_taken,
@@ -160,7 +157,8 @@ class ShardWorker:
             # Fewer barriers than the schedule assumed: crash at the
             # latest possible point instead (before the result ships).
             os._exit(17)
-        if spec.checkpoint_cadence > 0:
+        checkpoint = spec.fleet_env.checkpoint
+        if checkpoint is not None and checkpoint.captures:
             # A final capture keeps --checkpoint-out as fresh as the run.
             final_round = spec.first_round + max(rounds_run - 1, 0)
             self.final_checkpoint = self._capture(final_round, sim.now)
@@ -172,27 +170,26 @@ class ShardWorker:
         self.cpu_run_s += time.process_time() - cpu_start
 
     def _barrier(self, round_index: int) -> None:
-        """Offer this round's :class:`SyncOffer`, adopt the sessions the
-        coordinator orders, then merge the peers' prior deltas."""
+        """Offer this round's :class:`SyncOffer` — the sessions donated
+        to a joiner, a checkpoint when :meth:`CheckpointConfig.due`, the
+        prior delta — then merge the peers' prior deltas."""
         spec, prior, at_s = self.spec, self.prior, self.sim.now
         migrate_out: tuple[SessionCheckpoint, ...] = ()
         if spec.grow_to is not None and round_index == spec.grow_to[1]:
             migrate_out = self._donate(at_s)
         checkpoint = None
-        cadence = spec.checkpoint_cadence
-        if cadence > 0 and (round_index + 1) % cadence == 0:
+        config = spec.fleet_env.checkpoint
+        if config is not None and config.due(round_index):
             checkpoint = self._capture(round_index, at_s)
         delta = None
         if prior is not None:
             delta = prior.delta_since(self.sent_vv)
             self.sent_vv = prior.local_version_vector()
         peers = self.channel.exchange(SyncOffer(delta, checkpoint, migrate_out))
-        for order in peers:
-            if isinstance(order, AdoptOrder):
-                self._adopt(order, at_s)
-        for offer in peers:
-            if isinstance(offer, SyncOffer) and offer.delta and prior is not None:
-                prior.merge_delta(offer.delta)
+        if prior is not None:
+            for offer in peers:
+                if offer.delta:
+                    prior.merge_delta(offer.delta)
 
     def _resume(self, path: str) -> None:
         """``--checkpoint-in``: count our checkpointed sessions as resumed
@@ -218,27 +215,26 @@ class ShardWorker:
 
     def _replay_predecessor(self, until: float) -> None:
         """Redo, in sim-time order, what this shard's earlier worker did
-        before the round this one starts at: re-adopt its adopted
-        sessions, re-retire the sessions it donated to a joiner, and pause
-        at the restore checkpoint to verify the replay against its digests.
+        before the round this one starts at (a respawn, or the post-run
+        replay of a lost shard): re-retire the sessions it donated to a
+        joiner, and pause at the restore checkpoint to verify the replay
+        against its digests.
         """
         spec = self.spec
-        steps: list[tuple] = [(order.at_s, 0, order) for order in spec.adopt_orders]
+        steps: list[tuple] = []
         if spec.grow_to is not None and spec.first_round > spec.grow_to[1]:
-            steps.append((spec.grow_to[2], 1, None))
+            steps.append((spec.grow_to[2], 0, None))
         if spec.restore is not None and spec.restore.sim_time_s < until:
-            # After same-time adoptions and donations: the capture that
-            # produced the digests ran after them too.
-            steps.append((spec.restore.sim_time_s, 2, spec.restore))
-        for at_s, kind, what in sorted(steps, key=lambda step: step[:2]):
+            # After a same-time donation: the capture that produced the
+            # digests ran after it too.
+            steps.append((spec.restore.sim_time_s, 1, spec.restore))
+        for at_s, kind, restore in sorted(steps, key=lambda step: step[:2]):
             self._run_to(at_s)
             if kind == 0:
-                self._adopt(what, at_s, record=False)
-            elif kind == 1:
                 self._donate(at_s)
             else:
-                ours = self._capture(what.round_index, at_s, counted=False)
-                self.restore_verified = ours.digest() == what.digest()
+                ours = self._capture(restore.round_index, at_s, counted=False)
+                self.restore_verified = ours.digest() == restore.digest()
 
     def _capture(
         self, round_index: int, at_s: float, counted: bool = True
@@ -259,28 +255,6 @@ class ShardWorker:
         if counted:
             self.checkpoints_taken += 1
         return ckpt
-
-    def _adopt(self, order: AdoptOrder, at_s: float, record: bool = True) -> None:
-        """Take over a lost shard's sessions from its checkpoint.
-
-        Each adopted session joins this worker's live fleet and resumes
-        from its checkpointed request position: the suffix of its trace
-        replays at absolute sim times, clamped up to ``at_s`` (events the
-        dead shard would have served since its last checkpoint fire at
-        once — late, but not lost).
-        """
-        wanted = set(order.indices)
-        for sc in order.checkpoint.sessions:
-            if sc.index not in wanted:
-                continue
-            suffix = _suffix_trace(self.spec.traces[sc.index], sc.requests_seen, at_s)
-            if suffix is None:
-                continue  # finished before the crash; nothing to resume
-            session = self.fleet.admit_session(sc.index)
-            session.start()
-            _replay(self.sim, suffix, session.client.observe, session.client.request)
-            if record:
-                self.migrated_in.append(sc.index)
 
     def _donate(self, at_s: float) -> tuple[SessionCheckpoint, ...]:
         """Capture and retire every owned session the grown ring routes

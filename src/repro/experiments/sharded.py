@@ -9,13 +9,13 @@ sits between the two:
   worker is spawned with;
 * :class:`ShardCoordinator`, the state the coordinator keeps across
   barriers (the merged crowd prior, the latest checkpoint per shard,
-  who joined and which sessions moved) and the hooks ``run_sharded``
-  calls to update it.
+  who joined and which sessions moved to the joiner), the hooks
+  ``run_sharded`` calls to update it, and the post-run replay of a
+  shard lost past its restart budget.
 
 At every barrier each worker offers one
-:class:`~repro.fleet.checkpoint.SyncOffer`; the coordinator appends
-:class:`~repro.fleet.checkpoint.AdoptOrder`\\ s for a lost shard's
-sessions to the ``peers`` broadcast.  The worker half lives in
+:class:`~repro.fleet.checkpoint.SyncOffer` and receives its peers'
+offers; nothing else rides the barrier.  The worker half lives in
 :mod:`repro.experiments.shard_worker`.  This module does not import the
 runner, so the coordinator runs in-process without spawning anything.
 """
@@ -30,14 +30,12 @@ from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.fleet.checkpoint import (
-    AdoptOrder,
     CheckpointStore,
     FleetCheckpoint,
     SessionCheckpoint,
     ShardCheckpoint,
     SyncOffer,
 )
-from repro.fleet.ring import HashRing
 from repro.fleet.sharding import (
     ShardError,
     ShardRecovery,
@@ -126,11 +124,6 @@ class ShardFleetSpec:
     #: worker-crash schedules only fire on attempt 0, so a replacement
     #: worker does not re-crash into the same injected fault.
     attempt: int = 0
-    #: Capture a :class:`~repro.fleet.checkpoint.ShardCheckpoint` every
-    #: this many completed sync rounds and offer it at the barrier (0 =
-    #: checkpointing off: reports and results are bit-identical to a run
-    #: that never heard of checkpoints).
-    checkpoint_cadence: int = 0
     #: Global index of ``sync_points[0]`` in the full barrier schedule
     #: (respawned workers run a suffix; checkpoints carry global rounds).
     first_round: int = 0
@@ -161,10 +154,6 @@ class ShardFleetSpec:
     #: same retirement at the same sim time instead, so its
     #: deterministic restore matches the stored digests.
     grow_to: Optional[tuple[int, int, float]] = None
-    #: Adoption orders re-applied on respawn: a worker that adopted a
-    #: lost shard's sessions must re-adopt them at the same sim time when
-    #: it is itself replaced, or its replay would silently drop them.
-    adopt_orders: tuple[AdoptOrder, ...] = ()
 
 
 def _suffix_trace(
@@ -173,13 +162,14 @@ def _suffix_trace(
     """The remainder of ``trace`` after its first ``requests_seen``
     requests, shifted to start no earlier than ``not_before_s``.
 
-    This is how a migrated session resumes from its checkpointed
-    sequence position: the first ``requests_seen`` request-bearing
-    events (and the observe-only samples interleaved before them) are
-    already served and drop out; everything after replays at its
-    original absolute sim time, clamped up to the adoption point (the
-    clamp is monotone, so event order survives).  Returns ``None`` for
-    a session with no requests left — finished sessions don't migrate.
+    This is how a session donated to a mid-run joiner resumes from its
+    checkpointed sequence position: the first ``requests_seen``
+    request-bearing events (and the observe-only samples interleaved
+    before them) are already served and drop out; everything after
+    replays at its original absolute sim time, clamped up to the join
+    point (the clamp is monotone, so event order survives).  Returns
+    ``None`` for a session with no requests left — finished sessions
+    don't migrate.
     """
     times, xs, ys, requests = trace.columns
     request_rows = [row for row, r in enumerate(requests) if r is not None]
@@ -202,18 +192,17 @@ class ShardCoordinator:
     constructor plans the barrier schedule and fills in the plan-wide
     fields every task shares.  :meth:`task` derives one worker's task
     from it.  The bound methods :meth:`before_round`, :meth:`on_round`,
-    :meth:`respawn`, :meth:`on_lost`, :meth:`control` and
-    :meth:`make_joiner` are :func:`~repro.fleet.sharding.run_sharded`'s
-    hooks; :meth:`reabsorb` and :meth:`finish` run after it returns, and
-    :meth:`close` releases the transport and temporary prior files.
+    :meth:`respawn` and :meth:`make_joiner` are
+    :func:`~repro.fleet.sharding.run_sharded`'s hooks; :meth:`reabsorb`
+    and :meth:`finish` run after it returns, and :meth:`close` releases
+    the transport and temporary prior files.
 
-    Membership is elastic both ways.  A shard lost past its restart
-    budget has its last checkpoint split over a consistent-hash ring of
-    the survivors, which adopt the sessions at the next barrier; with no
-    barrier left to carry the orders, :meth:`reabsorb` re-runs the lost
-    slice instead.  A member that joins after barrier ``join_at_round``
-    resumes the sessions the grown ring moves to it from the positions
-    their donors offered.
+    A shard lost past its restart budget comes back one way: once the
+    barriers are over, :meth:`reabsorb` replays its whole slice from
+    the last checkpoint, so every request its sessions issued reaches
+    the pooled report.  Membership grows the other way: a member that
+    joins after barrier ``join_at_round`` resumes the sessions the grown
+    ring moves to it from the positions their donors offered.
     """
 
     #: The worker entry point (:mod:`repro.experiments.shard_worker`).
@@ -248,7 +237,8 @@ class ShardCoordinator:
         until = horizon + spec.drain_s
 
         # An inert checkpoint config is nulled outright, so every branch
-        # sees exactly the no-checkpoint path.
+        # here sees exactly the no-checkpoint path (workers ask the config
+        # itself, and an inert one is never due).
         checkpoint = fleet_env.checkpoint
         self.checkpoint = None if checkpoint is None or checkpoint.is_inert else checkpoint
         # Barriers carry prior deltas, and anchor worker crashes, drains,
@@ -318,13 +308,6 @@ class ShardCoordinator:
             spec,
             sync_points=sync_points,
             shared_prior_path=self.warm_path,
-            # Path-only configs capture every round, so the written
-            # bundle is as fresh as the run.
-            checkpoint_cadence=(
-                max(self.checkpoint.cadence_rounds, 1)
-                if self.checkpoint is not None and self.checkpoint.captures
-                else 0
-            ),
             resume_from=resume_from,
             drain_after_round=self.drained_at_round,
             grow_to=grow_to,
@@ -344,10 +327,6 @@ class ShardCoordinator:
         self.moved: dict[int, SessionCheckpoint] = {}
         self.joiner_route: Optional[tuple[int, ...]] = None
         self.joiner_traces: Optional[tuple[InteractionTrace, ...]] = None
-        #: Adopt orders waiting for the next broadcast, and those
-        #: delivered, by target shard (a respawned adopter re-applies them).
-        self.pending: dict[int, list[AdoptOrder]] = {}
-        self.adopted: dict[int, list[AdoptOrder]] = {}
         self.reabsorbed: list[int] = []
         # Resuming: pre-seed the aggregate with every shard's stored
         # contribution, so a worker that dies before its first barrier
@@ -362,11 +341,6 @@ class ShardCoordinator:
     def joined(self) -> bool:
         return self.joiner_route is not None
 
-    @property
-    def migrated_shards(self) -> set[int]:
-        """Lost shards whose sessions at least one survivor adopted."""
-        return {o.from_shard for orders in self.adopted.values() for o in orders}
-
     # -- tasks -----------------------------------------------------------
 
     def task(self, shard: int, first_round: int = 0, attempt: int = 0) -> ShardTask:
@@ -375,9 +349,8 @@ class ShardCoordinator:
         Attempt 0 of an original shard boots from the plan.  Any other
         worker (a respawn, the joiner, a re-absorbed slice) rejoins a
         running fleet: it warms from the coordinator's aggregate prior
-        and restores from its shard's latest checkpoint.  Every task
-        carries the adopt orders delivered to its shard; the joiner's
-        routes exactly the donated sessions, on their suffix traces.
+        and restores from its shard's latest checkpoint.  The joiner's
+        task routes exactly the donated sessions, on their suffix traces.
         """
         spec = replace(
             self.spec,
@@ -386,7 +359,6 @@ class ShardCoordinator:
             first_round=first_round,
             attempt=attempt,
             restore=self.store.latest(shard) if self.store is not None else None,
-            adopt_orders=tuple(self.adopted.get(shard, ())),
         )
         if attempt > 0 or shard == self.num_shards:
             spec = replace(spec, shared_prior_path=self._seed_path())
@@ -449,40 +421,6 @@ class ShardCoordinator:
         self.attempts[shard] += 1
         return self.task(shard, next_round, self.attempts[shard])
 
-    def on_lost(self, lost_shard: int, next_round: int) -> None:
-        """Plan the adoption of a shard lost past its restart budget.
-
-        Its last checkpoint is split by a consistent-hash ring over the
-        surviving members — every survivor keeps its own sessions; only
-        the dead member's ranges reassign — and :meth:`control` hands each
-        survivor its order in the next broadcast.  A shard that cannot
-        migrate (no checkpoint, no barrier left, a churn fleet, a drain
-        run) is left to :meth:`reabsorb`.
-        """
-        if self.store is None or not self.static or self.drained_at_round is not None:
-            return
-        latest = self.store.latest(lost_shard)
-        if next_round >= len(self.sync_points) or latest is None:
-            return
-        dead = set(self.recovery.lost_shards)
-        ring = HashRing(k for k in range(self.num_shards + self.joined) if k not in dead)
-        if len(ring) == 0:
-            return
-        assign: dict[int, list[int]] = {}
-        for sc in latest.sessions:
-            if sc.index not in self.moved:  # donated to the joiner pre-crash
-                assign.setdefault(ring.route(sc.index), []).append(sc.index)
-        at_s = self.sync_points[next_round]
-        for target, indices in sorted(assign.items()):
-            self.pending.setdefault(target, []).append(
-                AdoptOrder(lost_shard, latest, tuple(indices), at_s)
-            )
-
-    def control(self, round_index: int, shard: int) -> list[AdoptOrder]:
-        orders = self.pending.pop(shard, [])
-        self.adopted.setdefault(shard, []).extend(orders)
-        return orders
-
     def make_joiner(self, round_index: int) -> ShardTask:
         """The member joining after barrier ``round_index``.
 
@@ -503,20 +441,20 @@ class ShardCoordinator:
     # -- after the run ---------------------------------------------------
 
     def reabsorb(self, shards: list, timeout_s: Optional[float]) -> None:
-        """Run each lost, unmigrated shard's slice to completion in place.
+        """Replay each lost shard's slice to completion in place.
 
-        The slice restarts from its last checkpoint and the aggregate
-        prior, as a barrier-free single task; the per-origin CRDT merge
-        dedups its prior contribution against everything already pooled.
-        Drain runs skip this: the written bundle keeps the lost shard's
-        last checkpoint for the ``--checkpoint-in`` restart instead.
+        The slice reruns from the start of the run as a barrier-free
+        single task, warmed from the aggregate prior; it pauses at its
+        last checkpoint to verify the replay against the stored digests,
+        re-donates to a joiner (if one joined) at the join time, and
+        reports every session's whole outcome stream.  The per-origin CRDT merge dedups
+        its prior contribution against everything already pooled.  Drain
+        runs skip this: the written bundle keeps the lost shard's last
+        checkpoint for the ``--checkpoint-in`` restart instead.
         """
         if self.store is None or self.drained_at_round is not None:
             return
-        migrated = self.migrated_shards
         for k in self.recovery.lost_shards:
-            if k in migrated:
-                continue  # its adopters serve its sessions already
             task = self.task(k, len(self.sync_points), self.attempts[k] + 1)
             try:
                 shards[k] = run_sharded(
@@ -553,16 +491,7 @@ class ShardCoordinator:
             ).save(os.fspath(checkpoint.out_path))
 
         recovery = self.recovery
-        migrated = self.migrated_shards
         lost = [k for k in recovery.lost_shards if k not in self.reabsorbed]
-        # A migrated shard's sessions live on in their adopters; only
-        # those in orders that never reached a live survivor are lost.
-        undelivered: dict[int, int] = {}
-        for orders in self.pending.values():
-            for order in orders:
-                undelivered[order.from_shard] = (
-                    undelivered.get(order.from_shard, 0) + len(order.indices)
-                )
         members = self.num_shards + self.joined
         report = {
             "shards": self.num_shards,
@@ -577,20 +506,14 @@ class ShardCoordinator:
             # planned sessions that loss cost the pooled report.
             "shards_recovered": len(recovery.recovered_shards),
             "shards_lost": len(lost),
-            "sessions_lost": sum(
-                undelivered.get(k, 0) if k in migrated else len(self._owned_now(k))
-                for k in lost
-            ),
+            "sessions_lost": sum(len(self._owned_now(k)) for k in lost),
             "restarts": len(recovery.restarts),
             "restarts_by_shard": [
                 sum(1 for s, _, _ in recovery.restarts if s == k)
                 for k in range(members)
             ],
-            # Sessions carried to a new owner mid-run (adopted from a
-            # lost shard, or donated to a mid-run joiner).
-            "sessions_migrated": sum(len(s["migrated_in"]) for s in survivors)
-            + len(self.joiner_route or ()),
-            "shards_migrated": len(migrated),
+            # Sessions donated to a mid-run joiner.
+            "sessions_migrated": len(self.joiner_route or ()),
             "members": members,
         }
         if self.joined:

@@ -15,15 +15,18 @@ Three layers:
 
 * :class:`SessionCheckpoint` / :class:`ShardCheckpoint` — one shard's
   recoverable state at a completed sync round.  Workers capture these
-  at a configurable cadence and piggyback them on the existing barrier
-  exchange; the coordinator's :class:`CheckpointStore` keeps the latest
-  per shard.
+  when :meth:`CheckpointConfig.due` says so and piggyback them on the
+  barrier's :class:`SyncOffer`; the coordinator's
+  :class:`CheckpointStore` keeps the latest per shard.  A respawned
+  worker, and the post-run replay of a shard lost past its restart
+  budget, restore from it and verify their replay against its digests.
 * :class:`FleetCheckpoint` — the whole fleet's latest shard
   checkpoints, persisted as versioned JSON for ``--checkpoint-out`` /
   ``--checkpoint-in`` drain/restore cycles.  ``load`` validates
   fail-fast in the style of :meth:`SharedTransitionPrior.load`:
   not-a-checkpoint, unsupported version, wrong request universe, and
-  corrupt entries each raise a distinct, actionable :class:`ValueError`.
+  corrupt entries (a malformed prior delta included) each raise a
+  distinct, actionable :class:`ValueError`.
 * :class:`CheckpointConfig` — cadence + paths, threaded through
   :class:`~repro.experiments.configs.FleetEnvironment` and the CLI.  A
   cadence of 0 with no paths is inert: the sharded runner's reports
@@ -53,7 +56,6 @@ __all__ = [
     "capture_shard",
     "read_checkpoint",
     "SyncOffer",
-    "AdoptOrder",
 ]
 
 #: Bump on any incompatible change to the checkpoint layout.
@@ -235,32 +237,44 @@ def _delta_to_payload(delta: PriorDelta) -> dict:
     }
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _delta_from_payload(payload: dict, n: int) -> PriorDelta:
+    """Rebuild a :class:`PriorDelta`; any malformed entry is a ValueError."""
     if not isinstance(payload, dict) or "origin" not in payload:
         raise ValueError(f"corrupt checkpoint prior delta: {payload!r}")
-    if int(payload.get("n", -1)) != n:
+    saved_n = payload.get("n")
+    if not _is_count(saved_n):
+        raise ValueError(f"corrupt checkpoint prior delta: n={saved_n!r}")
+    if saved_n != n:
         raise ValueError(
-            f"checkpoint prior delta over {payload.get('n')} requests, expected {n}"
+            f"checkpoint prior delta over {saved_n} requests, expected {n}"
         )
+    rows_payload = payload.get("rows", {})
+    mass_payload = payload.get("row_mass", {})
+    if not isinstance(rows_payload, dict) or not isinstance(mass_payload, dict):
+        raise ValueError("corrupt checkpoint prior delta: rows/row_mass not objects")
     rows: dict[int, dict[int, int]] = {}
     row_mass: dict[int, int] = {}
-    for prev_s, row in payload.get("rows", {}).items():
+    for prev_s, row in rows_payload.items():
         prev = int(prev_s)
+        if not isinstance(row, dict):
+            raise ValueError(f"corrupt checkpoint prior row {prev}: {row!r}")
         out_row: dict[int, int] = {}
         for nxt_s, count in row.items():
             nxt = int(nxt_s)
-            count = int(count)
-            if not 0 <= prev < n or not 0 <= nxt < n or count < 0:
+            if not 0 <= prev < n or not 0 <= nxt < n or not _is_count(count):
                 raise ValueError(
-                    f"corrupt checkpoint prior entry {prev}->{nxt} x{count}"
+                    f"corrupt checkpoint prior entry {prev}->{nxt} x{count!r}"
                 )
             out_row[nxt] = count
         rows[prev] = out_row
-    for prev_s, mass in payload.get("row_mass", {}).items():
+    for prev_s, mass in mass_payload.items():
         prev = int(prev_s)
-        mass = int(mass)
-        if not 0 <= prev < n or mass < 0:
-            raise ValueError(f"corrupt checkpoint prior mass row {prev} x{mass}")
+        if not 0 <= prev < n or not _is_count(mass):
+            raise ValueError(f"corrupt checkpoint prior mass row {prev} x{mass!r}")
         row_mass[prev] = mass
     return PriorDelta(
         origin=str(payload["origin"]), n=n, rows=rows, row_mass=row_mass
@@ -494,7 +508,8 @@ class CheckpointStore:
 
 
 class SyncOffer(NamedTuple):
-    """What a shard worker offers at every sync barrier.
+    """What a shard worker offers at every sync barrier — the one
+    message the barrier carries.
 
     ``delta`` is its crowd-prior contribution since its last offer
     (``None`` without a shared prior), ``checkpoint`` its capture when
@@ -505,15 +520,3 @@ class SyncOffer(NamedTuple):
     delta: Optional[PriorDelta] = None
     checkpoint: Optional[ShardCheckpoint] = None
     migrate_out: tuple[SessionCheckpoint, ...] = ()
-
-
-@dataclass(frozen=True)
-class AdoptOrder:
-    """Coordinator order riding a ``peers`` broadcast: resume the
-    sessions ``indices`` of lost shard ``from_shard`` from its last
-    checkpoint, at sim time ``at_s``."""
-
-    from_shard: int
-    checkpoint: ShardCheckpoint
-    indices: tuple[int, ...]
-    at_s: float

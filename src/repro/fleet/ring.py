@@ -7,10 +7,9 @@ force nearly every session to migrate.  A consistent-hash ring
 (Karger et al.) pins each node at many pseudo-random points on a
 2^32 hash circle and routes a key to the first node point at or after
 the key's own hash.  Adding a node steals only the key ranges that now
-fall to *its* points (an expected ``1/(W+1)`` fraction); removing a
-node reassigns only the ranges it owned.  Both bounds are exact
-structural properties, not statistics — the property tests enforce
-them key-by-key.
+fall to *its* points (an expected ``1/(W+1)`` fraction).  That bound is
+an exact structural property, not a statistic — the property tests
+enforce it key-by-key.
 
 Hashing is BLAKE2b over the string form: Python's builtin ``hash`` is
 salted per process, and the ring must route identically in the
@@ -88,21 +87,6 @@ class HashRing:
             # tuple so equal hashes still order deterministically.
             point = (_hash(f"{node}#{v}"), node)
             bisect.insort(self._points, point)
-
-    def remove(self, node: Hashable) -> None:
-        """Leave: only the departing node's key ranges are reassigned."""
-        if node not in self._nodes:
-            raise ValueError(f"node {node!r} not on the ring")
-        self._nodes.discard(node)
-        self._points = [p for p in self._points if p[1] != node]
-
-    def without(self, node: Hashable) -> "HashRing":
-        """A new ring with ``node`` removed (the original is untouched)."""
-        other = HashRing(vnodes=self.vnodes)
-        for n in self._nodes:
-            if n != node:
-                other.add(n)
-        return other
 
     # -- routing -------------------------------------------------------
 

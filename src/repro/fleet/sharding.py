@@ -44,7 +44,8 @@ coordinator-side merged CRDT prior, which is exactly what makes
 re-entry coordination-free).  Restarts back off exponentially up to a
 per-shard budget; past it the shard is *dropped*, its result slot
 left ``None`` and the loss recorded in a :class:`ShardRecovery` log
-instead of tearing down the surviving fleet.
+instead of tearing down the surviving fleet; the fleet coordinator
+replays it from its last checkpoint once the barriers are over.
 
 Boot: workers use the spawn start method (fork would snapshot the
 coordinator's heap, and the default differs across platforms).  The
@@ -104,9 +105,9 @@ def shard_of(key: Any, num_shards: int) -> int:
     builtin ``hash`` is salted per process, which would route the same
     session to different shards in the coordinator and a worker).  The
     ring, unlike the old ``crc32 % W``, keeps routing *stable under
-    membership change*: going W → W±1 moves only ~1/W of the keys,
-    which is what makes mid-run joins and leaves migrate a handful of
-    sessions instead of reshuffling the whole fleet.
+    membership change*: going W → W+1 moves only ~1/(W+1) of the keys,
+    which is what makes a mid-run join migrate a handful of sessions
+    instead of reshuffling the whole fleet.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -379,7 +380,6 @@ class _Supervisor:
         respawn: Optional[Callable[[int, int], ShardTask]],
         recovery: ShardRecovery,
         transport=None,
-        on_lost: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.ctx = ctx
         self.tasks = list(tasks)
@@ -387,7 +387,6 @@ class _Supervisor:
         self.respawn = respawn
         self.recovery = recovery
         self.transport = transport if transport is not None else PipeTransport()
-        self.on_lost = on_lost
         self.procs: list[Optional[mp.process.BaseProcess]] = [None] * len(tasks)
         self.pipes: list[Optional[Any]] = [None] * len(tasks)
         self.alive = [True] * len(tasks)
@@ -500,11 +499,6 @@ class _Supervisor:
                 if self.attempts[i] > self.policy.max_restarts:
                     self.alive[i] = False
                     self.recovery.lost_shards.append(shard)
-                    if self.on_lost is not None:
-                        # Fired before this round's broadcasts, so a
-                        # migration planner can hand the lost shard's
-                        # sessions to survivors in the same round.
-                        self.on_lost(shard, next_round)
                     return None
                 self.recovery.restarts.append((shard, next_round, self.attempts[i]))
                 time.sleep(self.policy.backoff_before(self.attempts[i]))
@@ -548,8 +542,6 @@ def run_sharded(
     recovery: Optional[ShardRecovery] = None,
     transport=None,
     before_round: Optional[Callable[[int], None]] = None,
-    on_lost: Optional[Callable[[int, int], None]] = None,
-    control: Optional[Callable[[int, int], list[Any]]] = None,
     join_at_round: Optional[int] = None,
     make_joiner: Optional[Callable[[int], Optional[ShardTask]]] = None,
 ) -> list[Any]:
@@ -573,7 +565,8 @@ def run_sharded(
     restart budget, and past it the shard is dropped: its result slot
     stays ``None``, the loss lands in ``recovery``, and the survivors
     finish.  Only when *every* shard is lost does the call still
-    raise.
+    raise.  A dropped shard is the caller's to recover once the call
+    returns; the fleet coordinator replays it from its last checkpoint.
 
     Elasticity hooks (all optional, all default-off so the PR-7/8/9
     byte path is untouched):
@@ -584,11 +577,6 @@ def run_sharded(
     * ``before_round(round_index)`` — runs before each round's
       gathers; the chaos harness uses it to cut TCP links at an exact
       barrier.
-    * ``on_lost(shard, round)`` — a shard just exhausted its restart
-      budget; fired before the round's broadcasts.
-    * ``control(round_index, shard)`` — extra coordinator→worker
-      entries appended to that worker's ``peers`` broadcast (session
-      adoption orders ride here, piggybacked on the barrier).
     * ``join_at_round``/``make_joiner`` — after that round completes,
       ``make_joiner(round_index)`` may return a :class:`ShardTask` for
       a *new* member that participates in every later barrier.
@@ -601,9 +589,7 @@ def run_sharded(
     ctx = mp.get_context("spawn")
     if recovery is None:
         recovery = ShardRecovery()
-    sup = _Supervisor(
-        ctx, tasks, supervision, respawn, recovery, transport, on_lost
-    )
+    sup = _Supervisor(ctx, tasks, supervision, respawn, recovery, transport)
     try:
         sup.spawn(range(len(tasks)))
         for round_index in range(sync_rounds):
@@ -627,10 +613,6 @@ def run_sharded(
                     for j in range(n)
                     if j != i and sup.alive[j]
                 ]
-                if control is not None:
-                    peers = peers + list(
-                        control(round_index, sup.tasks[i].shard)
-                    )
                 sup.broadcast(i, ("peers", peers))
             if on_round is not None:
                 on_round(

@@ -262,14 +262,30 @@ class TestLoadFailsFast:
         with pytest.raises(ValueError, match="claims shard 0"):
             FleetCheckpoint.load(str(path))
 
-    def test_corrupt_prior_entry_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"rows": {"0": {"999": 3}}},  # next-request out of universe
+            {"rows": []},
+            {"rows": {"1": [2]}},
+            {"row_mass": []},
+            {"n": [4]},
+            {"rows": {"0": {"1": [3]}}},
+        ],
+        ids=[
+            "out-of-universe", "rows-list", "row-list", "row-mass-list",
+            "n-list", "count-list",
+        ],
+    )
+    def test_corrupt_prior_entry_rejected(self, tmp_path, bad):
         ckpt = ShardCheckpoint(
             shard=0, num_shards=1, round_index=0, sim_time_s=0.0, n=64,
             sessions=(),
             prior_delta={
                 "origin": "shard-0", "n": 64,
-                "rows": {"0": {"999": 3}},  # next-request out of universe
+                "rows": {"0": {"1": 3}},
                 "row_mass": {"0": 3},
+                **bad,
             },
         )
         bundle = FleetCheckpoint(

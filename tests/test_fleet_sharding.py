@@ -416,9 +416,10 @@ class TestChaoticWireEquivalence:
 
 
 class TestElasticMembership:
-    """Ring-routed resharding: a worker leaving past its restart budget
-    or joining mid-run moves only the ring-affected sessions, as
-    checkpoint payloads over the transport — no session is lost."""
+    """A worker lost past its restart budget is replayed from its last
+    checkpoint; a worker joining mid-run takes over only the ring-stolen
+    sessions, as checkpoint payloads over the transport.  Neither loses
+    a session or a request."""
 
     def _elastic_fleet(self):
         app = ImageExplorationApp(rows=8, cols=8)
@@ -429,30 +430,51 @@ class TestElasticMembership:
         fleet_env = FleetEnvironment(num_sessions=8, env=DEFAULT_ENV)
         return app, traces, fleet_env
 
-    def test_leave_migrates_sessions_to_survivors(self):
+    def _three_shard_run(self, predictor, transport="pipe", lose_shard=False):
+        """8 sessions on 3 shards, checkpointed every round; with
+        ``lose_shard``, shard 1 dies at round 2 with no restart budget."""
         from repro.chaos import ChaosConfig
         from repro.fleet import CheckpointConfig
 
         app, traces, fleet_env = self._elastic_fleet()
         fleet_env = dataclasses.replace(
             fleet_env,
-            chaos=ChaosConfig.parse("worker-crash:1@2"),
             checkpoint=CheckpointConfig(cadence_rounds=1),
+            chaos=ChaosConfig.parse("worker-crash:1@2") if lose_shard else None,
         )
         result = run_fleet_sharded(
-            app, traces, fleet_env, num_shards=3, predictor="shared-markov",
-            sync_interval_s=1.0, transport="tcp",
+            app, traces, fleet_env, num_shards=3, predictor=predictor,
+            sync_interval_s=1.0, transport=transport,
             supervision=SupervisionPolicy(max_restarts=0, backoff_s=0.01),
         )
-        d = result.diagnostics["sharding"]
-        assert d["shards_lost"] == 1
-        assert d["shards_migrated"] == 1
+        return traces, result
+
+    def test_lost_shard_replay_reproduces_the_clean_run(self):
+        """A shard lost past its restart budget is replayed from its
+        last checkpoint after the barriers: with no cross-shard state
+        the pooled report equals the clean run's, session by session."""
+        _, clean = self._three_shard_run("kalman")
+        _, lost = self._three_shard_run("kalman", lose_shard=True)
+        d = lost.diagnostics["sharding"]
+        assert d["shards_reabsorbed"] == 1
         assert d["sessions_lost"] == 0
-        assert d["sessions_migrated"] > 0
-        # Every session still reports: the dead shard's sessions resumed
-        # on survivors from their checkpointed positions.
-        assert len(result.summary.per_session) == 8
-        assert sorted(int(l) for l in result.session_labels) == list(range(8))
+        assert d["restore_verified"] is True
+        assert lost.summary == clean.summary
+
+    def test_lost_shard_replay_reports_every_request(self):
+        """With a shared prior the replay's predictions differ, but every
+        session still registers every request its trace issues."""
+        traces, lost = self._three_shard_run(
+            "shared-markov", transport="tcp", lose_shard=True
+        )
+        d = lost.diagnostics["sharding"]
+        assert d["shards_reabsorbed"] == 1
+        assert d["sessions_lost"] == 0
+        registered = {
+            int(label): summary.num_requests
+            for label, summary in zip(lost.session_labels, lost.summary.per_session)
+        }
+        assert registered == {i: t.num_requests for i, t in enumerate(traces)}
 
     def test_join_migrates_sessions_to_newcomer(self):
         app, traces, fleet_env = self._elastic_fleet()

@@ -1,13 +1,10 @@
 """Property tests for the consistent-hash ring (repro.fleet.ring).
 
-The ring's whole reason to exist is a *structural* guarantee: when the
-membership changes by one node, only the keys whose ownership involves
-that node may move.  That is stronger than the usual statistical
-"about 1/W of keys remap" claim, and it is checkable key-by-key:
-
-* **join**:  every key routes to its old owner or to the new node;
-* **leave**: every key keeps its owner unless the owner departed;
-* the two are inverses — remove after add restores the exact map.
+The ring's whole reason to exist is a *structural* guarantee: when a
+node joins, only the keys the newcomer takes over may move — every key
+routes to its old owner or to the new node.  That is stronger than the
+usual statistical "about 1/W of keys remap" claim, and it is checkable
+key-by-key.
 
 Balance, by contrast, *is* statistical (vnode positions are hash
 draws), so the balance test asserts a generous envelope rather than a
@@ -30,15 +27,11 @@ keys = st.lists(st.integers(min_value=0, max_value=10_000), max_size=64)
 class TestRouting:
     @given(nodes=node_sets, ks=keys)
     def test_deterministic_and_membership_pure(self, nodes, ks):
-        """Equal membership routes identically, whatever the history."""
+        """Equal membership routes identically, whatever the insertion order."""
         a = HashRing(nodes)
         b = HashRing(reversed(nodes))
-        # A ring that saw extra members come and go is still the same ring.
-        c = HashRing(nodes)
-        c.add(999)
-        c.remove(999)
         for k in ks:
-            assert a.route(k) == b.route(k) == c.route(k)
+            assert a.route(k) == b.route(k)
 
     @given(nodes=node_sets, ks=keys)
     def test_routes_to_members_only(self, nodes, ks):
@@ -70,36 +63,10 @@ class TestMembershipChurn:
             old, now = before.route(k), after.route(k)
             assert now == old or now == new
 
-    @settings(max_examples=25)
-    @given(nodes=st.lists(
-        st.integers(min_value=0, max_value=63), min_size=2, max_size=8, unique=True
-    ))
-    def test_leave_moves_only_the_departed_nodes_keys(self, nodes):
-        before = HashRing(nodes)
-        gone = nodes[0]
-        after = before.without(gone)
-        for k in range(500):
-            old = before.route(k)
-            if old == gone:
-                assert after.route(k) in after.nodes
-            else:
-                assert after.route(k) == old
-
-    @given(nodes=node_sets, new=st.integers(min_value=100, max_value=199))
-    def test_add_then_remove_is_identity(self, nodes, new):
-        ring = HashRing(nodes)
-        grown = HashRing(nodes)
-        grown.add(new)
-        grown.remove(new)
-        for k in range(200):
-            assert grown.route(k) == ring.route(k)
-
-    def test_duplicate_add_and_absent_remove_raise(self):
+    def test_duplicate_add_raises(self):
         ring = HashRing([1, 2])
         with pytest.raises(ValueError, match="already"):
             ring.add(1)
-        with pytest.raises(ValueError, match="not on the ring"):
-            ring.remove(7)
 
 
 class TestBalance:

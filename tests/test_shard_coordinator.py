@@ -3,7 +3,7 @@
 :class:`~repro.experiments.sharded.ShardCoordinator` is what
 ``run_fleet_sharded`` hands ``run_sharded`` as hooks.  These tests call
 those hooks directly with hand-built barrier messages, so every
-membership path (adoption, respawn, join, re-absorb) runs in
+membership path (respawn, join, re-absorb) runs in
 milliseconds without spawning a worker.
 """
 
@@ -20,9 +20,8 @@ from repro.experiments.sharded import (
     ShardFleetSpec,
     _suffix_trace,
 )
-from repro.fleet import CheckpointConfig, HashRing
+from repro.fleet import CheckpointConfig
 from repro.fleet.checkpoint import (
-    AdoptOrder,
     SessionCheckpoint,
     ShardCheckpoint,
     SyncOffer,
@@ -108,51 +107,20 @@ def test_on_round_folds_every_delta_and_stores_every_checkpoint(traces):
         coord.close()
 
 
-def test_lost_shard_is_split_over_the_shrunken_ring(traces):
-    coord = coordinator(traces, 3, checkpoint=CheckpointConfig(cadence_rounds=1))
-    try:
-        owned = assign_shards(range(SESSIONS), 3)
-        checkpoints = [shard_checkpoint(k, 3, 0, owned[k]) for k in range(3)]
-        coord.on_round(0, [SyncOffer(checkpoint=c) for c in checkpoints])
-        coord.recovery.lost_shards.append(1)
-        coord.on_lost(1, 1)
-
-        orders = {k: coord.control(1, k) for k in (0, 2)}
-        survivors = HashRing([0, 2])
-        adopted = []
-        for target, target_orders in orders.items():
-            for order in target_orders:
-                assert order == AdoptOrder(1, checkpoints[1], order.indices, 2.0)
-                assert all(survivors.route(i) == target for i in order.indices)
-                adopted.extend(order.indices)
-        assert sorted(adopted) == owned[1]
-        # Delivered exactly once.
-        assert coord.control(2, 0) == [] and coord.control(2, 2) == []
-        assert coord.migrated_shards == {1}
-        assert coord.pending == {}
-    finally:
-        coord.close()
-
-
-def test_respawned_adopter_re_applies_its_adopt_orders(traces):
+def test_respawn_task_restores_from_the_latest_checkpoint(traces):
     coord = coordinator(traces, 3, checkpoint=CheckpointConfig(cadence_rounds=1))
     try:
         owned = assign_shards(range(SESSIONS), 3)
         coord.on_round(
             0, [SyncOffer(checkpoint=shard_checkpoint(k, 3, 0, owned[k])) for k in range(3)]
         )
-        coord.recovery.lost_shards.append(1)
-        coord.on_lost(1, 1)
-        delivered = {k: coord.control(1, k) for k in (0, 2)}
-        target = next(k for k, orders in delivered.items() if orders)
 
-        spec = coord.respawn(target, 3).spec
-        assert spec.adopt_orders == tuple(delivered[target])
+        spec = coord.respawn(2, 3).spec
         assert (spec.attempt, spec.first_round) == (1, 3)
         assert spec.sync_points == coord.sync_points[3:]
-        assert spec.restore is coord.store.latest(target)
+        assert spec.restore is coord.store.latest(2)
         # The plan-wide spec is never touched.
-        assert coord.spec.adopt_orders == () and coord.spec.restore is None
+        assert coord.spec.restore is None
     finally:
         coord.close()
 
