@@ -63,7 +63,7 @@ REPO = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800
 
 SITECUSTOMIZE = '''\
-import atexit, os, sys, threading, time
+import atexit, os, signal, sys, threading, time
 
 _root = os.environ["CENSUS_SRC"]
 _out = os.environ["CENSUS_OUT"]
@@ -79,14 +79,19 @@ def _profile(frame, event, arg):
 def _dump():
     sys.setprofile(None)
     threading.setprofile(None)
+    # A coordinator terminates a shard worker right after its result
+    # arrives, which can land mid-dump: hold SIGTERM until the file is
+    # whole, and publish it by rename so a reader never sees part of one.
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     rows = sorted(
         f"{c.co_filename}\\t{c.co_firstlineno}\\t{c.co_name}"
         for c in list(_seen)
         if c.co_filename.startswith(_root)
     )
-    name = f"reached-{os.getpid()}-{time.time_ns()}.txt"
-    with open(os.path.join(_out, name), "w") as fh:
+    path = os.path.join(_out, f"reached-{os.getpid()}-{time.time_ns()}.txt")
+    with open(path + ".part", "w") as fh:
         fh.write("\\n".join(rows))
+    os.replace(path + ".part", path)
 
 
 atexit.register(_dump)
@@ -113,7 +118,8 @@ RUNS: list[tuple[str, list[str]]] = [
                      "--max-concurrent", "3", "--predictor", "shared-markov"]),
     ("smoke:sharded", [*_SHARDED, "--sync-interval", "0.5"]),
     ("smoke:chaos", [*_FLEET, "--shards", "2",
-                     "--chaos", "worker-crash:1,backend-err:0.05"]),
+                     "--chaos", "worker-crash:1,backend-err:0.05",
+                     "--checkpoint-every", "1"]),
     ("smoke:tcp", [*_SHARDED, "--transport", "tcp", "--chaos", "partition:0-1@1"]),
     ("smoke:drain", [*_SHARDED, "--sync-interval", "0.5", "--chaos", "drain:1",
                      "--checkpoint-out", "{tmp}/fleet_ckpt.json"]),
@@ -242,7 +248,7 @@ def collect(tree: Path, out: Path, only: Optional[list[str]]) -> dict:
                 print(output[-2000:], file=sys.stderr)
         reached = set()
         prefix = str(copy) + os.sep
-        for f in reached_dir.iterdir():
+        for f in reached_dir.glob("*.txt"):
             for line in f.read_text().splitlines():
                 filename, first, name = line.split("\t")
                 reached.add(f"{filename[len(prefix):]}:{first}:{name}")

@@ -174,15 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "partition detection (default: pipe)",
     )
     fleet.add_argument(
-        "--join-at-round",
-        type=int,
-        default=None,
-        metavar="R",
-        help="grow the fleet by one worker at sync round R: the "
-        "consistent-hash ring reroutes a slice of sessions and only "
-        "those migrate (sharded runs only)",
-    )
-    fleet.add_argument(
         "--prior-in",
         default=None,
         metavar="NPZ",
@@ -419,8 +410,6 @@ def _run_fleet_command(args) -> list[tuple[list[dict], str]]:
         raise SystemExit("--prior-in/--prior-out need --predictor shared-markov")
     if args.shards is None and args.transport != "pipe":
         raise SystemExit("--transport needs --shards")
-    if args.shards is None and args.join_at_round is not None:
-        raise SystemExit("--join-at-round needs --shards")
     if args.sync_interval < 0:
         raise SystemExit("--sync-interval must be >= 0")
     if args.shards is not None:
@@ -436,7 +425,6 @@ def _run_fleet_command(args) -> list[tuple[list[dict], str]]:
             shared_prior=args.prior_in,
             prior_out=args.prior_out,
             transport=args.transport,
-            join_at_round=args.join_at_round,
         )
     else:
         prior = None
@@ -494,15 +482,11 @@ def _run_fleet_command(args) -> list[tuple[list[dict], str]]:
         if "sessions_resumed" in sharding:
             title += (
                 f" | sessions_resumed={sharding['sessions_resumed']}"
+                f" restore_verified={sharding['restore_verified']}"
                 f" checkpoints={sharding['checkpoints_taken']}"
             )
             if sharding.get("drained_at_round") is not None:
                 title += f" drained@r{sharding['drained_at_round']}"
-        if sharding.get("sessions_migrated"):
-            title += (
-                f" | sessions_migrated={sharding['sessions_migrated']}"
-                f" members={sharding['members']}"
-            )
         transport_d = sharding.get("transport")
         if transport_d is not None and transport_d["driver"] != "pipe":
             totals = transport_d["totals"]

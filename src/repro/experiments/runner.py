@@ -504,7 +504,6 @@ def run_fleet_sharded(
     timeout_s: Optional[float] = 600.0,
     supervision: Optional["SupervisionPolicy"] = _DEFAULT_SUPERVISION,
     transport: "str | Any" = "pipe",
-    join_at_round: Optional[int] = None,
     partition_heal_s: float = 1.0,
 ) -> FleetRunResult:
     """:func:`run_fleet` partitioned across ``num_shards`` processes.
@@ -537,10 +536,8 @@ def run_fleet_sharded(
     chaos stops the run cleanly after round R, and the
     ``out_path``/``in_path`` pair drives the drain-then-restore
     lifecycle.  An inert config is bit-identical to no config at all
-    (test-enforced).  ``join_at_round=R`` grows the fleet by one member
-    after barrier R (``sessions_migrated`` counts the sessions it
-    takes over); :class:`~repro.experiments.sharded.ShardCoordinator`
-    describes both the replay and the join.
+    (test-enforced).  :class:`~repro.experiments.sharded.ShardCoordinator`
+    describes the replay.
 
     The result pools every shard: one fleet-wide summary over the
     concatenated outcome streams, Jain's index over the union of
@@ -568,14 +565,6 @@ def run_fleet_sharded(
         )
     if sync_interval_s < 0:
         raise ValueError(f"sync_interval_s must be >= 0, got {sync_interval_s}")
-    if join_at_round is not None:
-        if join_at_round < 0:
-            raise ValueError("join_at_round must be >= 0")
-        if not (fleet_env.arrival is None or fleet_env.arrival.is_static):
-            raise ValueError(
-                "mid-run join needs a static fleet (churn fleets own "
-                "their own admission schedule)"
-            )
     coordinator = ShardCoordinator(
         ShardFleetSpec(
             app_spec=app if isinstance(app, ImageAppSpec) else ImageAppSpec.of(app),
@@ -593,7 +582,6 @@ def run_fleet_sharded(
         warm_prior=shared_prior,
         transport=transport,
         partition_heal_s=partition_heal_s,
-        join_at_round=join_at_round,
         heartbeat_s=SHARD_HEARTBEAT_S if supervision is not None else None,
     )
     try:
@@ -607,8 +595,6 @@ def run_fleet_sharded(
             recovery=coordinator.recovery,
             transport=coordinator.transport,
             before_round=coordinator.before_round,
-            join_at_round=join_at_round,
-            make_joiner=coordinator.make_joiner,
         )
         coordinator.reabsorb(shards, timeout_s)
         sharding = coordinator.finish(shards)
@@ -619,20 +605,8 @@ def run_fleet_sharded(
     shards = [s for s in shards if s is not None]
     reports = [s["diagnostics"] for s in shards]
     samples = [v for s in shards for v in s["fairness_samples"]]
-    # A session donated to a mid-run joiner reports twice: the donor's
-    # served prefix and the joiner's suffix.  Results pool in shard order
-    # (donors first), so later streams stitch onto the first.
-    position: dict[int, int] = {}
-    session_indices: list[int] = []
-    outcomes_by_session: list[list] = []
-    for s in shards:
-        for idx, outs in zip(s["session_indices"], s["outcomes_by_session"]):
-            if idx in position:
-                outcomes_by_session[position[idx]] = outcomes_by_session[position[idx]] + outs
-            else:
-                position[idx] = len(session_indices)
-                session_indices.append(idx)
-                outcomes_by_session.append(outs)
+    session_indices = [i for s in shards for i in s["session_indices"]]
+    outcomes_by_session = [o for s in shards for o in s["outcomes_by_session"]]
     diagnostics: dict = {
         "sessions": len(session_indices),
         "blocks_sent": sum(d["blocks_sent"] for d in reports),

@@ -22,16 +22,14 @@ from typing import Optional
 
 from repro.fleet.checkpoint import (
     FleetCheckpoint,
-    SessionCheckpoint,
     ShardCheckpoint,
     SyncOffer,
-    capture_session,
     capture_shard,
 )
-from repro.fleet.sharding import ShardChannel, assign_shards, shard_of
+from repro.fleet.sharding import ShardChannel, assign_shards
 
 from .runner import run_fleet
-from .sharded import ShardFleetSpec, _suffix_trace
+from .sharded import ShardFleetSpec
 
 __all__ = ["ShardWorker", "run_shard"]
 
@@ -66,10 +64,7 @@ class ShardWorker:
     def run(self) -> dict:
         spec = self.spec
         total = spec.fleet_env.num_sessions
-        if spec.route_indices is not None:
-            owned = set(spec.route_indices)
-        else:
-            owned = set(assign_shards(range(total), spec.num_shards)[spec.shard])
+        owned = set(assign_shards(range(total), spec.num_shards)[spec.shard])
         share = len(owned) / total
         # A shard the hash left empty still runs (it must show up at every
         # sync barrier), just over an epsilon link nobody will use.  The
@@ -131,7 +126,7 @@ class ShardWorker:
         if spec.resume_from is not None:
             self._resume(spec.resume_from)
         wall_start = time.perf_counter()
-        self._replay_predecessor(until)
+        self._replay_predecessor()
         # Injected worker crash: the original worker (attempt 0) dies hard
         # — no cleanup, no error message, like kill -9 — right before its
         # scheduled barrier, so the coordinator sees a mid-protocol death.
@@ -170,22 +165,19 @@ class ShardWorker:
         self.cpu_run_s += time.process_time() - cpu_start
 
     def _barrier(self, round_index: int) -> None:
-        """Offer this round's :class:`SyncOffer` — the sessions donated
-        to a joiner, a checkpoint when :meth:`CheckpointConfig.due`, the
-        prior delta — then merge the peers' prior deltas."""
-        spec, prior, at_s = self.spec, self.prior, self.sim.now
-        migrate_out: tuple[SessionCheckpoint, ...] = ()
-        if spec.grow_to is not None and round_index == spec.grow_to[1]:
-            migrate_out = self._donate(at_s)
+        """Offer this round's :class:`SyncOffer` — a checkpoint when
+        :meth:`CheckpointConfig.due`, the prior delta — then merge the
+        peers' prior deltas."""
+        prior = self.prior
         checkpoint = None
-        config = spec.fleet_env.checkpoint
+        config = self.spec.fleet_env.checkpoint
         if config is not None and config.due(round_index):
-            checkpoint = self._capture(round_index, at_s)
+            checkpoint = self._capture(round_index, self.sim.now)
         delta = None
         if prior is not None:
             delta = prior.delta_since(self.sent_vv)
             self.sent_vv = prior.local_version_vector()
-        peers = self.channel.exchange(SyncOffer(delta, checkpoint, migrate_out))
+        peers = self.channel.exchange(SyncOffer(delta, checkpoint))
         if prior is not None:
             for offer in peers:
                 if offer.delta:
@@ -198,14 +190,13 @@ class ShardWorker:
         Our own is not merged — the deterministic replay re-observes it —
         and the CRDT's per-origin mass tracking makes the peers' later
         re-broadcasts of pre-drain state apply as exact diffs.  A
-        replacement worker skips the merge: it warms from the
-        coordinator's aggregate, which holds these already.
+        replacement worker merges them too, as its predecessor did.
         """
         bundle = FleetCheckpoint.load(path, n=self.n)
         own = bundle.shards.get(self.spec.shard)
         if own is not None:
             self.resumed_sessions = len(own.sessions)
-        if self.prior is not None and self.spec.attempt == 0:
+        if self.prior is not None:
             for shard, ckpt in bundle.shards.items():
                 if shard == self.spec.shard:
                     continue
@@ -213,28 +204,22 @@ class ShardWorker:
                 if delta is not None:
                     self.prior.merge_delta(delta)
 
-    def _replay_predecessor(self, until: float) -> None:
-        """Redo, in sim-time order, what this shard's earlier worker did
+    def _replay_predecessor(self) -> None:
+        """Redo what this shard's earlier worker did at the barriers
         before the round this one starts at (a respawn, or the post-run
-        replay of a lost shard): re-retire the sessions it donated to a
-        joiner, and pause at the restore checkpoint to verify the replay
-        against its digests.
+        replay of a lost shard).  At each, in order: re-capture the
+        restore checkpoint if it was taken there, to verify the replay
+        against its digests, then merge the peer deltas the predecessor
+        merged there.
         """
-        spec = self.spec
-        steps: list[tuple] = []
-        if spec.grow_to is not None and spec.first_round > spec.grow_to[1]:
-            steps.append((spec.grow_to[2], 0, None))
-        if spec.restore is not None and spec.restore.sim_time_s < until:
-            # After a same-time donation: the capture that produced the
-            # digests ran after it too.
-            steps.append((spec.restore.sim_time_s, 1, spec.restore))
-        for at_s, kind, restore in sorted(steps, key=lambda step: step[:2]):
+        restore = self.spec.restore
+        for round_index, (at_s, deltas) in enumerate(self.spec.replay_log):
             self._run_to(at_s)
-            if kind == 0:
-                self._donate(at_s)
-            else:
-                ours = self._capture(restore.round_index, at_s, counted=False)
+            if restore is not None and restore.round_index == round_index:
+                ours = self._capture(round_index, at_s, counted=False)
                 self.restore_verified = ours.digest() == restore.digest()
+            for delta in deltas:
+                self.prior.merge_delta(delta)
 
     def _capture(
         self, round_index: int, at_s: float, counted: bool = True
@@ -255,18 +240,3 @@ class ShardWorker:
         if counted:
             self.checkpoints_taken += 1
         return ckpt
-
-    def _donate(self, at_s: float) -> tuple[SessionCheckpoint, ...]:
-        """Capture and retire every owned session the grown ring routes
-        to the joining member; return their checkpoints."""
-        new_w = self.spec.grow_to[0]
-        moving = []
-        for idx, session in zip(list(self.fleet.session_indices), list(self.fleet.sessions)):
-            if shard_of(idx, new_w) != new_w - 1:
-                continue
-            sc = capture_session(session, idx)
-            if _suffix_trace(self.spec.traces[idx], sc.requests_seen, at_s) is not None:
-                moving.append((session, sc))  # finished sessions stay put
-        for session, _ in moving:
-            self.fleet.retire_session(session)
-        return tuple(sc for _, sc in moving)

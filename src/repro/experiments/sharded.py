@@ -9,9 +9,14 @@ sits between the two:
   worker is spawned with;
 * :class:`ShardCoordinator`, the state the coordinator keeps across
   barriers (the merged crowd prior, the latest checkpoint per shard,
-  who joined and which sessions moved to the joiner), the hooks
-  ``run_sharded`` calls to update it, and the post-run replay of a
-  shard lost past its restart budget.
+  the log of every barrier's offered deltas), the hooks ``run_sharded``
+  calls to update it, and the post-run replay of a shard lost past its
+  restart budget.
+
+Membership is static: the ring routes each session to one of the W
+shards for the whole run, and a shard's slice runs again only as a
+replay — a respawn, or the post-run replay of a lost shard — that
+reaches its predecessor's state exactly.
 
 At every barrier each worker offers one
 :class:`~repro.fleet.checkpoint.SyncOffer` and receives its peers'
@@ -32,7 +37,6 @@ from typing import Any, Optional
 from repro.fleet.checkpoint import (
     CheckpointStore,
     FleetCheckpoint,
-    SessionCheckpoint,
     ShardCheckpoint,
     SyncOffer,
 )
@@ -127,6 +131,12 @@ class ShardFleetSpec:
     #: Global index of ``sync_points[0]`` in the full barrier schedule
     #: (respawned workers run a suffix; checkpoints carry global rounds).
     first_round: int = 0
+    #: The barriers before ``first_round``, one ``(sim_time_s,
+    #: peer_deltas)`` per round: the prior deltas this shard's earlier
+    #: worker merged there, in the order it merged them.  A replacement
+    #: warms from the run's initial prior and merges these at the same
+    #: sim times, so its replay reaches its predecessor's state exactly.
+    replay_log: tuple[tuple[float, tuple[PriorDelta, ...]], ...] = ()
     #: The shard's last coordinator-held checkpoint.  A respawned (or
     #: re-absorbed) worker pauses its replay at ``restore.sim_time_s``,
     #: re-captures, and compares digests — restore-in-place, verified
@@ -141,48 +151,6 @@ class ShardFleetSpec:
     #: drain): skip the rest of the run, ship partial results plus a
     #: final checkpoint.
     drain_after_round: Optional[int] = None
-    #: Explicit session ownership, overriding the hash route.  A mid-run
-    #: joiner owns exactly the sessions the grown ring moved to it — not
-    #: everything the ring *would* give it, since sessions that finished
-    #: before the join never migrate.
-    route_indices: Optional[tuple[int, ...]] = None
-    #: ``(new_num_shards, at_round, at_time_s)``: a member joins the
-    #: fleet after global sync round ``at_round``.  At that barrier this
-    #: worker captures and retires every owned session the grown ring
-    #: routes to the new member and offers their checkpoints.  A
-    #: respawned worker whose suffix starts *after* the join replays the
-    #: same retirement at the same sim time instead, so its
-    #: deterministic restore matches the stored digests.
-    grow_to: Optional[tuple[int, int, float]] = None
-
-
-def _suffix_trace(
-    trace: InteractionTrace, requests_seen: int, not_before_s: float
-) -> Optional[InteractionTrace]:
-    """The remainder of ``trace`` after its first ``requests_seen``
-    requests, shifted to start no earlier than ``not_before_s``.
-
-    This is how a session donated to a mid-run joiner resumes from its
-    checkpointed sequence position: the first ``requests_seen``
-    request-bearing events (and the observe-only samples interleaved
-    before them) are already served and drop out; everything after
-    replays at its original absolute sim time, clamped up to the join
-    point (the clamp is monotone, so event order survives).  Returns
-    ``None`` for a session with no requests left — finished sessions
-    don't migrate.
-    """
-    times, xs, ys, requests = trace.columns
-    request_rows = [row for row, r in enumerate(requests) if r is not None]
-    if len(request_rows) <= requests_seen:
-        return None
-    start = request_rows[requests_seen - 1] + 1 if requests_seen else 0
-    return InteractionTrace.from_columns(
-        [max(t, not_before_s) for t in times[start:]],
-        xs[start:],
-        ys[start:],
-        requests[start:],
-        name=f"{trace.name}+migrated",
-    )
 
 
 class ShardCoordinator:
@@ -191,18 +159,15 @@ class ShardCoordinator:
     ``spec`` describes the whole fleet (its ``shard`` is ignored); the
     constructor plans the barrier schedule and fills in the plan-wide
     fields every task shares.  :meth:`task` derives one worker's task
-    from it.  The bound methods :meth:`before_round`, :meth:`on_round`,
-    :meth:`respawn` and :meth:`make_joiner` are
-    :func:`~repro.fleet.sharding.run_sharded`'s hooks; :meth:`reabsorb`
-    and :meth:`finish` run after it returns, and :meth:`close` releases
-    the transport and temporary prior files.
+    from it.  The bound methods :meth:`before_round`, :meth:`on_round`
+    and :meth:`respawn` are :func:`~repro.fleet.sharding.run_sharded`'s
+    hooks; :meth:`reabsorb` and :meth:`finish` run after it returns, and
+    :meth:`close` releases the transport and temporary prior files.
 
     A shard lost past its restart budget comes back one way: once the
     barriers are over, :meth:`reabsorb` replays its whole slice from
     the last checkpoint, so every request its sessions issued reaches
-    the pooled report.  Membership grows the other way: a member that
-    joins after barrier ``join_at_round`` resumes the sessions the grown
-    ring moves to it from the positions their donors offered.
+    the pooled report.
     """
 
     #: The worker entry point (:mod:`repro.experiments.shard_worker`).
@@ -216,7 +181,6 @@ class ShardCoordinator:
         warm_prior: Any = None,
         transport: Any = "pipe",
         partition_heal_s: float = 1.0,
-        join_at_round: Optional[int] = None,
         heartbeat_s: Optional[float] = None,
     ) -> None:
         fleet_env = spec.fleet_env
@@ -224,7 +188,6 @@ class ShardCoordinator:
         self.num_shards = spec.num_shards
         self.sync_interval_s = sync_interval_s
         self.partition_heal_s = partition_heal_s
-        self.join_at_round = join_at_round
         self.heartbeat_s = heartbeat_s
         self.n = spec.app_spec.rows * spec.app_spec.cols
         self.static = arrival is None or arrival.is_static
@@ -242,14 +205,13 @@ class ShardCoordinator:
         checkpoint = fleet_env.checkpoint
         self.checkpoint = None if checkpoint is None or checkpoint.is_inert else checkpoint
         # Barriers carry prior deltas, and anchor worker crashes, drains,
-        # partitions, checkpoint captures and joins; a worker with none of
-        # these offers an empty SyncOffer (a pure liveness barrier).
+        # partitions and checkpoint captures; a worker with none of these
+        # offers an empty SyncOffer (a pure liveness barrier).
         want_barriers = (
             spec.predictor == "shared-markov"
             or (chaos is not None and (chaos.has_worker_faults or chaos.has_drain))
             or (self.checkpoint is not None and self.checkpoint.captures)
             or (chaos is not None and bool(chaos.partitions))
-            or join_at_round is not None
         )
         sync_points: tuple[float, ...] = ()
         if want_barriers and sync_interval_s > 0:
@@ -265,16 +227,6 @@ class ShardCoordinator:
             self.drained_at_round = min(chaos.drain_round, len(sync_points) - 1)
             sync_points = sync_points[: self.drained_at_round + 1]
         self.sync_points = sync_points
-        # A mid-run join: every original worker donates, at barrier
-        # ``join_at_round``, the sessions the grown ring routes to shard W.
-        grow_to = None
-        if join_at_round is not None:
-            if join_at_round >= len(sync_points):
-                raise ValueError(
-                    f"join_at_round={join_at_round} needs at least "
-                    f"{join_at_round + 1} sync rounds, run has {len(sync_points)}"
-                )
-            grow_to = (self.num_shards + 1, join_at_round, sync_points[join_at_round])
         resume_from, bundle = None, None
         if self.checkpoint is not None and self.checkpoint.in_path is not None:
             resume_from = os.fspath(self.checkpoint.in_path)
@@ -310,67 +262,52 @@ class ShardCoordinator:
             shared_prior_path=self.warm_path,
             resume_from=resume_from,
             drain_after_round=self.drained_at_round,
-            grow_to=grow_to,
         )
 
-        #: Every barrier's deltas fold into this aggregate, so it holds the
-        #: crowd as of the last completed round: the seed a rejoining
-        #: worker warms from (the CRDT merge is idempotent, so its
-        #: re-contributing pre-crash transitions is harmless).
+        #: Every barrier's deltas and the workers' final contributions fold
+        #: into this aggregate: the pooled prior that ``prior_out`` saves
+        #: and ``diagnostics["shared_prior"]`` reports.  No worker warms
+        #: from it.
         self.prior: Optional[SharedTransitionPrior] = None
         self.merged = 0
+        #: Each completed round's offered deltas by shard, in the order
+        #: the workers received them: what a replacement replays.
+        self.log: list[dict[int, Optional[PriorDelta]]] = []
         self.store = CheckpointStore() if self.checkpoint is not None else None
         self.recovery = ShardRecovery()
-        #: Restart attempts per shard; the extra slot is the joiner's.
-        self.attempts = [0] * (self.num_shards + 1)
-        #: Sessions donors retired for the joiner, by index.
-        self.moved: dict[int, SessionCheckpoint] = {}
-        self.joiner_route: Optional[tuple[int, ...]] = None
-        self.joiner_traces: Optional[tuple[InteractionTrace, ...]] = None
+        self.attempts = [0] * self.num_shards
         self.reabsorbed: list[int] = []
-        # Resuming: pre-seed the aggregate with every shard's stored
-        # contribution, so a worker that dies before its first barrier
-        # still respawns with the checkpointed crowd.
+        # Resuming: the pooled prior starts from every shard's stored
+        # contribution.
         if bundle is not None:
             for ckpt in bundle.shards.values():
                 delta = ckpt.prior_delta_object()
                 if delta is not None:
                     self._merge(delta)
 
-    @property
-    def joined(self) -> bool:
-        return self.joiner_route is not None
-
     # -- tasks -----------------------------------------------------------
 
     def task(self, shard: int, first_round: int = 0, attempt: int = 0) -> ShardTask:
         """Shard ``shard``'s task from global round ``first_round`` on.
 
-        Attempt 0 of an original shard boots from the plan.  Any other
-        worker (a respawn, the joiner, a re-absorbed slice) rejoins a
-        running fleet: it warms from the coordinator's aggregate prior
-        and restores from its shard's latest checkpoint.  The joiner's
-        task routes exactly the donated sessions, on their suffix traces.
+        Every worker boots from the plan.  A replacement (a respawn, a
+        re-absorbed slice) also replays the barriers before
+        ``first_round`` from the log, and restores from its shard's
+        latest checkpoint.
         """
+        replay_log = tuple(
+            (at_s, tuple(d for k, d in offered.items() if k != shard and d))
+            for at_s, offered in zip(self.sync_points, self.log[:first_round])
+        )
         spec = replace(
             self.spec,
             shard=shard,
             sync_points=self.sync_points[first_round:],
             first_round=first_round,
+            replay_log=replay_log,
             attempt=attempt,
             restore=self.store.latest(shard) if self.store is not None else None,
         )
-        if attempt > 0 or shard == self.num_shards:
-            spec = replace(spec, shared_prior_path=self._seed_path())
-        if shard == self.num_shards:
-            spec = replace(
-                spec,
-                num_shards=shard + 1,
-                route_indices=self.joiner_route,
-                traces=self.joiner_traces,
-                grow_to=None,
-                resume_from=None,
-            )
         return ShardTask(
             entry=self.entry,
             spec=spec,
@@ -378,10 +315,6 @@ class ShardCoordinator:
             num_shards=spec.num_shards,
             heartbeat_interval_s=self.heartbeat_s,
         )
-
-    def _seed_path(self) -> Optional[str]:
-        """The aggregate prior saved for a rejoining worker to warm from."""
-        return self.warm_path if self.prior is None else self._save(self.prior)
 
     def _save(self, prior: SharedTransitionPrior) -> str:
         handle = tempfile.NamedTemporaryFile(suffix=".npz", delete=False)
@@ -408,12 +341,11 @@ class ShardCoordinator:
             for lo, hi in chaos.partitions_at(round_index):
                 self.transport.cut_links(range(lo, hi + 1), self.partition_heal_s)
 
-    def on_round(self, round_index: int, offers: list[SyncOffer]) -> None:
-        for offer in offers:
+    def on_round(self, round_index: int, offers: dict[int, SyncOffer]) -> None:
+        self.log.append({k: offer.delta for k, offer in offers.items()})
+        for offer in offers.values():
             if offer.checkpoint is not None:
                 self.store.put(offer.checkpoint)
-            for sc in offer.migrate_out:
-                self.moved[sc.index] = sc
             if offer.delta:
                 self._merge(offer.delta)
 
@@ -421,36 +353,20 @@ class ShardCoordinator:
         self.attempts[shard] += 1
         return self.task(shard, next_round, self.attempts[shard])
 
-    def make_joiner(self, round_index: int) -> ShardTask:
-        """The member joining after barrier ``round_index``.
-
-        It owns exactly the sessions the donors offered at this barrier,
-        each replaying the suffix of its trace past its checkpointed
-        request count, so the newcomer resumes them mid-flight.
-        """
-        at_s = self.sync_points[round_index]
-        self.joiner_route = tuple(sorted(self.moved))
-        traces = list(self.spec.traces)
-        for idx in self.joiner_route:
-            suffix = _suffix_trace(traces[idx], self.moved[idx].requests_seen, at_s)
-            if suffix is not None:
-                traces[idx] = suffix
-        self.joiner_traces = tuple(traces)
-        return self.task(self.num_shards, first_round=round_index + 1)
-
     # -- after the run ---------------------------------------------------
 
     def reabsorb(self, shards: list, timeout_s: Optional[float]) -> None:
         """Replay each lost shard's slice to completion in place.
 
         The slice reruns from the start of the run as a barrier-free
-        single task, warmed from the aggregate prior; it pauses at its
-        last checkpoint to verify the replay against the stored digests,
-        re-donates to a joiner (if one joined) at the join time, and
-        reports every session's whole outcome stream.  The per-origin CRDT merge dedups
-        its prior contribution against everything already pooled.  Drain
-        runs skip this: the written bundle keeps the lost shard's last
-        checkpoint for the ``--checkpoint-in`` restart instead.
+        single task that merges, at every barrier time, the deltas its
+        peers offered there; it pauses at its last checkpoint to verify
+        the replay against the stored digests, and reports every
+        session's whole outcome stream.  The per-origin CRDT merge
+        dedups its prior contribution against everything already
+        pooled.  Drain runs skip this: the written bundle keeps the lost
+        shard's last checkpoint for the ``--checkpoint-in`` restart
+        instead.
         """
         if self.store is None or self.drained_at_round is not None:
             return
@@ -464,12 +380,9 @@ class ShardCoordinator:
                 continue  # still lost; the pooled report says so
             self.reabsorbed.append(k)
 
-    def _owned_now(self, k: int) -> list[int]:
-        """The sessions shard ``k`` answers for at the end of the run."""
-        if self.joined and k == self.num_shards:
-            return list(self.joiner_route)
-        owned = assign_shards(range(len(self.spec.traces)), self.num_shards)[k]
-        return [i for i in owned if i not in self.moved]
+    def _owned(self, k: int) -> list[int]:
+        """The sessions shard ``k`` runs."""
+        return assign_shards(range(len(self.spec.traces)), self.num_shards)[k]
 
     def finish(self, shards: list) -> dict:
         """Fold the workers' final prior deltas and checkpoints in, write
@@ -492,7 +405,6 @@ class ShardCoordinator:
 
         recovery = self.recovery
         lost = [k for k in recovery.lost_shards if k not in self.reabsorbed]
-        members = self.num_shards + self.joined
         report = {
             "shards": self.num_shards,
             "sync_interval_s": self.sync_interval_s,
@@ -506,18 +418,13 @@ class ShardCoordinator:
             # planned sessions that loss cost the pooled report.
             "shards_recovered": len(recovery.recovered_shards),
             "shards_lost": len(lost),
-            "sessions_lost": sum(len(self._owned_now(k)) for k in lost),
+            "sessions_lost": sum(len(self._owned(k)) for k in lost),
             "restarts": len(recovery.restarts),
             "restarts_by_shard": [
                 sum(1 for s, _, _ in recovery.restarts if s == k)
-                for k in range(members)
+                for k in range(self.num_shards)
             ],
-            # Sessions donated to a mid-run joiner.
-            "sessions_migrated": len(self.joiner_route or ()),
-            "members": members,
         }
-        if self.joined:
-            report["joined_at_round"] = self.join_at_round
         per_shard = self.transport.counter_snapshots()
         report["transport"] = {
             "driver": self.transport.name,
@@ -541,7 +448,7 @@ class ShardCoordinator:
                 # respawn, or re-absorbed from a lost shard's checkpoint.
                 sessions_resumed=sum(s["resumed_sessions"] for s in survivors)
                 + sum(
-                    len(self._owned_now(k))
+                    len(self._owned(k))
                     for k in recovery.recovered_shards + self.reabsorbed
                 ),
                 shards_reabsorbed=len(self.reabsorbed),

@@ -512,11 +512,9 @@ class SyncOffer(NamedTuple):
     message the barrier carries.
 
     ``delta`` is its crowd-prior contribution since its last offer
-    (``None`` without a shared prior), ``checkpoint`` its capture when
-    one is due, and ``migrate_out`` the sessions it retired for a
-    joining member at this barrier.
+    (``None`` without a shared prior) and ``checkpoint`` its capture
+    when one is due.
     """
 
     delta: Optional[PriorDelta] = None
     checkpoint: Optional[ShardCheckpoint] = None
-    migrate_out: tuple[SessionCheckpoint, ...] = ()

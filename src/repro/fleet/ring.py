@@ -1,15 +1,14 @@
-"""Consistent-hash ring: membership-elastic session routing.
+"""Consistent-hash ring: the session router of a sharded fleet.
 
-PR 7's ``shard_of`` routed sessions with ``crc32(key) % W`` — perfect
-for a fixed fleet, catastrophic for an elastic one: changing ``W``
-remaps almost every key, so a single worker joining or leaving would
-force nearly every session to migrate.  A consistent-hash ring
-(Karger et al.) pins each node at many pseudo-random points on a
-2^32 hash circle and routes a key to the first node point at or after
-the key's own hash.  Adding a node steals only the key ranges that now
-fall to *its* points (an expected ``1/(W+1)`` fraction).  That bound is
-an exact structural property, not a statistic — the property tests
-enforce it key-by-key.
+A fleet of W shards is built once and keeps its membership for the
+whole run, so ``route`` fixes each session's shard for a given W: the
+coordinator and every spawned worker compute the same owner for every
+plan index, and a session lives on that one shard from its first
+request to its last.  The ring pins each node at many pseudo-random
+points on a 2^64 hash circle and routes a key to the first node point
+at or after the key's own hash (Karger et al.).  Its one structural
+property, which the property tests enforce key-by-key, is that adding
+a node moves keys only to the newcomer.
 
 Hashing is BLAKE2b over the string form: Python's builtin ``hash`` is
 salted per process, and the ring must route identically in the
@@ -21,7 +20,7 @@ short decimal strings clusters badly enough to starve shards of an
 
 The ring is deliberately tiny and dependency-free — it is imported by
 :mod:`repro.fleet.sharding` on every routing call, so construction is
-cached there per membership.
+cached there per W.
 """
 
 from __future__ import annotations
@@ -63,19 +62,6 @@ class HashRing:
         for node in nodes:
             self.add(node)
 
-    # -- membership ----------------------------------------------------
-
-    @property
-    def nodes(self) -> tuple:
-        """Current membership, sorted by string form (stable view)."""
-        return tuple(sorted(self._nodes, key=str))
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: Hashable) -> bool:
-        return node in self._nodes
-
     def add(self, node: Hashable) -> None:
         """Join ``node``: claims an expected ``1/W`` share of the keys."""
         if node in self._nodes:
@@ -88,8 +74,6 @@ class HashRing:
             point = (_hash(f"{node}#{v}"), node)
             bisect.insort(self._points, point)
 
-    # -- routing -------------------------------------------------------
-
     def route(self, key: Any) -> Hashable:
         """The node owning ``key``: first ring point at/after its hash."""
         if not self._points:
@@ -101,11 +85,3 @@ class HashRing:
         if i == len(self._points):
             i = 0  # wrap: the circle has no end
         return self._points[i][1]
-
-    def assign(self, keys: Iterable[Any]) -> dict:
-        """Partition ``keys`` by owner: ``{node: [keys...]}`` (all nodes
-        present, even those assigned nothing)."""
-        out: dict = {node: [] for node in self._nodes}
-        for key in keys:
-            out[self.route(key)].append(key)
-        return out

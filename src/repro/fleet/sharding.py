@@ -39,9 +39,9 @@ Supervision (optional): with a :class:`SupervisionPolicy` and a
 ``respawn`` factory, a worker that dies or goes quiet past the
 heartbeat timeout is quarantined and replaced — the factory builds a
 fresh :class:`ShardTask` that re-runs the shard from the last
-completed sync round (in the fleet case, seeded with the
-coordinator-side merged CRDT prior, which is exactly what makes
-re-entry coordination-free).  Restarts back off exponentially up to a
+completed sync round (in the fleet case, replaying from the start the
+peer payloads its predecessor received, which ``on_round`` sees keyed
+by shard, so the replacement reaches the same state).  Restarts back off exponentially up to a
 per-shard budget; past it the shard is *dropped*, its result slot
 left ``None`` and the loss recorded in a :class:`ShardRecovery` log
 instead of tearing down the surviving fleet; the fleet coordinator
@@ -101,13 +101,11 @@ def _ring_for(num_shards: int) -> HashRing:
 def shard_of(key: Any, num_shards: int) -> int:
     """Stable hash route: which shard owns ``key``?
 
-    Routes over a consistent-hash ring (CRC-32 based — Python's
+    Routes over a consistent-hash ring (BLAKE2b based — Python's
     builtin ``hash`` is salted per process, which would route the same
-    session to different shards in the coordinator and a worker).  The
-    ring, unlike the old ``crc32 % W``, keeps routing *stable under
-    membership change*: going W → W+1 moves only ~1/(W+1) of the keys,
-    which is what makes a mid-run join migrate a handful of sessions
-    instead of reshuffling the whole fleet.
+    session to different shards in the coordinator and a worker).  For
+    a given W the route is fixed: a session stays on one shard for the
+    whole run.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -434,22 +432,6 @@ class _Supervisor:
                 except (BrokenPipeError, OSError):
                     pass
 
-    def add_member(self, task: ShardTask) -> int:
-        """Grow the fleet mid-run: spawn ``task`` as a new member.
-
-        The joiner takes part in every barrier from the next round on;
-        it is supervised like any original worker.  Returns its slot
-        index.
-        """
-        self.tasks.append(task)
-        self.procs.append(None)
-        self.pipes.append(None)
-        self.alive.append(True)
-        self.attempts.append(0)
-        i = len(self.tasks) - 1
-        self.spawn([i])
-        return i
-
     def dispose(self, i: int) -> None:
         conn = self.pipes[i]
         if conn is not None:
@@ -536,14 +518,12 @@ def run_sharded(
     tasks: list[ShardTask],
     sync_rounds: int = 0,
     timeout_s: Optional[float] = None,
-    on_round: Optional[Callable[[int, list[Any]], None]] = None,
+    on_round: Optional[Callable[[int, dict[int, Any]], None]] = None,
     supervision: Optional[SupervisionPolicy] = None,
     respawn: Optional[Callable[[int, int], ShardTask]] = None,
     recovery: Optional[ShardRecovery] = None,
     transport=None,
     before_round: Optional[Callable[[int], None]] = None,
-    join_at_round: Optional[int] = None,
-    make_joiner: Optional[Callable[[int], Optional[ShardTask]]] = None,
 ) -> list[Any]:
     """Run one process per task with ``sync_rounds`` barrier exchanges.
 
@@ -551,9 +531,11 @@ def run_sharded(
     ``sync_rounds`` times before returning — the coordinator gathers
     one payload per worker per round and relays each worker the
     others' payloads.  ``on_round(round_index, payloads)`` observes
-    each completed barrier (e.g. to fold deltas into a coordinator-side
-    aggregate).  Returns the workers' entry-function return values,
-    indexed by shard.
+    each completed barrier; ``payloads`` maps each live worker's shard
+    to its payload, in the order every worker receives its peers' (the
+    fleet coordinator folds them into an aggregate and logs them for a
+    replacement worker to replay).  Returns the workers' entry-function
+    return values, indexed by shard.
 
     Without ``supervision``, any worker failure tears the whole fleet
     down and raises :class:`ShardError` with the remote traceback —
@@ -568,8 +550,7 @@ def run_sharded(
     raise.  A dropped shard is the caller's to recover once the call
     returns; the fleet coordinator replays it from its last checkpoint.
 
-    Elasticity hooks (all optional, all default-off so the PR-7/8/9
-    byte path is untouched):
+    Optional hooks, off by default so the plain pipe protocol is unchanged:
 
     * ``transport`` — a driver with the :class:`PipeTransport` duck
       type; default is the pipe driver, ``TcpTransport`` carries the
@@ -577,9 +558,6 @@ def run_sharded(
     * ``before_round(round_index)`` — runs before each round's
       gathers; the chaos harness uses it to cut TCP links at an exact
       barrier.
-    * ``join_at_round``/``make_joiner`` — after that round completes,
-      ``make_joiner(round_index)`` may return a :class:`ShardTask` for
-      a *new* member that participates in every later barrier.
     """
     if {t.shard for t in tasks} != set(range(len(tasks))):
         raise ValueError("task shard indices must be exactly 0..W-1")
@@ -591,11 +569,11 @@ def run_sharded(
         recovery = ShardRecovery()
     sup = _Supervisor(ctx, tasks, supervision, respawn, recovery, transport)
     try:
-        sup.spawn(range(len(tasks)))
+        n = len(tasks)
+        sup.spawn(range(n))
         for round_index in range(sync_rounds):
             if before_round is not None:
                 before_round(round_index)
-            n = len(sup.tasks)  # membership may have grown last round
             offers: list[Optional[Any]] = [None] * n
             for i in range(n):
                 if not sup.alive[i]:
@@ -617,17 +595,10 @@ def run_sharded(
             if on_round is not None:
                 on_round(
                     round_index,
-                    [offers[i] for i in range(n) if sup.alive[i]],
+                    {sup.tasks[i].shard: offers[i] for i in range(n) if sup.alive[i]},
                 )
-            if join_at_round is not None and round_index == join_at_round:
-                if make_joiner is not None:
-                    joiner = make_joiner(round_index)
-                    if joiner is not None:
-                        sup.add_member(joiner)
-        results: list[Any] = [None] * max(
-            (t.shard + 1 for t in sup.tasks), default=0
-        )
-        for i in range(len(sup.tasks)):
+        results: list[Any] = [None] * n
+        for i in range(n):
             if not sup.alive[i]:
                 continue
             value = sup.gather(i, "result", sync_rounds, timeout_s)

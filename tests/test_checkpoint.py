@@ -337,11 +337,10 @@ class TestConfigAndStore:
             shard=0, num_shards=1, round_index=0, sim_time_s=0.0,
             n=64, sessions=(),
         )
-        moved = (SessionCheckpoint(3, 2, 5, 5, 250, 11, 12),)
         delta = PriorDelta("shard0", 64, rows={1: {2: 3}}, row_mass={1: 3})
-        offer = SyncOffer(delta, ckpt, moved)
+        offer = SyncOffer(delta, ckpt)
         assert pickle.loads(pickle.dumps(offer)) == offer
-        assert SyncOffer() == (None, None, ())
+        assert SyncOffer() == (None, None)
 
 
 class TestInertCheckpointIsInvisible:

@@ -49,11 +49,6 @@ class TestCLI:
         assert "early hit" in out
         assert "cohort_s" in out
 
-    def test_sharded_fleet_command_grows_by_a_joiner(self, capsys):
-        argv = ["fleet", "--sessions", "6", "--scale", "quick", "--shards", "2"]
-        assert main(argv + ["--join-at-round", "1"]) == 0
-        assert "members=3" in capsys.readouterr().out
-
     def test_negative_sync_interval_rejected(self):
         with pytest.raises(SystemExit, match="--sync-interval"):
             main(["fleet", "--sessions", "2", "--scale", "quick", "--shards", "2",

@@ -5,9 +5,8 @@ No process starts and nothing is timed.  The stub context logs every
 "runs" the moment its task arrives, queueing the messages its task
 scripts on its coordinator link.  That is enough to check the boot
 contract: every worker starts before any task is handed over, a
-respawned worker and a joiner each get their task, and a worker that
-dies before reading its task is reported (or replaced) instead of
-hanging the coordinator.
+respawned worker gets its task, and a worker that dies before reading
+its task is reported (or replaced) instead of hanging the coordinator.
 """
 
 from collections import deque
@@ -202,18 +201,6 @@ def test_supervised_respawn_receives_its_task(stub_ctx):
     assert recovery.restarts == [(1, 1, 1)]
     assert ctx.log[-2:] == [("start", 1, 1), ("task", 1, 1)]
     assert results[1]["rounds_done"] == 2
-
-
-def test_join_at_round_joiner_receives_its_task(stub_ctx):
-    ctx = stub_ctx()
-    results = run(
-        [task(0, 2, rounds=3), task(1, 2, rounds=3)],
-        rounds=3,
-        join_at_round=0,
-        make_joiner=lambda round_index: task(2, 3, rounds=3 - round_index - 1),
-    )
-    assert ctx.log[-2:] == [("start", 2, 0), ("task", 2, 0)]
-    assert results[2]["rounds_done"] == 2
 
 
 def test_worker_dead_before_its_task_raises_when_unsupervised(stub_ctx):

@@ -2,9 +2,9 @@
 
 :class:`~repro.experiments.sharded.ShardCoordinator` is what
 ``run_fleet_sharded`` hands ``run_sharded`` as hooks.  These tests call
-those hooks directly with hand-built barrier messages, so every
-membership path (respawn, join, re-absorb) runs in
-milliseconds without spawning a worker.
+those hooks directly with hand-built barrier messages, so both ways a
+shard's slice runs again (a respawn, the post-run replay of a lost
+shard) run in milliseconds without spawning a worker.
 """
 
 import importlib
@@ -18,7 +18,6 @@ from repro.experiments.sharded import (
     ImageAppSpec,
     ShardCoordinator,
     ShardFleetSpec,
-    _suffix_trace,
 )
 from repro.fleet import CheckpointConfig
 from repro.fleet.checkpoint import (
@@ -26,7 +25,7 @@ from repro.fleet.checkpoint import (
     ShardCheckpoint,
     SyncOffer,
 )
-from repro.fleet.sharding import ShardError, assign_shards, shard_of
+from repro.fleet.sharding import ShardError, assign_shards
 from repro.predictors.shared import SharedTransitionPrior
 from repro.workloads.mouse import MouseTraceGenerator
 
@@ -98,7 +97,7 @@ def test_on_round_folds_every_delta_and_stores_every_checkpoint(traces):
             expected.merge_delta(delta)
             offers.append(SyncOffer(delta, shard_checkpoint(shard, 2, 0, [shard])))
         offers.append(SyncOffer())  # a liveness-only offer changes nothing
-        coord.on_round(0, offers)
+        coord.on_round(0, dict(enumerate(offers)))
         assert coord.prior.snapshot() == expected.snapshot()
         assert coord.merged == 4
         for shard in (0, 1):
@@ -112,7 +111,7 @@ def test_respawn_task_restores_from_the_latest_checkpoint(traces):
     try:
         owned = assign_shards(range(SESSIONS), 3)
         coord.on_round(
-            0, [SyncOffer(checkpoint=shard_checkpoint(k, 3, 0, owned[k])) for k in range(3)]
+            0, {k: SyncOffer(checkpoint=shard_checkpoint(k, 3, 0, owned[k])) for k in range(3)}
         )
 
         spec = coord.respawn(2, 3).spec
@@ -125,36 +124,33 @@ def test_respawn_task_restores_from_the_latest_checkpoint(traces):
         coord.close()
 
 
-def test_joiner_routes_exactly_the_donated_sessions_on_suffix_traces(traces):
-    coord = coordinator(traces, 2, join_at_round=1)
+def test_replacement_replays_the_deltas_its_predecessor_merged(traces):
+    """A replacement warms from the run's initial prior, not the
+    aggregate, and gets every earlier round's peer deltas in the order
+    its predecessor merged them — never its own, never an empty one."""
+    coord = coordinator(traces, 3, predictor="shared-markov")
     try:
-        at_s = coord.sync_points[1]
-        assert coord.spec.grow_to == (3, 1, at_s)
-        donated = [i for i in range(SESSIONS) if shard_of(i, 3) == 2]
-        assert donated
-        seen = {i: 1 + i % 3 for i in donated}
-        offers = [
-            SyncOffer(migrate_out=tuple(
-                SessionCheckpoint(i, seen[i], 0, 0, 0, 0, 0)
-                for i in donated if shard_of(i, 2) == k
-            ))
-            for k in range(2)
-        ]
-        coord.on_round(1, offers)
-        task = coord.make_joiner(1)
-        spec = task.spec
-        assert (task.shard, task.num_shards) == (2, 3)
-        assert (spec.shard, spec.num_shards) == (2, 3)
-        assert spec.route_indices == tuple(donated)
-        assert spec.grow_to is None and spec.resume_from is None
-        assert spec.first_round == 2 and spec.sync_points == coord.sync_points[2:]
-        for i, trace in enumerate(spec.traces):
-            if i in seen:
-                assert trace == _suffix_trace(traces[i], seen[i], at_s)
-            else:
-                assert trace is traces[i]
-        assert coord.joined
-        assert coord.task(0).spec.traces == traces  # donors keep the plan
+        deltas = {}
+        for r in range(2):
+            offers = {}
+            for k in (2, 0, 1):  # the order the workers received them
+                local = SharedTransitionPrior(APP.rows * APP.cols)
+                local.enable_sharding(f"shard{k}")
+                if (r, k) != (1, 2):
+                    local.observe(r, k + 10)
+                deltas[r, k] = local.delta_since()
+                offers[k] = SyncOffer(None if (r, k) == (1, 0) else deltas[r, k])
+            coord.on_round(r, offers)
+
+        spec = coord.respawn(1, 2).spec
+        assert spec.shared_prior_path == coord.warm_path
+        assert spec.replay_log == (
+            (coord.sync_points[0], (deltas[0, 2], deltas[0, 0])),
+            (coord.sync_points[1], ()),
+        )
+        assert coord.task(0).spec.replay_log == ()
+        # A lost shard's replay runs every round.
+        assert len(coord.task(1, len(coord.log)).spec.replay_log) == 2
     finally:
         coord.close()
 
@@ -185,11 +181,6 @@ def test_reabsorb_retries_lost_shards_but_never_hides_bugs(traces, monkeypatch):
             coord.reabsorb(shards, timeout_s=1.0)
     finally:
         coord.close()
-
-
-def test_join_past_the_last_barrier_is_rejected(traces):
-    with pytest.raises(ValueError, match="join_at_round=99"):
-        coordinator(traces, 2, join_at_round=99)
 
 
 def test_negative_sync_interval_is_rejected(traces):
