@@ -118,7 +118,7 @@ RUNS: list[tuple[str, list[str]]] = [
                      "--max-concurrent", "3", "--predictor", "shared-markov"]),
     ("smoke:sharded", [*_SHARDED, "--sync-interval", "0.5"]),
     ("smoke:chaos", [*_FLEET, "--shards", "2",
-                     "--chaos", "worker-crash:1,backend-err:0.05",
+                     "--chaos", "worker-crash:1,backend-err:0.05,outage:1-2",
                      "--checkpoint-every", "1"]),
     ("smoke:tcp", [*_SHARDED, "--transport", "tcp", "--chaos", "partition:0-1@1"]),
     ("smoke:drain", [*_SHARDED, "--sync-interval", "0.5", "--chaos", "drain:1",

@@ -7,8 +7,6 @@ meta-request optimization keeps even 10k-request instances real-time
 (the paper reports 13× savings: 1.9 s → 150 ms per 5k-block schedule).
 """
 
-import statistics
-
 from repro.experiments.figures import fig16_greedy_runtime
 
 
@@ -27,10 +25,17 @@ def test_fig16_greedy_runtime(benchmark, bench_report):
     )
 
     # Runtime is (near-)independent of blocks/request: compare the two
-    # block settings at the largest instance.
-    big = [r for r in rows if r["requests"] == 10_000 and r["cache_blocks"] == 500]
-    times = {r["blocks_per_req"]: r["runtime_ms"] for r in big}
-    assert times[200] < 5.0 * max(times[50], 0.1)
+    # block settings at the largest instance.  One wall-clock sample per
+    # cell is at the mercy of a single scheduler hiccup, so each cell is
+    # re-timed three times, interleaved, and the minima are compared.
+    times = {50: [], 200: []}
+    for _ in range(3):
+        for nb in times:
+            (cell,) = fig16_greedy_runtime(
+                num_requests=(10_000,), cache_blocks=(500,), blocks_per_request=(nb,)
+            )
+            times[nb].append(cell["runtime_ms"])
+    assert min(times[200]) < 5.0 * max(min(times[50]), 0.1)
     # Every schedule fills its batch.
     assert all(r["blocks_scheduled"] == r["cache_blocks"] for r in rows)
 

@@ -1,17 +1,12 @@
 """Backend fault injection for robustness testing.
 
 A production backend sees failed fetches and latency spikes that the
-paper's evaluation never does.  These wrappers inject such faults
-around any backend without touching it, so the test suite can assert
-that Khameleon *degrades* (lower utility, later upcalls) instead of
-deadlocking or crashing:
-
-* :class:`FlakyBackend` — a deterministic fraction of fetches fail and
-  complete only after retrying, modelling transient query errors with
-  client-transparent retry.
-* :class:`ErraticBackend` — a deterministic fraction of fetches raise
-  :class:`BackendFetchError` (for :mod:`repro.backends.retry` to
-  absorb) or suffer a latency spike before being accepted.
+paper's evaluation never does.  :class:`ErraticBackend` injects such
+faults around any backend without touching it, so the test suite can
+assert that Khameleon *degrades* (lower utility, later upcalls) instead
+of deadlocking or crashing: a deterministic fraction of fetches raise
+:class:`BackendFetchError` (for :mod:`repro.backends.retry` to absorb)
+or suffer a latency spike before being accepted.
 
 All injection decisions are drawn from crc32 hashes of a seed and a
 per-fetch counter — deterministic across processes and across the
@@ -25,59 +20,20 @@ import zlib
 
 from repro.backends.base import Backend, BackendFetchError, BackendWrapper, OnComplete
 
-__all__ = ["FlakyBackend", "ErraticBackend"]
-
-
-class FlakyBackend(BackendWrapper):
-    """Backend wrapper injecting deterministic fetch failures.
-
-    Every ``failure_period``-th fetch "fails": its completion is
-    delayed by ``retry_delay_s`` (one transparent retry), and the
-    failure is counted.  The wrapped backend's response cache and
-    in-flight dedup still apply, so correctness properties (each
-    response computed once, callbacks always fire) are preserved —
-    that invariant is what the tests pin down.
-    """
-
-    def __init__(
-        self,
-        inner: Backend,
-        failure_period: int = 5,
-        retry_delay_s: float = 0.2,
-    ) -> None:
-        if failure_period < 1:
-            raise ValueError("failure period must be >= 1")
-        if retry_delay_s < 0:
-            raise ValueError("retry delay must be non-negative")
-        super().__init__(inner)
-        self.failure_period = failure_period
-        self.retry_delay_s = retry_delay_s
-        self.failures_injected = 0
-        self._fetch_count = 0
-
-    def fetch(self, request: int, on_complete: OnComplete) -> None:
-        self._fetch_count += 1
-        if self._fetch_count % self.failure_period == 0 and not self.inner.is_cached(
-            request
-        ):
-            self.failures_injected += 1
-            self.sim.schedule(
-                self.retry_delay_s, self.inner.fetch, request, on_complete
-            )
-            return
-        self.inner.fetch(request, on_complete)
+__all__ = ["ErraticBackend"]
 
 
 class ErraticBackend(BackendWrapper):
     """Backend wrapper injecting hard errors and latency spikes.
 
-    Unlike :class:`FlakyBackend` (which transparently retries for the
-    caller), an injected error here *raises* :class:`BackendFetchError`
-    from ``fetch`` — the caller is expected to sit behind a
-    :class:`~repro.backends.retry.RetryingBackend` that absorbs it.
-    Cached and in-flight requests never fail: the inner backend would
-    answer them without new work, so injecting a failure there would
-    model a fault the real system cannot have.
+    An injected error *raises* :class:`BackendFetchError` from
+    ``fetch`` — the caller is expected to sit behind a
+    :class:`~repro.backends.retry.RetryingBackend` that absorbs it.  A
+    spiked fetch reaches the inner backend ``spike_s`` late, so it
+    completes at ``spike_s`` plus the backend's own delay.  Cached and
+    in-flight requests are neither failed nor spiked: the inner backend
+    would answer them without new work, so injecting a fault there would
+    model one the real system cannot have.
 
     Draws are deterministic functions of ``(seed, fetch_count)`` via
     crc32, so a given seed yields the same fault schedule in every

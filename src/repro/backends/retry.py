@@ -73,7 +73,8 @@ class RetryingBackend(BackendWrapper):
     :class:`BackendFetchError` from ``fetch``.  Cache hits and
     piggybacked fetches never reach the failure path (the inner
     backend answers them before attempting real work), matching the
-    FlakyBackend invariant that dedup'd fetches are safe.
+    :class:`~repro.backends.faults.ErraticBackend` invariant that
+    dedup'd fetches are never failed.
     """
 
     def __init__(self, inner, policy: RetryPolicy | None = None) -> None:

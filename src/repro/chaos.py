@@ -1,7 +1,6 @@
 """Chaos configuration: one knob panel for every fault source.
 
 ``ChaosConfig`` gathers the individual fault injectors —
-:class:`~repro.backends.faults.FlakyBackend` (transparent retries),
 :class:`~repro.backends.faults.ErraticBackend` (hard errors + latency
 spikes, absorbed by a :class:`~repro.backends.retry.RetryingBackend`),
 :class:`~repro.sim.failures.OutageLink` (dead-link windows), and
@@ -17,7 +16,6 @@ The CLI spec is a comma-separated list of faults::
     backend-err:P        fraction P of fetches raise BackendFetchError
     spike:P@S            fraction P of fetches delayed by S seconds
     outage:A-B           link outage window [A, B) seconds
-    flaky:N              every Nth fetch delayed one transparent retry
     disconnect:P@S       drop session P's live connection at S seconds
     disconnect:S         shorthand: drop session 0's connection at S
     drain:R              graceful drain after sync round R (mid-run
@@ -45,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.backends.base import Backend, BackendWrapper
-from repro.backends.faults import ErraticBackend, FlakyBackend
+from repro.backends.faults import ErraticBackend
 from repro.backends.retry import RetryingBackend, RetryPolicy
 from repro.sim.failures import OutageLink
 from repro.sim.link import Link
@@ -63,14 +61,11 @@ class BackendFaultStack:
     """
 
     top: Backend | BackendWrapper
-    flaky: Optional[FlakyBackend] = None
     erratic: Optional[ErraticBackend] = None
     retry: Optional[RetryingBackend] = None
 
     def snapshot(self) -> dict:
         out: dict = {}
-        if self.flaky is not None:
-            out["flaky_failures_injected"] = self.flaky.failures_injected
         if self.erratic is not None:
             out["errors_injected"] = self.erratic.errors_injected
             out["spikes_injected"] = self.erratic.spikes_injected
@@ -112,8 +107,6 @@ class ChaosConfig:
     backend_error_rate: float = 0.0
     backend_spike_rate: float = 0.0
     backend_spike_s: float = 1.0
-    flaky_period: int = 0  # 0 = disabled
-    flaky_retry_s: float = 0.2
     link_outages: tuple[tuple[float, float], ...] = ()
     worker_crashes: tuple[tuple[int, int], ...] = ()  # (shard, sync round)
     disconnects: tuple[tuple[int, float], ...] = ()  # (session, at seconds)
@@ -131,8 +124,6 @@ class ChaosConfig:
             raise ValueError("backend_error_rate must be in [0, 1]")
         if not 0.0 <= self.backend_spike_rate <= 1.0:
             raise ValueError("backend_spike_rate must be in [0, 1]")
-        if self.flaky_period < 0:
-            raise ValueError("flaky_period must be >= 0 (0 disables)")
         for shard, round_ in self.worker_crashes:
             if shard < 0 or round_ < 0:
                 raise ValueError(f"bad worker crash ({shard}, {round_})")
@@ -158,11 +149,7 @@ class ChaosConfig:
 
     @property
     def has_backend_faults(self) -> bool:
-        return (
-            self.backend_error_rate > 0.0
-            or self.backend_spike_rate > 0.0
-            or self.flaky_period > 0
-        )
+        return self.backend_error_rate > 0.0 or self.backend_spike_rate > 0.0
 
     @property
     def has_link_faults(self) -> bool:
@@ -233,18 +220,12 @@ class ChaosConfig:
     def wrap_backend(self, backend: Backend) -> BackendFaultStack:
         """Build the fault-injection + retry chain around ``backend``.
 
-        Order (inside out): flaky (transparent retries) → erratic
-        (hard errors / spikes) → retry (absorbs the hard errors).  The
-        retry layer is added whenever errors can be injected, so no
-        injected error ever propagates into the sender.
+        Order (inside out): erratic (hard errors / spikes) → retry
+        (absorbs the hard errors).  The retry layer is added whenever
+        errors can be injected, so no injected error ever propagates
+        into the sender.
         """
         stack = BackendFaultStack(top=backend)
-        if self.flaky_period > 0:
-            stack.flaky = FlakyBackend(
-                stack.top, failure_period=self.flaky_period,
-                retry_delay_s=self.flaky_retry_s,
-            )
-            stack.top = stack.flaky
         if self.backend_error_rate > 0.0 or self.backend_spike_rate > 0.0:
             stack.erratic = ErraticBackend(
                 stack.top,
@@ -273,7 +254,6 @@ class ChaosConfig:
         error_rate = 0.0
         spike_rate = 0.0
         spike_s = 1.0
-        flaky_period = 0
         outages: list[tuple[float, float]] = []
         crashes: list[tuple[int, int]] = []
         disconnects: list[tuple[int, float]] = []
@@ -311,8 +291,6 @@ class ChaosConfig:
                 elif name == "outage":
                     start_s, _, end_s = value.partition("-")
                     outages.append((float(start_s), float(end_s)))
-                elif name == "flaky":
-                    flaky_period = int(value)
                 elif name == "disconnect":
                     if "@" in value:
                         session_s, _, at_s = value.partition("@")
@@ -344,7 +322,6 @@ class ChaosConfig:
             backend_error_rate=error_rate,
             backend_spike_rate=spike_rate,
             backend_spike_s=spike_s,
-            flaky_period=flaky_period,
             link_outages=tuple(outages),
             worker_crashes=tuple(crashes),
             disconnects=tuple(disconnects),
@@ -356,40 +333,3 @@ class ChaosConfig:
             corrupt_rate=corrupt_rate,
             seed=seed,
         )
-
-    def describe(self) -> str:
-        """Short human-readable summary for report titles."""
-        parts = []
-        if self.worker_crashes:
-            parts.append(
-                "crash " + "+".join(f"s{s}@r{r}" for s, r in self.worker_crashes)
-            )
-        if self.backend_error_rate > 0.0:
-            parts.append(f"err {self.backend_error_rate:g}")
-        if self.backend_spike_rate > 0.0:
-            parts.append(f"spike {self.backend_spike_rate:g}@{self.backend_spike_s:g}s")
-        if self.flaky_period > 0:
-            parts.append(f"flaky 1/{self.flaky_period}")
-        if self.link_outages:
-            parts.append(
-                "outage " + "+".join(f"{a:g}-{b:g}s" for a, b in self.link_outages)
-            )
-        if self.disconnects:
-            parts.append(
-                "disconnect "
-                + "+".join(f"c{s}@{t:g}s" for s, t in self.disconnects)
-            )
-        if self.drain_round is not None:
-            parts.append(f"drain @r{self.drain_round}")
-        if self.partitions:
-            parts.append(
-                "partition "
-                + "+".join(f"s{lo}-{hi}@r{r}" for lo, hi, r in self.partitions)
-            )
-        if self.netdelay_rate > 0.0:
-            parts.append(f"netdelay {self.netdelay_ms:g}ms p{self.netdelay_rate:g}")
-        if self.dup_rate > 0.0:
-            parts.append(f"dup {self.dup_rate:g}")
-        if self.corrupt_rate > 0.0:
-            parts.append(f"corrupt {self.corrupt_rate:g}")
-        return ", ".join(parts) if parts else "none"

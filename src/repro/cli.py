@@ -118,28 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed for the arrival/dwell draws (default: 0)",
     )
     fleet.add_argument(
-        "--patience",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="how long an arrival beyond --max-concurrent waits in the "
-        "admission queue before walking away; 0 = classic reject-at-cap "
-        "(default: 0)",
-    )
-    fleet.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission queue bound; past it the lowest-weight waiter "
-        "is shed (default: unbounded)",
-    )
-    fleet.add_argument(
         "--chaos",
         default=None,
         metavar="SPEC",
         help="fault schedule, e.g. "
-        "'worker-crash:1,backend-err:0.05,spike:0.02@1.0,outage:2-3,flaky:7' "
+        "'worker-crash:1,backend-err:0.05,spike:0.02@1.0,outage:2-3' "
         "(default: well-behaved world)",
     )
     fleet.add_argument(
@@ -317,20 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="server-side fault injection, e.g. 'disconnect:0@1.5' aborts "
         "session 0's socket 1.5 s after admission (default: none)",
     )
-    serve.add_argument(
-        "--checkpoint-out",
-        default=None,
-        metavar="JSON",
-        help="on drain (SIGTERM / --run-for / Ctrl-C) persist the crowd "
-        "prior and resume-token table here",
-    )
-    serve.add_argument(
-        "--checkpoint-in",
-        default=None,
-        metavar="JSON",
-        help="warm the crowd prior from this checkpoint and honor its "
-        "resume tokens for --resume-grace seconds after boot",
-    )
     for name, (_fn, _scaled, desc) in FIGURES.items():
         p = sub.add_parser(name, help=desc)
         p.add_argument(
@@ -361,18 +330,12 @@ def _run_fleet_command(args) -> list[tuple[list[dict], str]]:
     ]
     arrival = None
     if args.arrivals > 0 or args.dwell is not None or args.max_concurrent is not None:
-        if args.patience > 0 and args.max_concurrent is None:
-            raise SystemExit("--patience needs --max-concurrent")
         arrival = ArrivalConfig(
             rate_per_s=args.arrivals,
             mean_dwell_s=args.dwell,
             max_concurrent=args.max_concurrent,
             seed=args.arrival_seed,
-            patience_s=args.patience,
-            queue_depth=args.queue_depth,
         )
-    elif args.patience > 0 or args.queue_depth is not None:
-        raise SystemExit("--patience/--queue-depth need --max-concurrent")
     chaos = None
     if args.chaos:
         from repro.chaos import ChaosConfig
@@ -458,13 +421,6 @@ def _run_fleet_command(args) -> list[tuple[list[dict], str]]:
             f" (rejected {churn['rejected']}, departed {churn['departed']})"
             f" | early hit {100 * d['early_hit_rate']:.1f}%"
         )
-        if churn["queued"]:
-            title += (
-                f" | queued {churn['queued']} "
-                f"(admitted {churn['admitted_from_queue']}, "
-                f"shed {churn['shed_patience']} patience"
-                f" + {churn['shed_capacity']} capacity)"
-            )
     sharding = d.get("sharding")
     if sharding is not None:
         title += (
@@ -559,8 +515,6 @@ def _run_serve_command(args) -> int:
         ping_max_misses=args.ping_misses,
         resume_grace_s=args.resume_grace,
         chaos=chaos,
-        checkpoint_out=args.checkpoint_out,
-        checkpoint_in=args.checkpoint_in,
     )
 
     async def _serve() -> None:
@@ -573,7 +527,7 @@ def _run_serve_command(args) -> int:
               f"({app.app.num_requests} requests, predictor={args.predictor}, "
               f"cap={app.max_concurrent})", flush=True)
         # SIGTERM = graceful drain: stop admitting, close every live
-        # socket with 1001 "going away", checkpoint, exit 0.
+        # socket with 1001 "going away", exit 0.
         drain = asyncio.Event()
         loop = asyncio.get_running_loop()
         try:
@@ -623,8 +577,6 @@ def _run_serve_command(args) -> int:
             f"resumed, {s.resume_rejected} rejected",
             flush=True,
         )
-    if args.checkpoint_out:
-        print(f"checkpoint: saved to {args.checkpoint_out}", flush=True)
     if args.prior_out:
         app.prior.save(args.prior_out)
         print(

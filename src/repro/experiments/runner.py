@@ -440,7 +440,7 @@ def run_fleet(
                 traces[record.index],
                 record.session.client.observe,
                 record.session.client.request,
-                offset_s=record.admitted_at,
+                offset_s=record.arrived_at,
             )
 
         fleet.manager.on_admit = replay_from_arrival

@@ -54,7 +54,6 @@ __all__ = [
     "CheckpointStore",
     "capture_session",
     "capture_shard",
-    "read_checkpoint",
     "SyncOffer",
 ]
 
@@ -78,19 +77,13 @@ def _require_int(payload: dict, key: str, minimum: int = 0) -> int:
     return value
 
 
-def read_checkpoint(
-    path: str,
-    magic: str,
-    version: int,
-    n: Optional[int] = None,
-    sections: tuple[str, ...] = (),
-) -> dict:
-    """Decode the versioned JSON checkpoint at ``path``; check its header.
+def read_checkpoint(path: str, n: Optional[int] = None) -> dict:
+    """Decode the fleet checkpoint JSON at ``path``; check its header.
 
     Every fault is a :class:`ValueError`: the file is not a JSON object
-    whose ``format`` is ``magic``; its ``format_version`` is not
-    ``version``; its ``n`` is not a positive integer, or not ``n`` when
-    one is expected; or one of ``sections`` is present but not an
+    whose ``format`` is :data:`MAGIC`; its ``format_version`` is not
+    :data:`FORMAT_VERSION`; its ``n`` is not a positive integer, or not
+    ``n`` when one is expected; or its ``shards`` is present but not an
     object.  Returns the payload for the caller to read the body.
     """
     try:
@@ -98,12 +91,13 @@ def read_checkpoint(
             payload = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path!s} is not a saved checkpoint: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != magic:
+    if not isinstance(payload, dict) or payload.get("format") != MAGIC:
         raise ValueError(f"{path!s} is not a saved checkpoint")
     found = payload.get("format_version")
-    if found != version:
+    if found != FORMAT_VERSION:
         raise ValueError(
-            f"checkpoint format v{found} unsupported (expected v{version})"
+            f"checkpoint format v{found} unsupported "
+            f"(expected v{FORMAT_VERSION})"
         )
     try:
         saved_n = _require_int(payload, "n", minimum=1)
@@ -111,11 +105,8 @@ def read_checkpoint(
         raise ValueError(f"{path!s} is not a saved checkpoint: {exc}") from exc
     if n is not None and saved_n != n:
         raise ValueError(f"checkpoint over {saved_n} requests, expected {n}")
-    for key in sections:
-        if not isinstance(payload.get(key, {}), dict):
-            raise ValueError(
-                f"{path!s} is not a saved checkpoint: {key} is not an object"
-            )
+    if not isinstance(payload.get("shards", {}), dict):
+        raise ValueError(f"{path!s} is not a saved checkpoint: shards is not an object")
     return payload
 
 
@@ -417,9 +408,7 @@ class FleetCheckpoint:
         pass the app's ``num_requests`` so a checkpoint from a different
         application is rejected before it corrupts every session.
         """
-        payload = read_checkpoint(
-            path, MAGIC, FORMAT_VERSION, n=n, sections=("shards",)
-        )
+        payload = read_checkpoint(path, n=n)
         saved_n = payload["n"]
         try:
             num_shards = _require_int(payload, "num_shards", minimum=1)

@@ -109,8 +109,8 @@ class FleetConfig:
         prior matches the unsharded fleet's.
     chaos:
         Optional :class:`~repro.chaos.ChaosConfig`.  Backend fault
-        sources (flaky retries, hard errors behind a retry layer,
-        latency spikes) are wrapped around the backend at fleet
+        sources (hard errors behind a retry layer, latency spikes) are
+        wrapped around the backend at fleet
         construction; an all-default / ``None`` config changes nothing.
         Link outages and worker crashes are consumed upstream (runner
         and sharded coordinator respectively).

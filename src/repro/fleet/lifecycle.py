@@ -77,16 +77,6 @@ class ArrivalConfig:
     max_concurrent:
         Admission cap: an arrival finding this many sessions attached is
         rejected.  ``None`` (default) admits everyone.
-    patience_s:
-        How long an arrival blocked at the cap will wait in the
-        admission queue before giving up.  ``0.0`` (default) is exactly
-        the binary reject-at-cap behaviour — no queue exists and the
-        rejection path is bit-identical to the pre-queue manager.
-    queue_depth:
-        Bound on the patience queue.  When full, the *lowest-weight*
-        waiter (including the newcomer) is shed — overload preferentially
-        drops the arrivals the fair-share link would serve least.
-        ``None`` (default) leaves the queue bounded only by patience.
     seed:
         Seed for the arrival-gap and dwell draws.  The whole plan is a
         pure function of ``(seed, num_sessions)``.
@@ -97,8 +87,6 @@ class ArrivalConfig:
     dwell_sigma: float = 0.6
     max_concurrent: Optional[int] = None
     seed: int = 0
-    patience_s: float = 0.0
-    queue_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.rate_per_s < 0:
@@ -109,10 +97,6 @@ class ArrivalConfig:
             raise ValueError("dwell sigma must be non-negative")
         if self.max_concurrent is not None and self.max_concurrent < 1:
             raise ValueError("admission cap must be >= 1 when given")
-        if self.patience_s < 0:
-            raise ValueError("patience must be non-negative")
-        if self.queue_depth is not None and self.queue_depth < 1:
-            raise ValueError("queue depth must be >= 1 when given")
 
     @property
     def is_static(self) -> bool:
@@ -144,22 +128,17 @@ class ArrivalConfig:
 
         ``trace_duration_of(index)`` maps a session to its trace length;
         the horizon is the max over sessions of arrival + min(trace,
-        dwell), plus the patience allowance when a queue can delay
-        admissions (a queued session replays its trace from the moment
-        it is finally admitted).  Rejected sessions never interact, but
-        their plans are included — rejection is decided at run time,
-        not plan time.  Every shard of a sharded fleet computes the same
-        horizon from the same global plan.
+        dwell).  Rejected sessions never interact, but their plans are
+        included — rejection is decided at run time, not plan time.
+        Every shard of a sharded fleet computes the same horizon from
+        the same global plan.
         """
-        wait_s = 0.0
-        if self.max_concurrent is not None and self.patience_s > 0:
-            wait_s = self.patience_s
         horizon = 0.0
         for plan in self.plan(num_sessions):
             span = trace_duration_of(plan.index)
             if plan.dwell_s is not None:
                 span = min(span, plan.dwell_s)
-            horizon = max(horizon, plan.arrival_s + wait_s + span)
+            horizon = max(horizon, plan.arrival_s + span)
         return horizon
 
     def plan(self, num_sessions: int) -> list["SessionPlan"]:
@@ -203,10 +182,9 @@ class SessionRecord:
     plan: SessionPlan
     admitted: bool = False
     session: Optional[KhameleonSession] = None
+    #: When the session arrived — and, if admitted, attached: admission
+    #: is decided at the arrival instant.
     arrived_at: Optional[float] = None
-    #: When the session actually attached — equals ``arrived_at`` for a
-    #: direct admission, later for one that waited in the patience queue.
-    admitted_at: Optional[float] = None
     departed_at: Optional[float] = None
 
     @property
@@ -228,15 +206,6 @@ class ChurnStats:
     departed: int = 0
     peak_concurrent: int = 0
     bytes_dropped_on_departure: int = 0
-    # Patience-queue outcomes (all zero when patience_s == 0: the queue
-    # never forms).  Every queued arrival ends in exactly one of
-    # admitted_from_queue / shed_patience / shed_capacity / shed at
-    # end-of-run, and shed arrivals also count in ``rejected`` so
-    # ``arrivals == admitted + rejected`` holds with or without a queue.
-    queued: int = 0
-    admitted_from_queue: int = 0
-    shed_patience: int = 0
-    shed_capacity: int = 0
 
     def snapshot(self) -> dict:
         return {
@@ -246,10 +215,6 @@ class ChurnStats:
             "departed": self.departed,
             "peak_concurrent": self.peak_concurrent,
             "bytes_dropped_on_departure": self.bytes_dropped_on_departure,
-            "queued": self.queued,
-            "admitted_from_queue": self.admitted_from_queue,
-            "shed_patience": self.shed_patience,
-            "shed_capacity": self.shed_capacity,
         }
 
 
@@ -308,8 +273,6 @@ class SessionManager:
         self.admitted_records: list[SessionRecord] = []  # admission order
         self.stats = ChurnStats()
         self._active: list[SessionRecord] = []
-        self._queue: list[SessionRecord] = []  # arrival (FIFO) order
-        self._patience_events: dict[int, object] = {}  # record index -> event
         self._arrival_events: list = []
         self._started = False
         self._stopped = False
@@ -329,15 +292,11 @@ class SessionManager:
     def stop(self) -> None:
         """End of run: no further admissions; stop sessions still
         attached (their ports stay open so end-of-run accounting matches
-        the static fleet's quiesce).  Arrivals still waiting in the
-        patience queue are shed — they count as rejected, keeping
-        ``arrivals == admitted + rejected``.  Idempotent."""
+        the static fleet's quiesce).  Idempotent."""
         self._stopped = True
         for event in self._arrival_events:
             event.cancel()
         self._arrival_events.clear()
-        for record in list(self._queue):
-            self._shed(record, "patience")
         for record in list(self._active):
             if record.session is not None:
                 record.session.stop()
@@ -352,22 +311,13 @@ class SessionManager:
         self.stats.arrivals += 1
         cap = self.arrival.max_concurrent
         if cap is not None and len(self._active) >= cap:
-            if self.arrival.patience_s <= 0.0:
-                # Binary reject-at-cap: the degenerate zero-patience
-                # queue, kept byte-for-byte on the original path.
-                self.stats.rejected += 1
-                if self.on_reject is not None:
-                    self.on_reject(record)
-                return
-            self._enqueue(record)
+            self.stats.rejected += 1
+            if self.on_reject is not None:
+                self.on_reject(record)
             return
-        self._admit(record)
-
-    def _admit(self, record: SessionRecord) -> None:
         session = self.fleet.admit_session(record.index)
         record.session = session
         record.admitted = True
-        record.admitted_at = self.sim.now
         self.admitted_records.append(record)
         self._active.append(record)
         self.stats.admitted += 1
@@ -389,72 +339,12 @@ class SessionManager:
         )
         if self.on_depart is not None:
             self.on_depart(record)
-        self._drain_queue()
-
-    # -- patience queue -------------------------------------------------
-
-    def _weight(self, record: SessionRecord) -> float:
-        return self.fleet.config.weight_of(record.index)
-
-    def _enqueue(self, record: SessionRecord) -> None:
-        depth = self.arrival.queue_depth
-        if depth is not None and len(self._queue) >= depth:
-            # Weight-aware shedding: the lowest-weight waiter — newcomer
-            # included — is dropped; ties shed the newest, preserving
-            # queue seniority.  Overload thus sacrifices the arrivals
-            # the weighted fair-share link would serve least.
-            lightest = min(reversed(self._queue), key=self._weight)
-            if self._weight(record) <= self._weight(lightest):
-                self.stats.shed_capacity += 1
-                self.stats.rejected += 1
-                if self.on_reject is not None:
-                    self.on_reject(record)
-                return
-            self._shed(lightest, "capacity")
-        self._queue.append(record)
-        self.stats.queued += 1
-        self._patience_events[record.index] = self.sim.schedule(
-            self.arrival.patience_s, self._on_patience_expired, record
-        )
-
-    def _shed(self, record: SessionRecord, reason: str) -> None:
-        """Remove a waiter from the queue and count it as rejected."""
-        self._queue.remove(record)
-        event = self._patience_events.pop(record.index, None)
-        if event is not None:
-            event.cancel()
-        if reason == "patience":
-            self.stats.shed_patience += 1
-        else:
-            self.stats.shed_capacity += 1
-        self.stats.rejected += 1
-        if self.on_reject is not None:
-            self.on_reject(record)
-
-    def _on_patience_expired(self, record: SessionRecord) -> None:
-        if record in self._queue:
-            self._shed(record, "patience")
-
-    def _drain_queue(self) -> None:
-        """Admit waiters (FIFO) into slots freed by departures."""
-        cap = self.arrival.max_concurrent
-        while self._queue and (cap is None or len(self._active) < cap):
-            record = self._queue.pop(0)
-            event = self._patience_events.pop(record.index, None)
-            if event is not None:
-                event.cancel()
-            self.stats.admitted_from_queue += 1
-            self._admit(record)
 
     # -- introspection -------------------------------------------------
 
     @property
     def active_count(self) -> int:
         return len(self._active)
-
-    @property
-    def queued_count(self) -> int:
-        return len(self._queue)
 
     def arrival_times(self) -> list[float]:
         """Per-admitted-session arrival times, in admission order.

@@ -168,33 +168,6 @@ class SharedTransitionPrior:
             "rows_warmed": len(self._counts),
         }
 
-    def coo_items(self) -> list[tuple[int, int, int]]:
-        """The pooled counts as sorted ``(prev, next, count)`` triples.
-
-        The same COO triplets :meth:`save` writes to npz, for callers
-        that persist the prior inside another artifact (the serve
-        frontend's JSON checkpoint).
-        """
-        return [
-            (prev, nxt, self._counts[prev][nxt])
-            for prev in sorted(self._counts)
-            for nxt in sorted(self._counts[prev])
-        ]
-
-    def warm(self, prev: int, nxt: int, count: int) -> None:
-        """Seed pooled counts directly, as :meth:`load` does from disk.
-
-        Warm counts are pooled but not *local*: a later
-        :meth:`enable_sharding` treats them as crowd background, exactly
-        like an npz warm start.
-        """
-        if not 0 <= prev < self.n or not 0 <= nxt < self.n or count < 0:
-            raise ValueError(f"corrupt prior entry {prev}->{nxt} x{count}")
-        if count:
-            self._counts[prev][nxt] += count
-            self._row_mass[prev] += count
-            self.transitions_observed += count
-
     # -- cross-shard delta sync (CRDT) --------------------------------
     #
     # A sharded fleet runs one prior replica per worker process.  Each

@@ -47,7 +47,6 @@ from repro.clock import WallClock
 from repro.core.blocks import Block
 from repro.core.session import KhameleonSession, SessionConfig
 from repro.experiments.configs import FleetEnvironment
-from repro.fleet.checkpoint import read_checkpoint
 from repro.fleet.fleet import FleetConfig, KhameleonFleet
 from repro.fleet.lifecycle import ArrivalConfig
 from repro.metrics.collector import collect
@@ -147,8 +146,6 @@ class KhameleonServeApp:
         ping_max_misses: int = 3,
         resume_grace_s: float = 0.0,
         chaos: Optional[ChaosConfig] = None,
-        checkpoint_out: Optional[str] = None,
-        checkpoint_in: Optional[str] = None,
     ) -> None:
         if outbox_depth < 1:
             raise ValueError("outbox_depth must be >= 1")
@@ -201,22 +198,12 @@ class KhameleonServeApp:
         #: Server-side fault injection: ``disconnect:P@S`` aborts
         #: session P's socket S seconds after admission.
         self.chaos = chaos
-        #: Drain/restore lifecycle: ``stop()`` persists the crowd prior
-        #: and resume-token table to ``checkpoint_out``; ``start()``
-        #: warms from ``checkpoint_in`` and honors its tokens for
-        #: ``resume_grace_s`` after boot.
-        self.checkpoint_out = checkpoint_out
-        self.checkpoint_in = checkpoint_in
         self.stats = ServeStats()
         self.clock: Optional[WallClock] = None
         self.fleet: Optional[KhameleonFleet] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._live: dict[int, _Connection] = {}
         self._parked: dict[str, _Connection] = {}
-        #: Tokens honored across a drain/restart cycle (token → weight),
-        #: loaded from ``checkpoint_in``.
-        self._restored_tokens: dict[str, float] = {}
-        self._started_at = 0.0
         self._draining = False
         self._next_index = 0
         # Grows with admissions; ``FleetConfig.weight_of`` reads it at
@@ -264,9 +251,6 @@ class KhameleonServeApp:
         )
         # Live weights: grown per admission, read by weight_of(i).
         self.fleet.config.weights = self._weights
-        if self.checkpoint_in is not None:
-            self._load_checkpoint(self.checkpoint_in)
-        self._started_at = clock.now
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
@@ -277,14 +261,11 @@ class KhameleonServeApp:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful drain: stop admissions, say goodbye, checkpoint, halt.
+        """Graceful drain: stop admissions, say goodbye, halt.
 
         Every connected client gets a WebSocket close 1001 ("going
         away") with a drain reason *before* its session is detached, so
-        well-behaved reconnect logic knows not to retry.  With
-        ``checkpoint_out`` set, the crowd prior and resume-token table
-        are persisted so a restarted server (``checkpoint_in``) can
-        honor the same tokens.
+        well-behaved reconnect logic knows not to retry.
         """
         self._draining = True
         if self._server is not None:
@@ -304,8 +285,6 @@ class KhameleonServeApp:
             self._detach(conn)
         for conn in list(self._live.values()) + list(self._parked.values()):
             self._detach(conn)
-        if self.checkpoint_out is not None:
-            self._write_checkpoint(self.checkpoint_out, conns)
         if self.fleet is not None:
             self.fleet.stop()
 
@@ -534,22 +513,6 @@ class KhameleonServeApp:
             socket.send_text(self._welcome_message(parked, resumed=True))
             await socket.drain()
             return parked
-        if (
-            token in self._restored_tokens
-            and not self._draining
-            and self.clock is not None
-            and self.clock.now - self._started_at <= self.resume_grace_s
-            and len(self._live) + len(self._parked) < self.max_concurrent
-        ):
-            # A token honored across a drain/restart cycle: the old
-            # process checkpointed it, this one admits a fresh session
-            # under the same contract (resumed, not re-queued).
-            weight = self._restored_tokens.pop(token)
-            conn = self._admit(socket, weight)
-            self.stats.sessions_resumed += 1
-            socket.send_text(self._welcome_message(conn, resumed=True))
-            await socket.drain()
-            return conn
         self.stats.resume_rejected += 1
         socket.send_text(
             protocol.encode_message(
@@ -699,70 +662,6 @@ class KhameleonServeApp:
         if path == "/status":
             return 200, "application/json", json.dumps(self.status_snapshot())
         return 404, "application/json", json.dumps({"error": "not found"})
-
-    # -- drain/restore checkpoint --------------------------------------
-
-    #: File magic + version for the serve-side checkpoint (the fleet
-    #: runner has its own bundle format in repro.fleet.checkpoint).
-    CHECKPOINT_MAGIC = "khameleon-serve-checkpoint"
-    CHECKPOINT_VERSION = 1
-
-    def _write_checkpoint(self, path: str, conns: list[_Connection]) -> None:
-        """Persist the crowd prior (COO) and the resume-token table."""
-        payload = {
-            "format": self.CHECKPOINT_MAGIC,
-            "format_version": self.CHECKPOINT_VERSION,
-            "n": self.app.num_requests,
-            "tokens": {
-                c.token: {
-                    "index": c.index,
-                    "weight": (
-                        self._weights[c.index]
-                        if c.index < len(self._weights)
-                        else 1.0
-                    ),
-                }
-                for c in conns
-                if c.token
-            },
-            "prior": {
-                "transitions_observed": self.prior.transitions_observed,
-                "coo": [list(item) for item in self.prior.coo_items()],
-            },
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-
-    def _load_checkpoint(self, path: str) -> None:
-        """Warm the prior and token table from a drained predecessor.
-
-        Fail-fast validation (:func:`~repro.fleet.checkpoint.read_checkpoint`
-        for the header): a malformed file raises a clear
-        :class:`ValueError` before any client connects.
-        """
-        payload = read_checkpoint(
-            path,
-            self.CHECKPOINT_MAGIC,
-            self.CHECKPOINT_VERSION,
-            n=self.app.num_requests,
-            sections=("prior", "tokens"),
-        )
-        coo = payload.get("prior", {}).get("coo", [])
-        if not isinstance(coo, list) or not all(
-            isinstance(entry, list)
-            and len(entry) == 3
-            and all(type(v) is int for v in entry)
-            for entry in coo
-        ):
-            raise ValueError(f"{path!s} is not a saved checkpoint: bad prior coo")
-        for prev, nxt, count in coo:
-            self.prior.warm(prev, nxt, count)
-        for token, info in payload.get("tokens", {}).items():
-            try:
-                weight = float(info.get("weight", 1.0))
-            except (AttributeError, TypeError, ValueError):
-                weight = 1.0
-            self._restored_tokens[str(token)] = weight
 
     async def _ping_loop(self, conn: _Connection) -> None:
         """Probe a quiet connection; close it once pongs stop coming.

@@ -29,9 +29,9 @@ with a ``type`` field; pushed blocks are binary frames.  The exchange:
 Close semantics: a normal end uses close code 1000.  When the server
 drains (SIGTERM or ``stop()``) every connection gets close **1001**
 ("going away") with the drain reason — clients must treat 1001 as
-final and not auto-reconnect; session state is instead persisted to
-the server's ``--checkpoint-out`` file and tokens become valid again
-on a server started with ``--checkpoint-in``.
+final and not auto-reconnect: a drained server's tokens are not
+resumable anywhere.  What outlives the process is the crowd prior
+(``serve --prior-out`` / ``--prior-in``).
 
 A block frame is a fixed 16-byte header followed by the block's payload
 bytes (the reproduction's blocks carry no pixels, so the payload is

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backends.faults import ErraticBackend, FlakyBackend
+from repro.backends.faults import ErraticBackend
 from repro.backends.filesystem import FileSystemBackend
 from repro.backends.retry import RetryingBackend
 from repro.chaos import ChaosConfig
@@ -20,7 +20,7 @@ def make_backend(sim):
 class TestParse:
     def test_full_spec(self):
         cfg = ChaosConfig.parse(
-            "worker-crash:1,backend-err:0.05,spike:0.02@1.5,outage:2-3,flaky:7",
+            "worker-crash:1,backend-err:0.05,spike:0.02@1.5,outage:2-3",
             seed=9,
         )
         assert cfg.worker_crashes == ((0, 1),)
@@ -28,7 +28,6 @@ class TestParse:
         assert cfg.backend_spike_rate == pytest.approx(0.02)
         assert cfg.backend_spike_s == pytest.approx(1.5)
         assert cfg.link_outages == ((2.0, 3.0),)
-        assert cfg.flaky_period == 7
         assert cfg.seed == 9
 
     def test_worker_crash_shard_at_round(self):
@@ -57,8 +56,6 @@ class TestParse:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChaosConfig(backend_error_rate=1.5)
-        with pytest.raises(ValueError):
-            ChaosConfig(flaky_period=-1)
         with pytest.raises(ValueError):
             ChaosConfig(worker_crashes=((-1, 0),))
         with pytest.raises(ValueError):
@@ -103,7 +100,6 @@ class TestIntrospection:
     def test_fault_classes_flip_the_right_flags(self):
         assert ChaosConfig(backend_error_rate=0.1).has_backend_faults
         assert ChaosConfig(backend_spike_rate=0.1).has_backend_faults
-        assert ChaosConfig(flaky_period=3).has_backend_faults
         assert ChaosConfig(link_outages=((0.0, 1.0),)).has_link_faults
         assert ChaosConfig(worker_crashes=((0, 1),)).has_worker_faults
         assert not ChaosConfig(worker_crashes=((0, 1),)).is_inert
@@ -112,15 +108,6 @@ class TestIntrospection:
         assert ChaosConfig(drain_round=0).has_drain
         assert not ChaosConfig(drain_round=0).is_inert
 
-    def test_describe(self):
-        assert ChaosConfig().describe() == "none"
-        text = ChaosConfig.parse("worker-crash:1,backend-err:0.05").describe()
-        assert "crash s0@r1" in text
-        assert "err 0.05" in text
-        text = ChaosConfig.parse("disconnect:1@2.5,drain:3").describe()
-        assert "disconnect c1@2.5s" in text
-        assert "drain @r3" in text
-
 
 class TestWrapBackend:
     def test_inert_config_returns_backend_unchanged(self):
@@ -128,7 +115,6 @@ class TestWrapBackend:
         backend = make_backend(sim)
         stack = ChaosConfig().wrap_backend(backend)
         assert stack.top is backend
-        assert stack.flaky is None
         assert stack.erratic is None
         assert stack.retry is None
         assert stack.snapshot() == {}
@@ -138,7 +124,6 @@ class TestWrapBackend:
         stack = ChaosConfig(backend_error_rate=0.5).wrap_backend(make_backend(sim))
         assert isinstance(stack.top, RetryingBackend)
         assert isinstance(stack.erratic, ErraticBackend)
-        assert stack.flaky is None
         assert set(stack.snapshot()) == {
             "errors_injected",
             "spikes_injected",
@@ -153,19 +138,10 @@ class TestWrapBackend:
         assert isinstance(stack.top, ErraticBackend)
         assert stack.retry is None
 
-    def test_flaky_layer_sits_innermost(self):
-        sim = Simulator()
-        stack = ChaosConfig(
-            flaky_period=2, backend_error_rate=0.5
-        ).wrap_backend(make_backend(sim))
-        assert isinstance(stack.flaky, FlakyBackend)
-        assert stack.erratic.inner is stack.flaky
-        assert stack.top is stack.retry
-
     def test_wrapped_stack_still_completes_fetches(self):
         sim = Simulator()
         stack = ChaosConfig(
-            backend_error_rate=0.3, flaky_period=3, seed=1
+            backend_error_rate=0.3, backend_spike_rate=0.3, seed=1
         ).wrap_backend(make_backend(sim))
         got = []
         for r in range(12):
@@ -252,16 +228,7 @@ class TestNetFaultGrammar:
         backend = object()
         stack = cfg.wrap_backend(backend)
         assert stack.top is backend  # no fault layer was added
-        assert stack.flaky is None and stack.erratic is None
-
-    def test_describe_mentions_net_faults(self):
-        text = ChaosConfig.parse(
-            "partition:0-1@2,netdelay:25:0.3,dup:0.1,corrupt:0.05"
-        ).describe()
-        assert "partition s0-1@r2" in text
-        assert "netdelay 25ms p0.3" in text
-        assert "dup 0.1" in text
-        assert "corrupt 0.05" in text
+        assert stack.erratic is None
 
     def test_validation_rejects_bad_net_values(self):
         with pytest.raises(ValueError, match="corrupt_rate"):

@@ -1,7 +1,7 @@
 """Fault injection through the fleet paths: degraded, never crashed.
 
 The chaos harness (repro.chaos) threads backend errors, latency
-spikes, flaky retries, link outages, and worker crash schedules
+spikes, link outages, and worker crash schedules
 through ``FleetConfig`` into both the in-process churning fleet and
 the multiprocess sharded fleet.  These tests pin the two contracts the
 harness exists to prove:
@@ -53,17 +53,20 @@ class TestInertChaosIsInvisible:
 
 
 class TestChurningFleetUnderFaults:
-    def test_flaky_backend_and_outage_degrade_not_crash(self):
+    def test_spikes_and_outage_degrade_not_crash(self):
         arrival = ArrivalConfig(
             rate_per_s=1.5, mean_dwell_s=2.0, max_concurrent=3, seed=11
         )
-        chaos = ChaosConfig(flaky_period=4, link_outages=((1.0, 2.0),))
+        chaos = ChaosConfig(
+            backend_spike_rate=0.25, backend_spike_s=0.2,
+            link_outages=((1.0, 2.0),),
+        )
         app, traces, fleet_env = small_fleet(
             num_sessions=5, arrival=arrival, chaos=chaos
         )
         result = run_fleet(app, traces, fleet_env, predictor="kalman")
         d = result.diagnostics
-        assert d["chaos"]["flaky_failures_injected"] >= 1
+        assert d["chaos"]["spikes_injected"] >= 1
         churn = d["churn"]
         assert churn["arrivals"] == 5
         assert churn["admitted"] + churn["rejected"] == 5

@@ -197,145 +197,6 @@ class TestAdmissionControl:
         assert stats.departed == stats.admitted
 
 
-class TestPatienceQueue:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ArrivalConfig(patience_s=-1.0)
-        with pytest.raises(ValueError):
-            ArrivalConfig(queue_depth=0)
-
-    def test_zero_patience_is_bit_identical_to_reject_at_cap(self):
-        """patience_s=0 must take the original binary-reject path byte
-        for byte: same outcomes, same stats, whatever queue_depth says."""
-
-        def drive(arrival):
-            sim, fleet, backend = make_fleet(4, arrival=arrival)
-            fleet.start()
-            sim.run(until=5.0)
-            fleet.stop()
-            fingerprint = [
-                [
-                    (o.request, o.logical_ts, o.registered_at, o.served_at,
-                     o.cache_hit, o.preempted)
-                    for o in outcomes
-                ]
-                for outcomes in fleet.outcomes_by_session()
-            ]
-            return fingerprint, fleet.manager.stats.snapshot()
-
-        legacy = drive(ArrivalConfig(rate_per_s=5.0, max_concurrent=2, seed=2))
-        queued = drive(
-            ArrivalConfig(
-                rate_per_s=5.0, max_concurrent=2, seed=2,
-                patience_s=0.0, queue_depth=8,
-            )
-        )
-        assert queued == legacy
-        assert queued[1]["queued"] == 0  # the queue never formed
-
-    def test_queued_arrival_is_admitted_when_a_slot_frees(self):
-        # One slot; the first tenant dwells 0.3 s, the second arrives
-        # while it is attached and waits out the departure.
-        arrival = ArrivalConfig(
-            rate_per_s=20.0, mean_dwell_s=0.3, dwell_sigma=0.0,
-            max_concurrent=1, seed=5, patience_s=5.0,
-        )
-        sim, fleet, backend = make_fleet(2, arrival=arrival)
-        fleet.start()
-        sim.run(until=10.0)
-        fleet.stop()
-        stats = fleet.manager.stats
-        assert stats.admitted == 2
-        assert stats.rejected == 0
-        assert stats.queued == 1
-        assert stats.admitted_from_queue == 1
-        waiter = next(r for r in fleet.manager.records if r.admitted_at != r.arrived_at)
-        assert waiter.admitted_at > waiter.arrived_at  # it actually waited
-        assert stats.arrivals == stats.admitted + stats.rejected
-
-    def test_patience_expiry_sheds_the_waiter(self):
-        # Nobody departs: the queued arrival gives up after patience_s.
-        arrival = ArrivalConfig(
-            rate_per_s=20.0, max_concurrent=1, seed=5, patience_s=0.5,
-        )
-        sim, fleet, backend = make_fleet(2, arrival=arrival)
-        fleet.start()
-        sim.run(until=10.0)
-        fleet.stop()
-        stats = fleet.manager.stats
-        assert stats.admitted == 1
-        assert stats.queued == 1
-        assert stats.shed_patience == 1
-        assert stats.rejected == 1
-        assert stats.arrivals == stats.admitted + stats.rejected
-        waiter = next(r for r in fleet.manager.records if not r.admitted)
-        assert waiter.rejected
-        assert waiter.session is None
-
-    def test_full_queue_sheds_the_lightest_waiter(self):
-        # Cap 1, queue depth 1.  s0 admitted; s1 (weight 0.5) queues;
-        # s2 (weight 2.0) arrives at a full queue and displaces s1.
-        arrival = ArrivalConfig(
-            rate_per_s=50.0, max_concurrent=1, seed=1,
-            patience_s=30.0, queue_depth=1,
-        )
-        sim, fleet, backend = make_fleet(
-            3, weights=[1.0, 0.5, 2.0], arrival=arrival
-        )
-        fleet.start()
-        sim.run(until=2.0)
-        stats = fleet.manager.stats
-        assert stats.queued == 2  # both later arrivals entered the queue
-        assert stats.shed_capacity == 1  # ...but s1 was pushed out by s2
-        # A waiter still in the queue also reads as not-admitted, so
-        # identify the shed arrival by exclusion.
-        waiting = {r.index for r in fleet.manager._queue}
-        shed = next(
-            r for r in fleet.manager.records
-            if r.rejected and r.index not in waiting
-        )
-        assert shed.index == 1
-        assert fleet.manager.queued_count == 1
-        fleet.stop()
-
-    def test_light_newcomer_is_rejected_at_a_full_queue(self):
-        # Same shape, weights reversed: the newcomer is the lightest,
-        # so the incumbent waiter keeps its place.
-        arrival = ArrivalConfig(
-            rate_per_s=50.0, max_concurrent=1, seed=1,
-            patience_s=30.0, queue_depth=1,
-        )
-        sim, fleet, backend = make_fleet(
-            3, weights=[1.0, 2.0, 0.5], arrival=arrival
-        )
-        fleet.start()
-        sim.run(until=2.0)
-        stats = fleet.manager.stats
-        assert stats.queued == 1  # s2 never got in
-        assert stats.shed_capacity == 1
-        waiting = {r.index for r in fleet.manager._queue}
-        shed = next(
-            r for r in fleet.manager.records
-            if r.rejected and r.index not in waiting
-        )
-        assert shed.index == 2
-        fleet.stop()
-
-    def test_stop_sheds_remaining_waiters(self):
-        arrival = ArrivalConfig(
-            rate_per_s=50.0, max_concurrent=1, seed=1, patience_s=60.0,
-        )
-        sim, fleet, backend = make_fleet(3, arrival=arrival)
-        fleet.start()
-        sim.run(until=1.0)
-        assert fleet.manager.queued_count == 2
-        fleet.stop()
-        stats = fleet.manager.stats
-        assert fleet.manager.queued_count == 0
-        assert stats.shed_patience == 2
-        assert stats.arrivals == stats.admitted + stats.rejected == 3
-
-
 class TestDeparture:
     def test_departure_releases_port_and_stops_session(self):
         arrival = ArrivalConfig(mean_dwell_s=0.5, dwell_sigma=0.0, max_concurrent=4)

@@ -698,99 +698,57 @@ class TestGracefulDrain:
 
         run(main())
 
-    def test_checkpoint_out_in_cycle_restores_tokens_and_prior(self, tmp_path):
-        """Drain writes {tokens, prior}; a restarted server warms the
-        prior and honors the old token as a fresh resumed session."""
-        import json
+    def test_prior_out_in_cycle_keeps_learned_transitions(self, tmp_path, capsys):
+        """A drained ``serve --prior-out`` saves the transitions its
+        sessions taught the crowd prior; ``serve --prior-in`` boots warm
+        from exactly that many."""
+        import re
+        import socket as socketlib
+        import threading
 
-        path = str(tmp_path / "serve.ckpt.json")
+        from repro.cli import main
+        from repro.predictors.shared import SharedTransitionPrior
 
-        async def main():
-            app = create_app(
-                make_env(), rows=6, cols=6, predictor="shared-markov",
-                port=0, resume_grace_s=30.0, checkpoint_out=path,
-            )
-            await app.start()
-            client = await LiveClient.connect("127.0.0.1", app.port)
-            token = client.report.welcome["token"]
-            client.send_event(5.0, 5.0)
-            await client.drain()
-            await asyncio.sleep(0.6)
-            await app.stop()
+        path = str(tmp_path / "crowd.npz")
+        with socketlib.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        serve = ["serve", "--predictor", "shared-markov"]
+        server = threading.Thread(
+            target=main,
+            args=([*serve, "--port", str(port), "--run-for", "3",
+                   "--prior-out", path],),
+        )
+        server.start()
+
+        async def teach():
+            for _ in range(50):
+                try:
+                    client = await LiveClient.connect("127.0.0.1", port)
+                    break
+                except OSError:
+                    await asyncio.sleep(0.05)
+            welcome = client.report.welcome
+            width, height = welcome["cell_width"], welcome["cell_height"]
+            for k in range(12):
+                client.send_request(k % 6)
+                client.send_event((k % 6 + 0.5) * width, 0.5 * height)
+                await client.drain()
+                await asyncio.sleep(0.05)
+            await asyncio.sleep(0.4)  # past a few 150 ms prediction ticks
             await client.close()
 
-            with open(path) as fh:
-                payload = json.load(fh)
-            assert payload["format"] == "khameleon-serve-checkpoint"
-            assert payload["format_version"] == 1
-            assert payload["n"] == 36
-            assert token in payload["tokens"]
-
-            app2 = create_app(
-                make_env(), rows=6, cols=6, predictor="shared-markov",
-                port=0, resume_grace_s=30.0, checkpoint_in=path,
-            )
-            await app2.start()
-            try:
-                socket = await ws.connect("127.0.0.1", app2.port)
-                socket.send_text(
-                    protocol.encode_message(
-                        "hello",
-                        protocol=protocol.PROTOCOL_VERSION,
-                        resume=token,
-                    )
-                )
-                await socket.drain()
-                msg = protocol.decode_message((await socket.recv())[1])
-                assert msg["type"] == "welcome"
-                assert msg["resumed"] is True
-                assert app2.stats.sessions_resumed == 1
-                await socket.close()
-            finally:
-                await app2.stop()
-
-        run(main())
-
-    @staticmethod
-    def _start_from_checkpoint(tmp_path, match, **fields):
-        """``start()`` on a hand-written checkpoint must raise ValueError."""
-        import json
-
-        path = str(tmp_path / "bad.ckpt.json")
-        payload = {
-            "format": "khameleon-serve-checkpoint",
-            "format_version": 1,
-            "n": 36,
-            "tokens": {},
-            "prior": {"transitions_observed": 0, "coo": []},
-        }
-        with open(path, "w") as fh:
-            json.dump({**payload, **fields}, fh)
-
-        async def main():
-            app = create_app(
-                make_env(), rows=6, cols=6, predictor="uniform", port=0,
-                checkpoint_in=path,
-            )
-            with pytest.raises(ValueError, match=match):
-                await app.start()
-
-        run(main())
-
-    def test_checkpoint_in_rejects_wrong_universe(self, tmp_path):
-        self._start_from_checkpoint(tmp_path, "999", n=999)
-
-    @pytest.mark.parametrize(
-        "fields, match",
-        [
-            ({"prior": []}, "prior is not an object"),
-            ({"tokens": []}, "tokens is not an object"),
-            ({"prior": {"transitions_observed": 0, "coo": [5]}}, "bad prior coo"),
-        ],
-        ids=["prior-list", "tokens-list", "coo-scalar-entry"],
-    )
-    def test_checkpoint_in_rejects_malformed_payload(self, tmp_path, fields, match):
-        self._start_from_checkpoint(tmp_path, match, **fields)
+        run(teach())
+        server.join(timeout=30.0)
+        assert not server.is_alive()
+        saved = re.search(r"prior: saved (\d+) transitions", capsys.readouterr().out)
+        learned = int(saved.group(1))
+        assert learned > 0
+        assert SharedTransitionPrior.load(path).transitions_observed == learned
+        assert main(
+            [*serve, "--port", "0", "--run-for", "0.2", "--prior-in", path]
+        ) == 0
+        assert f"prior: loaded {learned} transitions" in capsys.readouterr().out
 
     def test_resume_grace_validation(self):
         with pytest.raises(ValueError, match="resume_grace_s"):

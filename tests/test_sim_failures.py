@@ -1,8 +1,8 @@
-"""Tests for failure injection (outage links, flaky backends)."""
+"""Tests for failure injection (outage links, backend latency spikes)."""
 
 import pytest
 
-from repro.backends.faults import FlakyBackend
+from repro.backends.faults import ErraticBackend
 from repro.backends.filesystem import FileSystemBackend
 from repro.encoding.naive import SingleBlockEncoder
 from repro.sim.engine import Simulator
@@ -53,46 +53,57 @@ class TestOutageLink:
             OutageLink(inner, [(5.0, 5.0)])
 
 
-class TestFlakyBackend:
-    def make(self, period=2, retry=0.5):
+class TestErraticBackendSpike:
+    def make(self, spike_rate=0.5, spike_s=0.5):
         sim = Simulator()
         encoder = SingleBlockEncoder(lambda r: 100)
         inner = FileSystemBackend(sim, encoder, fetch_delay_s=0.1)
-        return sim, FlakyBackend(inner, failure_period=period, retry_delay_s=retry)
+        return sim, ErraticBackend(inner, spike_rate=spike_rate, spike_s=spike_s)
 
     def test_callbacks_always_fire(self):
-        """Failures delay completion but never lose it — the invariant
+        """Spikes delay completion but never lose it — the invariant
         the sender depends on."""
-        sim, backend = self.make(period=2)
+        sim, backend = self.make(spike_rate=0.5)
         got = []
-        for r in range(6):
+        for r in range(12):
             backend.fetch(r, got.append)
         sim.run()
-        assert len(got) == 6
+        assert 0 < backend.spikes_injected < 12
+        assert len(got) == 12
 
-    def test_failures_counted_and_delayed(self):
-        sim, backend = self.make(period=1, retry=0.5)  # every fetch fails once
+    def test_spike_delays_completion_by_spike_s(self):
+        sim, backend = self.make(spike_rate=1.0, spike_s=0.5)
         done_at = []
         backend.fetch(0, lambda resp: done_at.append(sim.now))
         sim.run()
-        assert backend.failures_injected == 1
-        assert done_at[0] == pytest.approx(0.6)  # 0.5 retry + 0.1 fetch
+        assert backend.spikes_injected == 1
+        assert done_at[0] == pytest.approx(0.6)  # 0.5 spike + 0.1 fetch
 
-    def test_cached_fetches_never_fail(self):
-        sim, backend = self.make(period=1)
-        backend.fetch(0, lambda r: None)
+    def test_materialized_fetches_never_spike(self):
+        sim, backend = self.make(spike_rate=1.0, spike_s=0.5)
+        done_at = []
+        backend.fetch(0, lambda r: done_at.append(sim.now))
+        # At 0.55 s the spiked fetch has reached the inner backend and is
+        # in flight; a second fetch piggybacks on it instead of spiking.
+        sim.schedule_at(0.55, backend.fetch, 0, lambda r: done_at.append(sim.now))
         sim.run()
-        failures = backend.failures_injected
-        backend.fetch(0, lambda r: None)  # served from cache
+        assert backend.spikes_injected == 1
+        assert done_at == [pytest.approx(0.6), pytest.approx(0.6)]
+        backend.fetch(0, lambda r: done_at.append(sim.now))  # served from cache
         sim.run()
-        assert backend.failures_injected == failures
+        assert backend.spikes_injected == 1
+        assert len(done_at) == 3
 
     def test_parameter_validation(self):
         sim, backend = self.make()
-        with pytest.raises(ValueError):
-            FlakyBackend(backend.inner, failure_period=0)
-        with pytest.raises(ValueError):
-            FlakyBackend(backend.inner, retry_delay_s=-1.0)
+        for kwargs in (
+            {"spike_rate": -0.1},
+            {"spike_rate": 1.5},
+            {"spike_s": -1.0},
+            {"error_rate": 1.5},
+        ):
+            with pytest.raises(ValueError):
+                ErraticBackend(backend.inner, **kwargs)
 
 
 class TestEndToEndDegradation:
