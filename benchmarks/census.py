@@ -120,7 +120,8 @@ RUNS: list[tuple[str, list[str]]] = [
     ("smoke:chaos", [*_FLEET, "--shards", "2",
                      "--chaos", "worker-crash:1,backend-err:0.05,outage:1-2",
                      "--checkpoint-every", "1"]),
-    ("smoke:tcp", [*_SHARDED, "--transport", "tcp", "--chaos", "partition:0-1@1"]),
+    ("smoke:tcp", [*_SHARDED, "--transport", "tcp", "--chaos",
+                   "partition:0-1@1,dup:0.05,corrupt:0.05,netdelay:20:0.1"]),
     ("smoke:drain", [*_SHARDED, "--sync-interval", "0.5", "--chaos", "drain:1",
                      "--checkpoint-out", "{tmp}/fleet_ckpt.json"]),
     ("smoke:restore", [*_SHARDED, "--sync-interval", "0.5",

@@ -1,53 +1,49 @@
 """Pluggable fleet transport: Pipe and framed-TCP coordinator links.
 
-PR 7's coordinator protocol is pure message passing — ``("sync", …)``
-up, ``("peers", …)`` down, ``("hb", None)`` beacons, ``("result", …)``
-at the end — but it rode exclusively on ``multiprocessing.Pipe``,
-which pins every worker to the coordinator's host and, more subtly,
-never loses, duplicates, reorders, or corrupts a message.  Real links
-do all four.  This module makes the transport a seam:
+The coordinator protocol is message passing (``("sync", …)`` up,
+``("peers", …)`` down, ``("result", …)`` at the end) over one of two
+drivers:
 
-* :class:`PipeTransport` — the existing path, byte-for-byte: a spawn
-  context ``Pipe()`` per worker.  The seam contract is that ``W=1``
-  fleet output over either driver is bit-identical.
-* :class:`TcpTransport` — loopback-or-LAN sockets carrying
-  length-prefixed frames (magic, version, type, sequence number,
-  payload CRC-32, header CRC-32), with a hello/version handshake,
-  per-message acks, idempotent retransmit, in-order dedup delivery,
-  ping/pong heartbeats, and explicit partition detection
-  (missed-heartbeat silence plus a hard send deadline).
+* :class:`PipeTransport` — a spawn-context ``Pipe()`` per worker.  The
+  seam contract is that ``W=1`` fleet output over either driver is
+  bit-identical.
+* :class:`TcpTransport` — sockets behind a JSON hello/token handshake,
+  carrying CRC-checked frames.  :class:`FrameProtocol` is one end of a
+  link in the style of h11 (https://sans-io.readthedocs.io/): framing,
+  acks, retransmit, dedup, heartbeats, partition detection and wire
+  chaos, with no socket, thread, lock or clock inside.  One thread per
+  :class:`FramedEndpoint` drives it over a socket; the tests drive a
+  pair over an in-memory wire on a fake clock.
 
-Failure semantics mirror ``Pipe`` so the PR-8 supervisor needs no new
-cases: a dead peer or an exceeded send deadline makes ``recv`` raise
-``EOFError`` and ``send`` raise ``BrokenPipeError``, exactly what
-``_recv`` already converts into a ``ShardError``.
-
-Chaos (``partition:A-B@R``, ``netdelay:MS:P``, ``dup:P``,
-``corrupt:P``) is injected *inside* the coordinator-side endpoint —
-below the protocol, above the socket — so the defense being tested is
-the framing/ack machinery itself, not a mock of it.
+A dead peer or an exceeded send deadline makes ``recv`` raise
+``EOFError`` and ``send`` raise ``BrokenPipeError``, as a ``Pipe``
+does, so the supervisor needs no TCP-only case.
 """
 
 from __future__ import annotations
 
+import heapq
 import hmac
 import json
 import pickle
+import random
 import secrets
+import select
 import socket
 import struct
 import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Iterable, Optional
 
 from repro.chaos import NetChaosSpec
 
 __all__ = [
     "FRAME_VERSION",
     "FrameDecoder",
+    "FrameProtocol",
     "FramedEndpoint",
     "PipeTransport",
     "TcpTransport",
@@ -76,6 +72,9 @@ HEADER_SIZE = _HEAD.size + _HEAD_CRC.size
 #: never make the decoder wait on more than this.
 MAX_PAYLOAD = 64 * 1024 * 1024
 
+#: an unanswered ping older than this stops counting as owed.
+PING_EXPIRY_S = 5.0
+
 
 class TransportError(Exception):
     """Unrecoverable transport fault (handshake refused, bad version)."""
@@ -84,9 +83,8 @@ class TransportError(Exception):
 def encode_frame(ftype: int, seq: int, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise TransportError(f"payload of {len(payload)} bytes exceeds cap")
-    head = _HEAD.pack(
-        MAGIC, FRAME_VERSION, ftype, seq, len(payload), zlib.crc32(payload)
-    )
+    pcrc = zlib.crc32(payload)
+    head = _HEAD.pack(MAGIC, FRAME_VERSION, ftype, seq, len(payload), pcrc)
     return head + _HEAD_CRC.pack(zlib.crc32(head)) + payload
 
 
@@ -109,21 +107,14 @@ class TransportCounters:
         self.heartbeat_rtt_ms_max = max(self.heartbeat_rtt_ms_max, rtt_s * 1e3)
 
     def snapshot(self) -> dict:
-        return {
-            "retransmits": self.retransmits,
-            "crc_rejects": self.crc_rejects,
-            "dup_drops": self.dup_drops,
-            "partitions_detected": self.partitions_detected,
-            "heartbeat_rtt_ms_max": round(self.heartbeat_rtt_ms_max, 3),
-        }
+        rtt = round(self.heartbeat_rtt_ms_max, 3)
+        return {**asdict(self), "heartbeat_rtt_ms_max": rtt}
 
 
 class _FaultInjector:
     """Deterministic per-link fault source, applied at frame granularity."""
 
     def __init__(self, spec: NetChaosSpec, shard: int) -> None:
-        import random
-
         self.spec = spec
         self._rng = random.Random(10_007 * (spec.seed + 1) + shard)
 
@@ -134,10 +125,8 @@ class _FaultInjector:
             # Flip one payload bit so the header still parses and the
             # payload CRC is what catches it — the realistic case.
             flipped = bytearray(data)
-            if len(flipped) > HEADER_SIZE:
-                pos = self._rng.randrange(HEADER_SIZE, len(flipped))
-            else:
-                pos = self._rng.randrange(len(flipped))
+            lo = HEADER_SIZE if len(flipped) > HEADER_SIZE else 0
+            pos = self._rng.randrange(lo, len(flipped))
             flipped[pos] ^= 1 << self._rng.randrange(8)
             return bytes(flipped)
         return None
@@ -179,9 +168,7 @@ class FrameDecoder:
         """Absorb raw bytes; return complete ``(ftype, seq, payload)``."""
         self._buf.extend(data)
         frames: list[tuple[int, int, bytes]] = []
-        while True:
-            if len(self._buf) < HEADER_SIZE:
-                break
+        while len(self._buf) >= HEADER_SIZE:
             head = bytes(self._buf[: _HEAD.size])
             (stored_hcrc,) = _HEAD_CRC.unpack_from(self._buf, _HEAD.size)
             magic, version, ftype, seq, length, pcrc = _HEAD.unpack(head)
@@ -204,23 +191,204 @@ class FrameDecoder:
         return frames
 
 
+class FrameProtocol:
+    """One end of a framed link, as a state machine over ``now``.
+
+    Peer bytes (:meth:`receive_data`), payloads (:meth:`send`) and the
+    time go in; ``inbox``, ``outbox`` (bytes to write, then report with
+    :meth:`wrote`), ``counters``, ``broken`` and the next deadline (from
+    :meth:`tick`) come out.
+
+    * **exactly once, in order** — DATA frames are acked, resent every
+      ``rto_s`` until they are, deduplicated and delivered in sequence.
+    * **fail-explicit** — peer EOF (``receive_data(b"")``) or a frame
+      unacked ``send_deadline_s`` after its first send sets ``broken``.
+    * **partition-aware** — inbound silence past ``partition_after_s``
+      while acks or pongs are owed counts one partition, on entry.
+
+    Chaos sits below the acks, so what it tests is this machinery, not a
+    mock: :meth:`cut` drops every frame both ways until a given time, and
+    the coordinator side's injector corrupts, duplicates and delays.
+    """
+
+    def __init__(
+        self,
+        now: float,
+        counters: Optional[TransportCounters] = None,
+        *,
+        injector: Optional[_FaultInjector] = None,
+        rto_s: float = 0.2,
+        ping_interval_s: float = 0.15,
+        partition_after_s: float = 0.45,
+        send_deadline_s: float = 10.0,
+    ) -> None:
+        self.counters = counters or TransportCounters()
+        #: delivered payloads, in order, for the caller to pop
+        self.inbox: deque[bytes] = deque()
+        self.broken = False
+        self._injector = injector
+        self._rto_s = rto_s
+        self._ping_interval_s = ping_interval_s
+        self._partition_after_s = partition_after_s
+        self._send_deadline_s = send_deadline_s
+
+        self._decoder = FrameDecoder(self.counters)
+        self._next_deliver = 0
+        self._stash: dict[int, bytes] = {}
+
+        self._send_seq = 0
+        # seq -> (frame, first sent, last sent)
+        self._pending: dict[int, tuple[bytes, float, float]] = {}
+        # Pings number themselves from a separate space: DATA sequence
+        # numbers must stay contiguous or the receiver's in-order
+        # delivery would wait forever on a "hole" that was a ping.
+        self._ping_seq = 0
+        self._pings: dict[int, float] = {}
+
+        self.outbox = bytearray()
+        self._backlog_end = now
+        self._delayed: list[tuple[float, bytes]] = []  # heap of (due, frame)
+        self._blocked_until = float("-inf")
+        self._in_partition = False
+        self._last_recv = now
+        self._last_send = now
+
+    @property
+    def unacked(self) -> int:
+        return len(self._pending)
+
+    def cut(self, until: float) -> None:
+        """Sever the link both ways until ``until``."""
+        self._blocked_until = until
+
+    def send(self, payload: bytes, now: float) -> None:
+        seq = self._send_seq
+        self._send_seq += 1
+        frame = encode_frame(T_DATA, seq, payload)
+        # Register before emitting: a frame eaten by chaos is already
+        # on the retransmit schedule.
+        self._pending[seq] = (frame, now, now)
+        self._emit(frame, now)
+
+    def receive_data(self, data: bytes, now: float) -> None:
+        """Absorb bytes read from the peer; ``b""`` is the peer's EOF."""
+        if not data:
+            self.broken = True
+            return
+        if now < self._blocked_until:
+            return  # the partition eats inbound bytes too
+        inj = self._injector
+        if inj is not None:
+            corrupted = inj.corrupt(data)
+            if corrupted is not None:
+                data = corrupted
+            elif inj.duplicate():
+                # Replayed bytes re-parse into valid duplicate frames;
+                # the seq dedup is what must absorb them.
+                data = data + data
+        for ftype, seq, payload in self._decoder.feed(data):
+            self._on_frame(ftype, seq, payload, now)
+
+    def wrote(self, n: int, now: float) -> None:
+        """The driver wrote ``outbox[:n]``; no resend while bytes still wait."""
+        del self.outbox[:n]
+        self._backlog_end = float("inf") if self.outbox else min(self._backlog_end, now)
+
+    def tick(self, now: float) -> float:
+        """Fire every timer due by ``now`` (send deadline, retransmit, delayed
+        frame, ping, partition, ping expiry); return when the next is due."""
+        while self._delayed and self._delayed[0][0] <= now:
+            self.outbox += heapq.heappop(self._delayed)[1]
+        due = []
+        for seq, (frame, first, last) in list(self._pending.items()):
+            if now >= first + self._send_deadline_s:
+                self.broken = True
+                return float("inf")  # a broken link has no more timers
+            # Bytes queued behind a full socket are late, not lost: the
+            # RTO runs from when the last of them went out.
+            resend_at = max(last, self._backlog_end) + self._rto_s
+            if now >= resend_at:
+                self._pending[seq] = (frame, first, now)
+                self.counters.retransmits += 1
+                self._emit(frame, now)
+                resend_at = now + self._rto_s
+            due.append(min(first + self._send_deadline_s, resend_at))
+        if now >= self._last_send + self._ping_interval_s:
+            self._pings[self._ping_seq] = now
+            self._emit(encode_frame(T_PING, self._ping_seq, b""), now)
+            self._ping_seq += 1
+        due.append(self._last_send + self._ping_interval_s)
+        # Partition: we are owed frames (acks or pongs) and the inbound
+        # side has been silent past the threshold.
+        if (self._pending or self._pings) and not self._in_partition:
+            if now >= self._last_recv + self._partition_after_s:
+                self._in_partition = True
+                self.counters.partitions_detected += 1
+            else:
+                due.append(self._last_recv + self._partition_after_s)
+        # Stale unanswered pings must not pin the partition check forever.
+        while self._pings and now >= next(iter(self._pings.values())) + PING_EXPIRY_S:
+            del self._pings[next(iter(self._pings))]
+        if self._pings:
+            due.append(next(iter(self._pings.values())) + PING_EXPIRY_S)
+        if self._delayed:
+            due.append(self._delayed[0][0])
+        return min(due)
+
+    def _emit(self, frame: bytes, now: float, *, faultable: bool = True) -> None:
+        """One frame into the outbox, through the fault injector."""
+        self._last_send = now
+        if now < self._blocked_until:
+            return  # dropped on the floor; retransmit repairs it
+        inj = self._injector if faultable else None
+        if inj is not None:
+            delay = inj.delay_s()
+            if delay > 0:
+                heapq.heappush(self._delayed, (now + delay, frame))
+                return
+            corrupted = inj.corrupt(frame)
+            if corrupted is not None:
+                self.outbox += corrupted
+                return
+            if inj.duplicate():
+                self.outbox += frame
+        self.outbox += frame
+
+    def _on_frame(self, ftype: int, seq: int, payload: bytes, now: float) -> None:
+        self._last_recv = now
+        self._in_partition = False
+        if ftype == T_DATA:
+            # Always ack, even duplicates: the original ack may be the
+            # thing that was lost.
+            self._emit(encode_frame(T_ACK, seq, b""), now, faultable=False)
+            if seq < self._next_deliver or seq in self._stash:
+                self.counters.dup_drops += 1
+                return
+            self._stash[seq] = payload
+            while self._next_deliver in self._stash:
+                self.inbox.append(self._stash.pop(self._next_deliver))
+                self._next_deliver += 1
+        elif ftype == T_ACK:
+            entry = self._pending.pop(seq, None)
+            if entry is not None:
+                self.counters.record_rtt(now - entry[2])
+        elif ftype == T_PING:
+            self._emit(encode_frame(T_PONG, seq, b""), now, faultable=False)
+        elif ftype == T_PONG:
+            sent = self._pings.pop(seq, None)
+            if sent is not None:
+                self.counters.record_rtt(now - sent)
+
+
 class FramedEndpoint:
     """A ``multiprocessing.Connection`` work-alike over a stream socket.
 
-    Guarantees to the coordinator protocol layered on top:
-
-    * **at-least-once + idempotent** — every DATA frame is acked; the
-      sender retransmits unacked frames past an RTO; the receiver
-      drops duplicate sequence numbers.
-    * **in-order** — out-of-sequence arrivals (retransmit races,
-      injected delays) are stashed and delivered contiguously.
-    * **fail-explicit** — peer EOF or a frame unacked past the send
-      deadline flips the link to broken: ``recv`` raises ``EOFError``,
-      ``send`` raises ``BrokenPipeError``, and ``poll`` returns True
-      so a blocked reader wakes into the error instead of hanging.
-    * **partition-aware** — sustained inbound silence while frames
-      await acks increments ``partitions_detected`` (edge-triggered;
-      any inbound frame re-arms it).
+    One driver thread owns the socket and the :class:`FrameProtocol`:
+    it sleeps in ``select`` until the socket is ready, a ``send`` wakes
+    it or the protocol's next deadline comes, then feeds the protocol,
+    fires its timers and writes without blocking.  A broken link makes
+    ``recv`` raise ``EOFError``, ``send`` raise ``BrokenPipeError`` and
+    ``poll`` return True.
     """
 
     def __init__(
@@ -235,251 +403,107 @@ class FramedEndpoint:
         send_deadline_s: float = 10.0,
         linger_s: float = 5.0,
     ) -> None:
-        self.counters = counters or TransportCounters()
+        self._proto = FrameProtocol(
+            time.monotonic(), counters, injector=injector, rto_s=rto_s,
+            ping_interval_s=ping_interval_s, partition_after_s=partition_after_s,
+            send_deadline_s=send_deadline_s,
+        )
+        self.counters = self._proto.counters
         self._sock = sock
-        self._injector = injector
-        self._rto_s = rto_s
-        self._ping_interval_s = ping_interval_s
-        self._partition_after_s = partition_after_s
-        self._send_deadline_s = send_deadline_s
         self._linger_s = linger_s
-
         self._cond = threading.Condition()
-        self._inbox: deque[bytes] = deque()
-        self._decoder = FrameDecoder(self.counters)
-        self._next_deliver = 0
-        self._stash: dict[int, bytes] = {}
-
-        self._wlock = threading.Lock()
-        self._send_seq = 0
-        self._pending: dict[int, tuple[bytes, float, float]] = {}
-        # Pings number themselves from a separate space: DATA sequence
-        # numbers must stay contiguous or the receiver's in-order
-        # delivery would wait forever on a "hole" that was a ping.
-        self._ping_seq = 0
-        self._pings: dict[int, float] = {}
-
-        self._blocked_until = 0.0
-        self._in_partition = False
-        self._last_recv = time.monotonic()
-        self._last_send = time.monotonic()
-        self._broken = False
         self._closed = False
-        self._timers: list[threading.Timer] = []
-
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
-        self._ticker = threading.Thread(target=self._tick_loop, daemon=True)
-        self._ticker.start()
-
-    # -- chaos hooks ---------------------------------------------------
+        # A send wakes the driver out of select through this pair.
+        self._wake_r, self._wake_w = socket.socketpair()
+        for s in (sock, self._wake_r, self._wake_w):
+            s.setblocking(False)
+        self._driver = threading.Thread(target=self._drive, daemon=True)
+        self._driver.start()
 
     def cut(self, heal_s: float) -> None:
         """Sever the link both ways for ``heal_s`` wall seconds."""
         with self._cond:
-            self._blocked_until = time.monotonic() + heal_s
-
-    def _cut_active(self) -> bool:
-        return time.monotonic() < self._blocked_until
-
-    # -- raw writes ----------------------------------------------------
-
-    def _write_raw(self, data: bytes) -> None:
-        with self._wlock:
-            if self._closed or self._broken:
-                return
-            try:
-                self._sock.sendall(data)
-                self._last_send = time.monotonic()
-            except OSError:
-                self._mark_broken()
-
-    def _emit(self, frame: bytes, *, faultable: bool = True) -> None:
-        """One frame onto the wire, through the fault injector."""
-        if self._cut_active():
-            return  # dropped on the floor; retransmit machinery repairs
-        inj = self._injector if faultable else None
-        if inj is not None:
-            delay = inj.delay_s()
-            if delay > 0:
-                t = threading.Timer(delay, self._write_raw, args=(frame,))
-                t.daemon = True
-                t.start()
-                self._timers.append(t)
-                return
-            corrupted = inj.corrupt(frame)
-            if corrupted is not None:
-                self._write_raw(corrupted)
-                return
-            if inj.duplicate():
-                self._write_raw(frame)
-        self._write_raw(frame)
-
-    # -- Connection API ------------------------------------------------
+            self._proto.cut(time.monotonic() + heal_s)
 
     def send(self, obj: Any) -> None:
-        if self._closed or self._broken:
+        if self._closed or self._proto.broken:
             raise BrokenPipeError("transport endpoint is closed")
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         with self._cond:
-            seq = self._send_seq
-            self._send_seq += 1
-            frame = encode_frame(T_DATA, seq, payload)
-            now = time.monotonic()
-            # Register before emitting: a frame eaten by chaos is
-            # already on the retransmit schedule.
-            self._pending[seq] = (frame, now, now)
-        self._emit(frame)
+            self._proto.send(payload, time.monotonic())
+        self._wake()
+
+    def _ready(self) -> bool:
+        return bool(self._proto.inbox) or self._proto.broken or self._closed
 
     def recv(self) -> Any:
         with self._cond:
-            while not self._inbox:
-                if self._broken or self._closed:
-                    raise EOFError("transport endpoint lost its peer")
-                self._cond.wait(timeout=0.5)
-            payload = self._inbox.popleft()
+            self._cond.wait_for(self._ready)
+            if not self._proto.inbox:
+                raise EOFError("transport endpoint lost its peer")
+            payload = self._proto.inbox.popleft()
         return pickle.loads(payload)
 
     def poll(self, timeout: float = 0.0) -> bool:
-        deadline = time.monotonic() + max(timeout, 0.0)
         with self._cond:
-            while True:
-                if self._inbox or self._broken or self._closed:
-                    return True  # recv() will yield a value or raise EOFError
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(timeout=min(remaining, 0.5))
+            return self._cond.wait_for(self._ready, timeout=max(timeout, 0.0))
 
     def close(self) -> None:
         # Linger until the peer has acked every outstanding frame (the
-        # tick loop keeps retransmitting while we wait).  A process
-        # that exits right after its final send would otherwise race
-        # the wire: one corrupted result frame, and the retransmit
-        # that would have saved it dies with the socket.
-        deadline = time.monotonic() + self._linger_s
+        # driver keeps retransmitting meanwhile): a worker that exits
+        # right after sending its result must not lose it to one
+        # corrupted frame whose retransmit dies with the socket.
         with self._cond:
             if self._closed:
                 return
-            while self._pending and not self._broken:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=min(remaining, 0.05))
+            self._cond.wait_for(
+                lambda: not self._proto.unacked or self._proto.broken,
+                timeout=self._linger_s,
+            )
             self._closed = True
-            self._cond.notify_all()
+        self._wake()
+        self._driver.join()  # nothing blocks on the sockets after this
+        for s in (self._sock, self._wake_r, self._wake_w):
+            s.close()
+
+    def _wake(self) -> None:
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self._wake_w.send(b"\0")
         except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+            pass  # a full pair already holds a wake; a closed one needs none
 
-    # -- internals -----------------------------------------------------
-
-    def _mark_broken(self) -> None:
-        with self._cond:
-            self._broken = True
-            self._cond.notify_all()
-
-    def _read_loop(self) -> None:
-        while not self._closed:
-            try:
-                chunk = self._sock.recv(65536)
-            except OSError:
-                self._mark_broken()
-                return
-            if not chunk:
-                self._mark_broken()
-                return
-            if self._cut_active():
-                continue  # the partition eats inbound bytes too
-            self._on_chunk(chunk)
-
-    def _on_chunk(self, chunk: bytes) -> None:
-        inj = self._injector
-        if inj is not None:
-            corrupted = inj.corrupt(chunk)
-            if corrupted is not None:
-                chunk = corrupted
-            elif inj.duplicate():
-                # Replayed bytes re-parse into valid duplicate frames;
-                # the seq dedup below is what must absorb them.
-                chunk = chunk + chunk
-        for ftype, seq, payload in self._decoder.feed(chunk):
-            self._on_frame(ftype, seq, payload)
-
-    def _on_frame(self, ftype: int, seq: int, payload: bytes) -> None:
-        with self._cond:
-            self._last_recv = time.monotonic()
-            self._in_partition = False
-        if ftype == T_DATA:
-            # Always ack, even duplicates: the original ack may be the
-            # thing that was lost.
-            self._emit(encode_frame(T_ACK, seq, b""), faultable=False)
+    def _drive(self) -> None:
+        proto, sock = self._proto, self._sock
+        chunk: Optional[bytes] = None
+        while True:
             with self._cond:
-                if seq < self._next_deliver or seq in self._stash:
-                    self.counters.dup_drops += 1
-                    return
-                self._stash[seq] = payload
-                while self._next_deliver in self._stash:
-                    self._inbox.append(self._stash.pop(self._next_deliver))
-                    self._next_deliver += 1
+                now = time.monotonic()
+                if chunk is not None:
+                    proto.receive_data(chunk, now)
+                deadline = proto.tick(now)
+                try:
+                    if proto.outbox:
+                        proto.wrote(sock.send(proto.outbox), now)
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    proto.receive_data(b"", now)
                 self._cond.notify_all()
-        elif ftype == T_ACK:
-            with self._cond:
-                entry = self._pending.pop(seq, None)
-            if entry is not None:
-                self.counters.record_rtt(time.monotonic() - entry[2])
-        elif ftype == T_PING:
-            self._emit(encode_frame(T_PONG, seq, b""), faultable=False)
-        elif ftype == T_PONG:
-            with self._cond:
-                sent = self._pings.pop(seq, None)
-            if sent is not None:
-                self.counters.record_rtt(time.monotonic() - sent)
-
-    def _tick_loop(self) -> None:
-        while not self._closed and not self._broken:
-            time.sleep(0.05)
-            now = time.monotonic()
-            with self._cond:
-                pending = list(self._pending.items())
-                waiting = bool(self._pending) or bool(self._pings)
-                quiet_s = now - self._last_recv
-                idle_send_s = now - self._last_send
-            for seq, (frame, first, last) in pending:
-                if now - first > self._send_deadline_s:
-                    self._mark_broken()
+                if self._closed or proto.broken:
                     return
-                if now - last > self._rto_s:
-                    with self._cond:
-                        if seq in self._pending:
-                            self._pending[seq] = (frame, first, now)
-                            self.counters.retransmits += 1
-                        else:
-                            continue
-                    self._emit(frame)
-            # Partition: we are owed frames (acks or pongs) and the
-            # inbound side has been silent past the threshold.
-            if waiting and quiet_s > self._partition_after_s:
-                with self._cond:
-                    if not self._in_partition:
-                        self._in_partition = True
-                        self.counters.partitions_detected += 1
-            # Stale unanswered pings must not pin `waiting` forever.
-            with self._cond:
-                self._pings = {
-                    s: t for s, t in self._pings.items() if now - t < 5.0
-                }
-            if idle_send_s > self._ping_interval_s:
-                with self._cond:
-                    seq = self._ping_seq
-                    self._ping_seq += 1
-                    self._pings[seq] = now
-                self._emit(encode_frame(T_PING, seq, b""))
+                timeout = max(0.0, deadline - now)
+                writers = [sock] if proto.outbox else []
+            chunk = None
+            try:
+                ready, _, _ = select.select([sock, self._wake_r], writers, [], timeout)
+                if self._wake_r in ready:
+                    self._wake_r.recv(4096)
+                if sock in ready:
+                    chunk = sock.recv(65536)
+            except BlockingIOError:
+                pass
+            except (OSError, ValueError):
+                chunk = b""  # a dead socket reads as the peer's EOF
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +593,9 @@ class TcpWorkerSpec:
     def connect(self) -> FramedEndpoint:
         sock = socket.create_connection((self.host, self.port), timeout=10.0)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        _sock_send_frame(
-            sock,
-            T_HELLO,
-            {
-                "version": FRAME_VERSION,
-                "shard": self.shard,
-                "attempt": self.attempt,
-                "token": self.token,
-            },
-        )
+        hello = {"version": FRAME_VERSION, "shard": self.shard,
+                 "attempt": self.attempt, "token": self.token}
+        _sock_send_frame(sock, T_HELLO, hello)
         ftype, ack = _sock_recv_frame(sock, timeout_s=10.0)
         if ftype != T_HELLO_ACK:
             sock.close()
@@ -590,10 +607,7 @@ class TcpWorkerSpec:
                 f"worker speaks {FRAME_VERSION}"
             )
         return FramedEndpoint(
-            sock,
-            TransportCounters(),
-            rto_s=self.rto_s,
-            send_deadline_s=self.send_deadline_s,
+            sock, rto_s=self.rto_s, send_deadline_s=self.send_deadline_s
         )
 
 
@@ -603,14 +617,9 @@ class _Slot:
     def __init__(self) -> None:
         self.ready = threading.Event()
         self.endpoint: Optional[FramedEndpoint] = None
-        self.error: Optional[str] = None
 
     def fulfill(self, endpoint: FramedEndpoint) -> None:
         self.endpoint = endpoint
-        self.ready.set()
-
-    def fail(self, error: str) -> None:
-        self.error = error
         self.ready.set()
 
 
@@ -631,8 +640,6 @@ class _SlotConn:
 
     def _endpoint(self, wait_s: float) -> Optional[FramedEndpoint]:
         if self._slot.ready.wait(timeout=wait_s):
-            if self._slot.error is not None:
-                raise BrokenPipeError(self._slot.error)
             return self._slot.endpoint
         return None
 
@@ -690,10 +697,10 @@ class TcpTransport:
         self.host = host
         self.chaos = chaos if chaos is not None and not chaos.is_inert else None
         self._connect_deadline_s = connect_deadline_s
-        self._rto_s = rto_s
-        self._ping_interval_s = ping_interval_s
-        self._partition_after_s = partition_after_s
-        self._send_deadline_s = send_deadline_s
+        self._timing = dict(
+            rto_s=rto_s, ping_interval_s=ping_interval_s,
+            partition_after_s=partition_after_s, send_deadline_s=send_deadline_s,
+        )
         self._token = secrets.token_hex(8)
         self._lock = threading.Lock()
         self._slots: dict[tuple[int, int], _Slot] = {}
@@ -713,7 +720,7 @@ class TcpTransport:
 
     def open_endpoint(self, shard: int, attempt: int):
         with self._lock:
-            counters = self._counters.setdefault(shard, TransportCounters())
+            self._counters.setdefault(shard, TransportCounters())
             slot = _Slot()
             self._slots[(shard, attempt)] = slot
         spec = TcpWorkerSpec(
@@ -722,10 +729,9 @@ class TcpTransport:
             shard=shard,
             attempt=attempt,
             token=self._token,
-            rto_s=self._rto_s,
-            send_deadline_s=self._send_deadline_s,
+            rto_s=self._timing["rto_s"],
+            send_deadline_s=self._timing["send_deadline_s"],
         )
-        del counters  # per-shard counters attach at accept time
         return _SlotConn(slot, self._connect_deadline_s), spec
 
     def release_worker_handle(self, handle) -> None:
@@ -769,10 +775,7 @@ class TcpTransport:
                 sock, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed
-            t = threading.Thread(
-                target=self._handshake, args=(sock,), daemon=True
-            )
-            t.start()
+            threading.Thread(target=self._handshake, args=(sock,), daemon=True).start()
 
     def _handshake(self, sock: socket.socket) -> None:
         try:
@@ -803,13 +806,7 @@ class TcpTransport:
                 _FaultInjector(self.chaos, shard) if self.chaos is not None else None
             )
             endpoint = FramedEndpoint(
-                sock,
-                self.counters_for(shard),
-                injector=injector,
-                rto_s=self._rto_s,
-                ping_interval_s=self._ping_interval_s,
-                partition_after_s=self._partition_after_s,
-                send_deadline_s=self._send_deadline_s,
+                sock, self.counters_for(shard), injector=injector, **self._timing
             )
             with self._lock:
                 self._live[shard] = endpoint

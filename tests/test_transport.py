@@ -1,24 +1,32 @@
 """Tests for the framed socket transport (repro.fleet.transport).
 
-Three layers, three contracts:
+Four layers, four contracts:
 
 * **codec** — ``encode_frame``/``FrameDecoder`` roundtrip exactly, and
   under *arbitrary* byte mangling (truncation, bit flips, duplication,
   garbage splices) the decoder delivers only frames that were actually
   sent — corruption is counted and skipped, never surfaced;
+* **protocol** — a ``FrameProtocol`` pair joined by an in-memory wire
+  on a fake clock (no socket, thread or sleep) delivers every payload
+  exactly once and in order under seeded loss, duplication, corruption,
+  delay and cuts; an unacked frame past the send deadline breaks the
+  link; each cut counts as one partition, on entry; and the retransmit
+  that close()'s linger waits for repairs a corrupted final frame;
 * **endpoint** — a ``FramedEndpoint`` pair over a socketpair delivers
   objects exactly once, in order, through an injector that corrupts
-  and duplicates frames; close() lingers until the peer has acked, so
-  "send result, exit" never loses the result to an in-flight fault;
+  and duplicates frames, and surfaces a closed peer as ``EOFError``;
 * **driver** — ``run_sharded`` over ``TcpTransport`` relays barrier
   payloads exactly, chaos or not, and its counter snapshots pool into
   the fleet-report totals row.
 """
 
+import ast
+import inspect
 import os
 import pickle
 import random
 import socket
+import textwrap
 import threading
 
 import pytest
@@ -33,6 +41,7 @@ from repro.fleet.transport import (
     T_DATA,
     T_HELLO,
     FrameDecoder,
+    FrameProtocol,
     FramedEndpoint,
     PipeTransport,
     TcpTransport,
@@ -120,6 +129,254 @@ class TestDecoderFuzz:
                 assert payload == sent[seq]
 
 
+#: the fake clock's epoch: far from zero, as ``time.monotonic()`` is
+T0 = 1e9
+
+
+class MemoryWire:
+    """Two ``FrameProtocol`` ends joined back to back on a fake clock.
+
+    Bytes one end writes reach the other at the same instant, unless
+    the wire's own seeded loss drops the whole chunk.  The clock only
+    moves from one protocol deadline to the next, so every timer fires
+    exactly on time and nothing sleeps.  A broken end stops: it is no
+    longer ticked, read or written, as its socket driver would stop.
+    """
+
+    def __init__(self, left, right, *, loss=0.0, seed=0):
+        self.left, self.right = left, right
+        self.now = T0
+        self.loss = loss
+        self._rng = random.Random(seed)
+
+    def settle(self):
+        """Exchange bytes at ``now`` until both ends have nothing due."""
+        moved = True
+        while moved:
+            moved = False
+            for src, dst in ((self.left, self.right), (self.right, self.left)):
+                if src.broken:
+                    continue
+                data = bytes(src.outbox)
+                src.wrote(len(data), self.now)
+                if data:
+                    moved = True
+                    if not dst.broken and self._rng.random() >= self.loss:
+                        dst.receive_data(data, self.now)
+
+    def advance(self, t, until=lambda: False):
+        """Fire every deadline up to ``t``, stopping early once ``until()``."""
+        while True:
+            live = [p for p in (self.left, self.right) if not p.broken]
+            due = min([p.tick(self.now) for p in live], default=float("inf"))
+            self.settle()
+            if until():
+                return
+            assert due > self.now, "tick left a timer due"
+            if due > t:
+                self.now = max(self.now, t)
+                return
+            self.now = due
+
+
+def protocol_pair(spec=None, seed=0, loss=0.0, **kw):
+    injector = _FaultInjector(spec, shard=seed) if spec is not None else None
+    left = FrameProtocol(T0, injector=injector, **kw)
+    right = FrameProtocol(T0, **kw)
+    return MemoryWire(left, right, loss=loss, seed=seed)
+
+
+_faults = st.fixed_dictionaries(
+    {
+        "loss": st.sampled_from([0.0, 0.05, 0.1]),
+        "dup": st.sampled_from([0.0, 0.1, 0.2]),
+        "corrupt": st.sampled_from([0.0, 0.05, 0.1]),
+        "delay": st.sampled_from([0.0, 0.1, 0.3]),
+        "seed": st.integers(min_value=0, max_value=10_000),
+    }
+)
+
+
+def _spec(faults):
+    return NetChaosSpec(
+        netdelay_ms=20.0,
+        netdelay_rate=faults["delay"],
+        dup_rate=faults["dup"],
+        corrupt_rate=faults["corrupt"],
+        seed=faults["seed"],
+    )
+
+
+class TestFrameProtocol:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        faults=_faults,
+        sends=st.lists(
+            st.tuples(st.booleans(), st.floats(min_value=0.0, max_value=6.0)),
+            min_size=1,
+            max_size=25,
+        ),
+        cuts=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),  # gap before the cut
+                st.floats(min_value=0.6, max_value=2.0),  # cut length
+            ),
+            max_size=3,
+        ),
+    )
+    def test_exactly_once_in_order_and_one_partition_per_cut(
+        self, faults, sends, cuts
+    ):
+        """Under any seeded loss/dup/corrupt/delay/cut schedule both
+        directions deliver every payload exactly once and in order, and
+        the cut end detects each cut as one partition, on entry: while
+        inbound is cut nothing re-arms the detector, so it fires at most
+        once per cut — exactly once when no frame is ever lost."""
+        wire = protocol_pair(_spec(faults), seed=faults["seed"], loss=faults["loss"])
+        left, right = wire.left, wire.right
+        # (time, order at that time, kind, arg); sends may land inside cuts
+        events = [(T0 + at, 0, "send", (i, to_right)) for i, (to_right, at) in enumerate(sends)]
+        entry_s = left._partition_after_s + left._ping_interval_s
+        start = T0 + 0.5
+        for k, (gap, length) in enumerate(cuts):
+            start += gap + 1.0  # a healed second between cuts re-arms detection
+            events += [
+                (start, 1, "cut", length),
+                (start + entry_s, 2, "entered", k),
+                (start + length, 3, "healed", k),
+            ]
+            start += length
+        expected = {True: [], False: []}
+        counts = {}
+        for at, _order, kind, arg in sorted(events):
+            wire.advance(at)
+            detected = left.counters.partitions_detected
+            if kind == "send":
+                i, to_right = arg
+                payload = f"{i}:{'lr' if to_right else 'rl'}".encode() * (i % 7 + 1)
+                expected[to_right].append(payload)
+                (left if to_right else right).send(payload, wire.now)
+                wire.settle()
+            elif kind == "cut":
+                left.cut(wire.now + arg)
+                counts[len(counts)] = [detected]
+            else:
+                counts[arg].append(detected)
+        partition_rises = []
+        for before, entered, healed in counts.values():
+            assert healed == entered  # nothing re-arms while inbound is cut
+            partition_rises.append(entered - before)
+        wire.advance(wire.now + 5.0, until=lambda: not left.unacked and not right.unacked)
+        assert not left.broken and not right.broken
+        assert list(right.inbox) == expected[True]
+        assert list(left.inbox) == expected[False]
+        assert all(r <= 1 for r in partition_rises)
+        if faults["loss"] == 0 and faults["corrupt"] == 0:
+            assert partition_rises == [1] * len(cuts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        faults=_faults,
+        before=st.integers(min_value=0, max_value=8),
+        after=st.lists(st.floats(min_value=0.0, max_value=0.45), min_size=1, max_size=4),
+    )
+    def test_frame_unacked_past_send_deadline_breaks(self, faults, before, after):
+        """Traffic flows under faults, then the link is cut for good.
+        The end breaks exactly when its oldest unacked frame turns
+        ``send_deadline_s`` old, and not an instant before."""
+        deadline_s = 2.0
+        wire = protocol_pair(
+            _spec(faults), seed=faults["seed"], loss=faults["loss"],
+            send_deadline_s=deadline_s,
+        )
+        left, right = wire.left, wire.right
+        for i in range(before):
+            left.send(b"pre-%d" % i, wire.now)
+            wire.advance(wire.now + 0.1)
+        wire.advance(wire.now + 1.5, until=lambda: not left.unacked)
+        assert left.unacked == 0 and not left.broken
+        left.cut(float("inf"))
+        first = None
+        for k, gap in enumerate(after):  # all inside the first send's deadline
+            wire.advance(wire.now + gap)
+            left.send(b"post-%d" % k, wire.now)
+            first = wire.now if first is None else first
+        wire.advance(first + deadline_s - 1e-6)
+        assert not left.broken
+        wire.advance(first + deadline_s)
+        assert left.broken
+        assert list(right.inbox) == [b"pre-%d" % i for i in range(before)]
+
+    def test_close_lingers_until_acked(self):
+        """The regression that made chaotic fleet runs nondeterministic:
+        a worker that sends its result and exits at once lost it to a
+        corrupted final frame.  ``FramedEndpoint.close`` lingers until
+        ``unacked == 0``; here the one corrupted frame stays unacked
+        until its retransmit, exactly one RTO later, is acked."""
+        spec = NetChaosSpec(corrupt_rate=1.0, seed=1)
+        wire = protocol_pair(spec)
+        left, right = wire.left, wire.right
+        # Corrupt exactly one frame: the first DATA-sized one (pings
+        # are header-only and pass through untouched).
+        orig_corrupt = left._injector.corrupt
+        fired = []
+
+        def corrupt_once(data):
+            if fired or len(data) <= HEADER_SIZE:
+                return None
+            fired.append(True)
+            return orig_corrupt(data)
+
+        left._injector.corrupt = corrupt_once
+        left.send(b"the result", wire.now)
+        wire.settle()
+        assert left.unacked == 1 and not right.inbox
+        wire.advance(T0 + 1.0, until=lambda: not left.unacked)
+        assert wire.now == T0 + 0.2  # the first RTO, to the tick
+        assert list(right.inbox) == [b"the result"]
+        assert left.counters.retransmits == 1
+        assert right.counters.crc_rejects == 1
+
+    def test_no_resend_while_a_frame_waits_behind_a_full_socket(self):
+        """Bytes the socket has not taken yet are late, not lost: the
+        frame is resent only one full RTO after its last byte is out."""
+        left = FrameProtocol(T0)
+        left.send(b"x" * 1000, T0)
+        left.wrote(100, T0)  # the socket took only part of the frame
+        left.tick(T0 + 5.0)
+        assert left.counters.retransmits == 0
+        drained = T0 + 5.0
+        left.wrote(len(left.outbox), drained)
+        left.tick(drained + left._rto_s - 1e-6)
+        assert left.counters.retransmits == 0
+        left.tick(drained + left._rto_s)
+        assert left.counters.retransmits == 1
+
+    def test_cut_heals_and_detects_partition(self):
+        wire = protocol_pair(rto_s=0.05, partition_after_s=0.15)
+        left, right = wire.left, wire.right
+        left.send(b"before", wire.now)
+        wire.settle()
+        assert list(right.inbox) == [b"before"]
+        left.cut(wire.now + 0.4)
+        left.send(b"during", wire.now)  # eaten by the cut, retransmitted after
+        wire.advance(T0 + 0.3)
+        assert left.counters.partitions_detected == 1
+        assert len(right.inbox) == 1
+        wire.advance(T0 + 1.0, until=lambda: len(right.inbox) == 2)
+        assert list(right.inbox) == [b"before", b"during"]
+        assert T0 + 0.4 <= wire.now < T0 + 0.4 + 0.05 + 1e-9
+        assert left.counters.partitions_detected == 1
+
+    def test_protocol_does_no_io(self):
+        """The protocol and everything it calls name no socket, thread,
+        ``select`` or clock: ``now`` is the only time it knows."""
+        for obj in (FrameProtocol, FrameDecoder, _FaultInjector, encode_frame):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            assert not names & {"socket", "threading", "select", "time"}, obj
+
+
 def endpoint_pair(spec=None, seed=0, **kw):
     a, b = socket.socketpair()
     injector = None
@@ -144,34 +401,16 @@ class TestFramedEndpoint:
             right.close()
         assert left.counters.retransmits + right.counters.dup_drops >= 0
 
-    def test_close_lingers_until_acked(self):
-        """The regression that made chaotic fleet runs nondeterministic:
-        a worker that sends its result and immediately exits must not
-        lose the result to a corrupted final frame — close() waits for
-        the ack while the retransmit timer repairs the loss."""
-        spec = NetChaosSpec(corrupt_rate=1.0, seed=1)
-        left, right = endpoint_pair(spec)
-        # Corrupt exactly one frame: the first DATA-sized one (pings
-        # are header-only and pass through untouched).
-        orig_corrupt = left._injector.corrupt
-        fired = []
-
-        def corrupt_once(data):
-            if fired or len(data) <= HEADER_SIZE:
-                return None
-            fired.append(True)
-            return orig_corrupt(data)
-
-        left._injector.corrupt = corrupt_once
+    def test_one_driver_thread_per_endpoint(self):
+        before = set(threading.enumerate())
+        left, right = endpoint_pair()
         try:
-            left.send("the result")
-            left.close()  # returns only after the retransmit got acked
-            assert right.recv() == "the result"
+            started = set(threading.enumerate()) - before
+            assert len(started) == 2
         finally:
             left.close()
             right.close()
-        assert left.counters.retransmits >= 1
-        assert right.counters.crc_rejects >= 1
+        assert not any(t.is_alive() for t in started)  # close() joins its driver
 
     def test_peer_close_surfaces_as_eof(self):
         left, right = endpoint_pair()
@@ -187,19 +426,6 @@ class TestFramedEndpoint:
         right.close()
         with pytest.raises(BrokenPipeError):
             left.send(1)
-
-    def test_cut_heals_and_detects_partition(self):
-        left, right = endpoint_pair(rto_s=0.05, partition_after_s=0.15)
-        try:
-            left.send("before")
-            assert right.recv() == "before"
-            left.cut(0.4)
-            left.send("during")  # queued against the cut, retransmitted after
-            assert right.recv() == "during"
-            assert left.counters.partitions_detected >= 1
-        finally:
-            left.close()
-            right.close()
 
 
 class TestTcpDriver:
