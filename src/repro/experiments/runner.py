@@ -484,10 +484,6 @@ def run_fleet(
     )
 
 
-#: Liveness-beacon cadence for supervised shard workers.
-SHARD_HEARTBEAT_S = 0.5
-
-
 def run_fleet_sharded(
     app: "ImageExplorationApp | ImageAppSpec",
     traces: Sequence[InteractionTrace],
@@ -503,8 +499,7 @@ def run_fleet_sharded(
     prior_out=None,
     timeout_s: Optional[float] = 600.0,
     supervision: Optional["SupervisionPolicy"] = _DEFAULT_SUPERVISION,
-    transport: "str | Any" = "pipe",
-    partition_heal_s: float = 1.0,
+    transport: str = "pipe",
 ) -> FleetRunResult:
     """:func:`run_fleet` partitioned across ``num_shards`` processes.
 
@@ -550,12 +545,12 @@ def run_fleet_sharded(
 
     ``transport`` selects the coordinator↔worker wire: ``"pipe"``
     (``multiprocessing.Pipe``) or ``"tcp"`` (framed, acked, CRC-checked
-    loopback sockets — see :mod:`repro.fleet.transport`); an
-    already-built transport object passes through.  A fixed-seed W=1
-    run produces a bit-identical pooled summary over either.  Network
-    chaos (``partition:A-B@R``, ``netdelay``, ``dup``, ``corrupt``)
-    requires ``"tcp"``; partitions are cut at the named barrier and
-    heal after ``partition_heal_s`` wall seconds.
+    loopback sockets — see :mod:`repro.fleet.transport`).  A fixed-seed
+    W=1 run produces a bit-identical pooled summary over either.
+    Network chaos (``partition:A-B@R``, ``netdelay``, ``dup``,
+    ``corrupt``) requires ``"tcp"``; partitions are cut at the named
+    barrier and heal after
+    :data:`~repro.experiments.sharded.PARTITION_HEAL_S` wall seconds.
     """
     if num_shards < 1:
         raise ValueError("need at least one shard")
@@ -581,8 +576,6 @@ def run_fleet_sharded(
         sync_interval_s,
         warm_prior=shared_prior,
         transport=transport,
-        partition_heal_s=partition_heal_s,
-        heartbeat_s=SHARD_HEARTBEAT_S if supervision is not None else None,
     )
     try:
         shards = run_sharded(

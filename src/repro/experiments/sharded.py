@@ -57,6 +57,9 @@ from .configs import DEFAULT_DRAIN_S, FleetEnvironment
 
 __all__ = ["ImageAppSpec", "ShardFleetSpec", "ShardCoordinator"]
 
+#: Wall seconds a ``partition:A-B@R`` cut keeps its links severed.
+PARTITION_HEAL_S = 1.0
+
 
 @dataclass(frozen=True)
 class ImageAppSpec:
@@ -179,16 +182,12 @@ class ShardCoordinator:
         sync_interval_s: float,
         *,
         warm_prior: Any = None,
-        transport: Any = "pipe",
-        partition_heal_s: float = 1.0,
-        heartbeat_s: Optional[float] = None,
+        transport: str = "pipe",
     ) -> None:
         fleet_env = spec.fleet_env
         arrival, chaos = fleet_env.arrival, fleet_env.chaos
         self.num_shards = spec.num_shards
         self.sync_interval_s = sync_interval_s
-        self.partition_heal_s = partition_heal_s
-        self.heartbeat_s = heartbeat_s
         self.n = spec.app_spec.rows * spec.app_spec.cols
         self.static = arrival is None or arrival.is_static
         durations = [t.duration_s for t in spec.traces]
@@ -238,19 +237,18 @@ class ShardCoordinator:
                 )
         # Net chaos is injected inside the TCP transport (a pipe has no wire
         # to fault); partitions are cut at barriers by before_round.
-        if isinstance(transport, str) and transport not in ("pipe", "tcp"):
+        if transport not in ("pipe", "tcp"):
             raise ValueError(f"unknown transport {transport!r}")
-        name = transport if isinstance(transport, str) else transport.name
-        if chaos is not None and chaos.has_net_faults and name != "tcp":
+        if chaos is not None and chaos.has_net_faults and transport != "tcp":
             raise ValueError(
                 "network chaos (partition/netdelay/dup/corrupt) requires "
                 "--transport tcp: a pipe has no wire to fault"
             )
-        if transport == "pipe":
-            transport = PipeTransport()
-        elif transport == "tcp":
-            transport = TcpTransport(chaos=chaos.net_spec() if chaos is not None else None)
-        self.transport = transport
+        self.transport = (
+            PipeTransport()
+            if transport == "pipe"
+            else TcpTransport(chaos=chaos.net_spec() if chaos is not None else None)
+        )
 
         self.temp_files: list[str] = []
         if isinstance(warm_prior, SharedTransitionPrior):
@@ -313,7 +311,6 @@ class ShardCoordinator:
             spec=spec,
             shard=shard,
             num_shards=spec.num_shards,
-            heartbeat_interval_s=self.heartbeat_s,
         )
 
     def _save(self, prior: SharedTransitionPrior) -> str:
@@ -339,7 +336,7 @@ class ShardCoordinator:
         chaos = self.spec.fleet_env.chaos
         if chaos is not None:
             for lo, hi in chaos.partitions_at(round_index):
-                self.transport.cut_links(range(lo, hi + 1), self.partition_heal_s)
+                self.transport.cut_links(range(lo, hi + 1), PARTITION_HEAL_S)
 
     def on_round(self, round_index: int, offers: dict[int, SyncOffer]) -> None:
         self.log.append({k: offer.delta for k, offer in offers.items()})

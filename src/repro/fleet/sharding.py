@@ -36,16 +36,20 @@ gives O(W) pipe pairs instead of O(W²), and the coordinator is idle
 between barriers — all CPU burns in the workers.
 
 Supervision (optional): with a :class:`SupervisionPolicy` and a
-``respawn`` factory, a worker that dies or goes quiet past the
-heartbeat timeout is quarantined and replaced — the factory builds a
-fresh :class:`ShardTask` that re-runs the shard from the last
-completed sync round (in the fleet case, replaying from the start the
-peer payloads its predecessor received, which ``on_round`` sees keyed
-by shard, so the replacement reaches the same state).  Restarts back off exponentially up to a
-per-shard budget; past it the shard is *dropped*, its result slot
-left ``None`` and the loss recorded in a :class:`ShardRecovery` log
-instead of tearing down the surviving fleet; the fleet coordinator
-replays it from its last checkpoint once the barriers are over.
+``respawn`` factory, a worker is dead when its process exits or when a
+gather hears nothing from it within ``timeout_s``; either way it is
+quarantined and replaced — the factory builds a fresh
+:class:`ShardTask` that re-runs the shard from the last completed sync
+round (in the fleet case, replaying from the start the peer payloads
+its predecessor received, which ``on_round`` sees keyed by shard, so
+the replacement reaches the same state).  There is no other liveness
+signal: a worker speaks only at barriers and with its result, so
+``timeout_s`` must exceed a worker's longest stretch between them.
+Restarts back off exponentially up to a per-shard budget; past it the
+shard is *dropped*, its result slot left ``None`` and the loss
+recorded in a :class:`ShardRecovery` log instead of tearing down the
+surviving fleet; the fleet coordinator replays it from its last
+checkpoint once the barriers are over.
 
 Boot: workers use the spawn start method (fork would snapshot the
 coordinator's heap, and the default differs across platforms).  The
@@ -65,7 +69,6 @@ from __future__ import annotations
 import importlib
 import multiprocessing as mp
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -132,11 +135,6 @@ class ShardTask:
     spec: Any
     shard: int
     num_shards: int
-    #: When set, the worker emits ``("hb", None)`` liveness beacons at
-    #: this cadence from a side thread, so a supervised coordinator can
-    #: distinguish "slow but alive" from "wedged".  ``None`` (default)
-    #: keeps the wire protocol exactly as before.
-    heartbeat_interval_s: Optional[float] = None
 
 
 class ShardChannel:
@@ -146,12 +144,6 @@ class ShardChannel:
         self._conn = conn
         self.shard = shard
         self.num_shards = num_shards
-        # Serializes data sends against the heartbeat side thread.
-        self.send_lock = threading.Lock()
-
-    def _send(self, message: tuple[str, Any]) -> None:
-        with self.send_lock:
-            self._conn.send(message)
 
     def exchange(self, payload: Any) -> list[Any]:
         """Barrier: offer ``payload``, receive every peer's offering.
@@ -162,7 +154,7 @@ class ShardChannel:
         W=1 run bit-identical to the unsharded one; also fewer than
         ``num_shards - 1`` entries once a supervised peer is lost).
         """
-        self._send(("sync", payload))
+        self._conn.send(("sync", payload))
         kind, peers = self._conn.recv()
         if kind != "peers":  # pragma: no cover - protocol bug guard
             raise RuntimeError(f"expected peers, got {kind!r}")
@@ -170,7 +162,7 @@ class ShardChannel:
 
     def result(self, value: Any) -> None:
         """Ship the shard's final report to the coordinator."""
-        self._send(("result", value))
+        self._conn.send(("result", value))
 
 
 class ShardError(RuntimeError):
@@ -189,16 +181,14 @@ class SupervisionPolicy:
     """How the coordinator reacts to a dead or wedged worker.
 
     Each shard gets ``max_restarts`` replacement attempts; the delay
-    before attempt *k* is ``backoff_s * backoff_factor**(k-1)``.  With
-    ``heartbeat_timeout_s`` set (and heartbeats enabled on the task),
-    a worker that sends *nothing* — data or beacon — for that long is
-    declared wedged and recycled just like a dead one.
+    before attempt *k* is ``backoff_s * backoff_factor**(k-1)``.  A
+    worker whose process exits, or that sends nothing within
+    :func:`run_sharded`'s ``timeout_s``, is recycled the same way.
     """
 
     max_restarts: int = 2
     backoff_s: float = 0.05
     backoff_factor: float = 2.0
-    heartbeat_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
@@ -237,18 +227,6 @@ class ShardRecovery:
         }
 
 
-def _heartbeat_loop(
-    channel: ShardChannel, conn: Connection, interval_s: float, stop: threading.Event
-) -> None:
-    """Side-thread beacon: prove liveness between barrier sends."""
-    while not stop.wait(interval_s):
-        try:
-            with channel.send_lock:
-                conn.send(("hb", None))
-        except (BrokenPipeError, OSError):  # coordinator went away
-            return
-
-
 def _worker_entry(task_conn: Connection, conn) -> None:
     """Spawn target: read the task, then run its entry point on the channel.
 
@@ -260,7 +238,6 @@ def _worker_entry(task_conn: Connection, conn) -> None:
     ``connect()`` method is dialed here, inside the fresh process, once
     the task has arrived.
     """
-    stop_heartbeat = threading.Event()
     try:
         with task_conn:
             task: ShardTask = task_conn.recv()
@@ -269,23 +246,14 @@ def _worker_entry(task_conn: Connection, conn) -> None:
         module_name, _, func_name = task.entry.partition(":")
         fn: Callable = getattr(importlib.import_module(module_name), func_name)
         channel = ShardChannel(conn, task.shard, task.num_shards)
-        if task.heartbeat_interval_s is not None:
-            threading.Thread(
-                target=_heartbeat_loop,
-                args=(channel, conn, task.heartbeat_interval_s, stop_heartbeat),
-                daemon=True,
-            ).start()
         value = fn(task.spec, channel)
-        stop_heartbeat.set()
         channel.result(value)
     except Exception:
-        stop_heartbeat.set()
         try:
             conn.send(("error", traceback.format_exc()))
         except (BrokenPipeError, OSError):  # pragma: no cover
             pass
     finally:
-        stop_heartbeat.set()
         conn.close()
 
 
@@ -311,19 +279,14 @@ def _recv(
     proc: mp.process.BaseProcess,
     shard: int,
     timeout_s: Optional[float],
-    quiet_timeout_s: Optional[float] = None,
 ) -> tuple[str, Any]:
-    """Receive one data message, surfacing worker death instead of hanging.
+    """Receive one message, surfacing worker death instead of hanging.
 
-    ``("hb", ...)`` beacons are consumed silently; they reset the
-    *quiet* clock but not the total one, so a wedged-but-beaconing
-    worker still trips ``timeout_s`` while a genuinely dead or wedged
-    one trips the much shorter ``quiet_timeout_s``.  Both are measured
-    on the monotonic clock, so time spent in polls that a beacon ended
-    counts too.
+    A worker is dead when its process exits or when nothing arrives
+    within ``timeout_s``, measured on the monotonic clock from the call.
     """
     poll_s = 0.2
-    started = heard = time.monotonic()
+    started = time.monotonic()
     while True:
         if conn.poll(poll_s):
             try:
@@ -338,22 +301,15 @@ def _recv(
                 ) from exc
             if kind == "error":
                 raise ShardError(shard, payload)
-            if kind != "hb":
-                return kind, payload
-            heard = time.monotonic()
-        elif not proc.is_alive():
+            return kind, payload
+        if not proc.is_alive():
             # One last poll: the message may have raced process exit.
             if conn.poll(0):
                 continue
             raise ShardError(
                 shard, f"worker exited with code {proc.exitcode} mid-protocol"
             )
-        now = time.monotonic()
-        if quiet_timeout_s is not None and now - heard >= quiet_timeout_s:
-            raise ShardError(
-                shard, f"no heartbeat within {quiet_timeout_s:.1f}s — worker wedged"
-            )
-        if timeout_s is not None and now - started >= timeout_s:
+        if timeout_s is not None and time.monotonic() - started >= timeout_s:
             raise ShardError(shard, f"no message within {timeout_s:.0f}s")
 
 
@@ -445,11 +401,6 @@ class _Supervisor:
             _dispose_proc(proc)
             self.procs[i] = None
 
-    def quiet_timeout_s(self, i: int) -> Optional[float]:
-        if self.policy is None or self.tasks[i].heartbeat_interval_s is None:
-            return None
-        return self.policy.heartbeat_timeout_s
-
     def gather(self, i: int, expect: str, next_round: int, timeout_s: Optional[float]) -> Any:
         """Receive one ``expect`` message from worker ``i``, recovering
         from worker death when supervision allows.
@@ -465,7 +416,6 @@ class _Supervisor:
                     self.procs[i],
                     self.tasks[i].shard,
                     timeout_s,
-                    self.quiet_timeout_s(i),
                 )
                 if kind != expect:
                     raise ShardError(
@@ -542,8 +492,9 @@ def run_sharded(
     the original contract.  With ``supervision`` *and* a ``respawn``
     factory — called as ``respawn(shard, next_round)`` and expected to
     return a :class:`ShardTask` whose worker performs only the
-    remaining ``sync_rounds - next_round`` exchanges — dead or wedged
-    workers are replaced with exponential backoff up to the policy's
+    remaining ``sync_rounds - next_round`` exchanges — a worker whose
+    process exits, or that sends nothing within ``timeout_s`` of a
+    gather, is replaced with exponential backoff up to the policy's
     restart budget, and past it the shard is dropped: its result slot
     stays ``None``, the loss lands in ``recovery``, and the survivors
     finish.  Only when *every* shard is lost does the call still

@@ -15,6 +15,9 @@ drivers:
   :class:`FramedEndpoint` drives it over a socket; the tests drive a
   pair over an in-memory wire on a fake clock.
 
+Every wire timing is a module constant below, so both ends of a link
+read the same values by construction.
+
 A dead peer or an exceeded send deadline makes ``recv`` raise
 ``EOFError`` and ``send`` raise ``BrokenPipeError``, as a ``Pipe``
 does, so the supervisor needs no TCP-only case.
@@ -72,8 +75,20 @@ HEADER_SIZE = _HEAD.size + _HEAD_CRC.size
 #: never make the decoder wait on more than this.
 MAX_PAYLOAD = 64 * 1024 * 1024
 
+#: an unacked DATA frame is resent this long after its last send.
+RTO_S = 0.2
+#: a ping goes out after this much outbound silence.
+PING_INTERVAL_S = 0.15
+#: inbound silence this long while acks or pongs are owed is a partition.
+PARTITION_AFTER_S = 0.45
+#: a DATA frame still unacked this long after its first send breaks the link.
+SEND_DEADLINE_S = 10.0
 #: an unanswered ping older than this stops counting as owed.
 PING_EXPIRY_S = 5.0
+#: ``FramedEndpoint.close`` waits at most this long for outstanding acks.
+LINGER_S = 5.0
+#: how long the coordinator waits for a spawned worker to dial in.
+CONNECT_DEADLINE_S = 30.0
 
 
 class TransportError(Exception):
@@ -200,11 +215,12 @@ class FrameProtocol:
     :meth:`tick`) come out.
 
     * **exactly once, in order** — DATA frames are acked, resent every
-      ``rto_s`` until they are, deduplicated and delivered in sequence.
+      :data:`RTO_S` until they are, deduplicated and delivered in sequence.
     * **fail-explicit** — peer EOF (``receive_data(b"")``) or a frame
-      unacked ``send_deadline_s`` after its first send sets ``broken``.
-    * **partition-aware** — inbound silence past ``partition_after_s``
-      while acks or pongs are owed counts one partition, on entry.
+      unacked :data:`SEND_DEADLINE_S` after its first send sets ``broken``.
+    * **partition-aware** — inbound silence past :data:`PARTITION_AFTER_S`
+      while acks or pongs are owed counts one partition, on entry; a
+      ping goes out after :data:`PING_INTERVAL_S` of outbound silence.
 
     Chaos sits below the acks, so what it tests is this machinery, not a
     mock: :meth:`cut` drops every frame both ways until a given time, and
@@ -217,20 +233,12 @@ class FrameProtocol:
         counters: Optional[TransportCounters] = None,
         *,
         injector: Optional[_FaultInjector] = None,
-        rto_s: float = 0.2,
-        ping_interval_s: float = 0.15,
-        partition_after_s: float = 0.45,
-        send_deadline_s: float = 10.0,
     ) -> None:
         self.counters = counters or TransportCounters()
         #: delivered payloads, in order, for the caller to pop
         self.inbox: deque[bytes] = deque()
         self.broken = False
         self._injector = injector
-        self._rto_s = rto_s
-        self._ping_interval_s = ping_interval_s
-        self._partition_after_s = partition_after_s
-        self._send_deadline_s = send_deadline_s
 
         self._decoder = FrameDecoder(self.counters)
         self._next_deliver = 0
@@ -301,31 +309,31 @@ class FrameProtocol:
             self.outbox += heapq.heappop(self._delayed)[1]
         due = []
         for seq, (frame, first, last) in list(self._pending.items()):
-            if now >= first + self._send_deadline_s:
+            if now >= first + SEND_DEADLINE_S:
                 self.broken = True
                 return float("inf")  # a broken link has no more timers
             # Bytes queued behind a full socket are late, not lost: the
             # RTO runs from when the last of them went out.
-            resend_at = max(last, self._backlog_end) + self._rto_s
+            resend_at = max(last, self._backlog_end) + RTO_S
             if now >= resend_at:
                 self._pending[seq] = (frame, first, now)
                 self.counters.retransmits += 1
                 self._emit(frame, now)
-                resend_at = now + self._rto_s
-            due.append(min(first + self._send_deadline_s, resend_at))
-        if now >= self._last_send + self._ping_interval_s:
+                resend_at = now + RTO_S
+            due.append(min(first + SEND_DEADLINE_S, resend_at))
+        if now >= self._last_send + PING_INTERVAL_S:
             self._pings[self._ping_seq] = now
             self._emit(encode_frame(T_PING, self._ping_seq, b""), now)
             self._ping_seq += 1
-        due.append(self._last_send + self._ping_interval_s)
+        due.append(self._last_send + PING_INTERVAL_S)
         # Partition: we are owed frames (acks or pongs) and the inbound
         # side has been silent past the threshold.
         if (self._pending or self._pings) and not self._in_partition:
-            if now >= self._last_recv + self._partition_after_s:
+            if now >= self._last_recv + PARTITION_AFTER_S:
                 self._in_partition = True
                 self.counters.partitions_detected += 1
             else:
-                due.append(self._last_recv + self._partition_after_s)
+                due.append(self._last_recv + PARTITION_AFTER_S)
         # Stale unanswered pings must not pin the partition check forever.
         while self._pings and now >= next(iter(self._pings.values())) + PING_EXPIRY_S:
             del self._pings[next(iter(self._pings))]
@@ -397,20 +405,10 @@ class FramedEndpoint:
         counters: Optional[TransportCounters] = None,
         *,
         injector: Optional[_FaultInjector] = None,
-        rto_s: float = 0.2,
-        ping_interval_s: float = 0.15,
-        partition_after_s: float = 0.45,
-        send_deadline_s: float = 10.0,
-        linger_s: float = 5.0,
     ) -> None:
-        self._proto = FrameProtocol(
-            time.monotonic(), counters, injector=injector, rto_s=rto_s,
-            ping_interval_s=ping_interval_s, partition_after_s=partition_after_s,
-            send_deadline_s=send_deadline_s,
-        )
+        self._proto = FrameProtocol(time.monotonic(), counters, injector=injector)
         self.counters = self._proto.counters
         self._sock = sock
-        self._linger_s = linger_s
         self._cond = threading.Condition()
         self._closed = False
         # A send wakes the driver out of select through this pair.
@@ -458,7 +456,7 @@ class FramedEndpoint:
                 return
             self._cond.wait_for(
                 lambda: not self._proto.unacked or self._proto.broken,
-                timeout=self._linger_s,
+                timeout=LINGER_S,
             )
             self._closed = True
         self._wake()
@@ -556,22 +554,15 @@ class PipeTransport:
         self._ctx = mp.get_context("spawn")
 
     def open_endpoint(self, shard: int, attempt: int):
-        parent_conn, child_conn = self._ctx.Pipe()
-        return parent_conn, child_conn
+        return self._ctx.Pipe()  # (parent end, worker handle)
 
     def release_worker_handle(self, handle) -> None:
         # The parent's copy of the child end must close so EOF
         # propagates when the worker dies — unchanged from PR 7.
         handle.close()
 
-    def counters_for(self, shard: int) -> TransportCounters:
-        return TransportCounters()  # pipes have no wire to count
-
     def counter_snapshots(self) -> dict[int, dict]:
-        return {}
-
-    def cut_links(self, shards: Iterable[int], heal_s: float) -> None:
-        raise TransportError("partition chaos requires the tcp transport")
+        return {}  # pipes have no wire to count
 
     def close(self) -> None:
         pass
@@ -587,8 +578,6 @@ class TcpWorkerSpec:
     shard: int
     attempt: int
     token: str
-    rto_s: float = 0.2
-    send_deadline_s: float = 10.0
 
     def connect(self) -> FramedEndpoint:
         sock = socket.create_connection((self.host, self.port), timeout=10.0)
@@ -606,9 +595,7 @@ class TcpWorkerSpec:
                 f"coordinator speaks frame version {ack.get('version')}, "
                 f"worker speaks {FRAME_VERSION}"
             )
-        return FramedEndpoint(
-            sock, rto_s=self.rto_s, send_deadline_s=self.send_deadline_s
-        )
+        return FramedEndpoint(sock)
 
 
 class _Slot:
@@ -633,9 +620,8 @@ class _SlotConn:
     check — the same way a pipe-worker that dies pre-handshake is.
     """
 
-    def __init__(self, slot: _Slot, connect_deadline_s: float) -> None:
+    def __init__(self, slot: _Slot) -> None:
         self._slot = slot
-        self._deadline_s = connect_deadline_s
         self._closed = False
 
     def _endpoint(self, wait_s: float) -> Optional[FramedEndpoint]:
@@ -646,13 +632,13 @@ class _SlotConn:
     def send(self, obj: Any) -> None:
         if self._closed:
             raise BrokenPipeError("endpoint closed")
-        ep = self._endpoint(self._deadline_s)
+        ep = self._endpoint(CONNECT_DEADLINE_S)
         if ep is None:
             raise BrokenPipeError("worker never completed the TCP handshake")
         ep.send(obj)
 
     def recv(self) -> Any:
-        ep = self._endpoint(self._deadline_s)
+        ep = self._endpoint(CONNECT_DEADLINE_S)
         if ep is None:
             raise EOFError("worker never completed the TCP handshake")
         return ep.recv()
@@ -687,20 +673,9 @@ class TcpTransport:
         host: str = "127.0.0.1",
         port: int = 0,
         chaos: Optional[NetChaosSpec] = None,
-        *,
-        connect_deadline_s: float = 30.0,
-        rto_s: float = 0.2,
-        ping_interval_s: float = 0.15,
-        partition_after_s: float = 0.45,
-        send_deadline_s: float = 10.0,
     ) -> None:
         self.host = host
         self.chaos = chaos if chaos is not None and not chaos.is_inert else None
-        self._connect_deadline_s = connect_deadline_s
-        self._timing = dict(
-            rto_s=rto_s, ping_interval_s=ping_interval_s,
-            partition_after_s=partition_after_s, send_deadline_s=send_deadline_s,
-        )
         self._token = secrets.token_hex(8)
         self._lock = threading.Lock()
         self._slots: dict[tuple[int, int], _Slot] = {}
@@ -729,17 +704,11 @@ class TcpTransport:
             shard=shard,
             attempt=attempt,
             token=self._token,
-            rto_s=self._timing["rto_s"],
-            send_deadline_s=self._timing["send_deadline_s"],
         )
-        return _SlotConn(slot, self._connect_deadline_s), spec
+        return _SlotConn(slot), spec
 
     def release_worker_handle(self, handle) -> None:
         pass  # a TcpWorkerSpec holds no parent-side resource
-
-    def counters_for(self, shard: int) -> TransportCounters:
-        with self._lock:
-            return self._counters.setdefault(shard, TransportCounters())
 
     def counter_snapshots(self) -> dict[int, dict]:
         with self._lock:
@@ -796,6 +765,7 @@ class TcpTransport:
             attempt = int(hello["attempt"])
             with self._lock:
                 slot = self._slots.get((shard, attempt))
+                counters = self._counters.get(shard)  # made with the slot
             if slot is None or slot.ready.is_set():
                 raise TransportError(
                     f"no open slot for shard {shard} attempt {attempt}"
@@ -805,9 +775,7 @@ class TcpTransport:
             injector = (
                 _FaultInjector(self.chaos, shard) if self.chaos is not None else None
             )
-            endpoint = FramedEndpoint(
-                sock, self.counters_for(shard), injector=injector, **self._timing
-            )
+            endpoint = FramedEndpoint(sock, counters, injector=injector)
             with self._lock:
                 self._live[shard] = endpoint
             slot.fulfill(endpoint)

@@ -17,6 +17,14 @@ def failing_worker(spec, channel):
     raise RuntimeError("deliberate test failure")
 
 
+def thread_count_worker(spec, channel):
+    """One exchange, then the number of threads alive in this worker."""
+    import threading
+
+    channel.exchange(spec)
+    return threading.active_count()
+
+
 def crashable_worker(spec, channel):
     """Multi-round worker that can hard-crash mid-protocol.
 
@@ -25,7 +33,8 @@ def crashable_worker(spec, channel):
     via ``os._exit`` — no exception message, no close frame, exactly
     like an OOM-kill — which is the failure mode supervised
     ``run_sharded`` must recover from.  Optional ``sleep_s`` wedges the
-    worker before its first exchange (for heartbeat-timeout tests).
+    worker before its first exchange: alive but silent, so only the
+    coordinator's ``timeout_s`` catches it.
     """
     import os
     import time

@@ -207,14 +207,13 @@ class TestSupervision:
                 respawn=respawn,
             )
 
-    def test_wedged_worker_trips_heartbeat_timeout_and_recovers(self):
+    def test_wedged_worker_trips_timeout_and_recovers(self):
         """A worker that stops making progress — but whose process is
-        alive — is recycled via the quiet timeout, not the (much
-        longer) total timeout.  Beacons are configured slower than the
-        quiet window, so the wedge is detected."""
+        alive — sends nothing within ``timeout_s`` and is recycled like
+        a crash.  The timeout sits a few seconds above worker boot time,
+        far below the 30 s wedge."""
         rounds = 1
         wedged = crashable_task(0, 1, rounds, sleep_s=30.0)
-        wedged.heartbeat_interval_s = 60.0  # no beacon before the wedge trips
         recovery = ShardRecovery()
 
         def respawn(shard, next_round):
@@ -223,15 +222,34 @@ class TestSupervision:
         results = run_sharded(
             [wedged],
             sync_rounds=rounds,
-            timeout_s=120.0,
-            supervision=SupervisionPolicy(
-                max_restarts=1, backoff_s=0.01, heartbeat_timeout_s=1.0
-            ),
+            timeout_s=6.0,
+            supervision=SupervisionPolicy(max_restarts=1, backoff_s=0.01),
             respawn=respawn,
             recovery=recovery,
         )
         assert recovery.recovered_shards == [0]
         assert results[0]["rounds_done"] == rounds
+
+    def test_a_supervised_pipe_worker_runs_one_thread(self):
+        """Supervision reads only the process and ``timeout_s``, so a
+        worker runs no background thread beside its entry point."""
+        tasks = [
+            ShardTask(
+                entry="_shard_helpers:thread_count_worker",
+                spec=k,
+                shard=k,
+                num_shards=2,
+            )
+            for k in range(2)
+        ]
+        results = run_sharded(
+            tasks,
+            sync_rounds=1,
+            timeout_s=60.0,
+            supervision=SupervisionPolicy(),
+            respawn=lambda shard, next_round: tasks[shard],
+        )
+        assert results == [1, 1]
 
     def test_supervision_requires_respawn_factory(self):
         tasks = [crashable_task(0, 1, rounds=0)]
@@ -382,7 +400,7 @@ class TestChaoticWireEquivalence:
     mid-run-partitioned link yields the same pooled summary as a clean
     run, with the defenses' firing visible in the transport totals."""
 
-    def _clean_and_chaotic(self, chaos_str, **kw):
+    def _clean_and_chaotic(self, chaos_str):
         from repro.chaos import ChaosConfig
 
         app, traces, fleet_env = small_fleet(num_sessions=6)
@@ -395,7 +413,7 @@ class TestChaoticWireEquivalence:
         )
         chaotic = run_fleet_sharded(
             app, traces, noisy_env, num_shards=2, predictor="shared-markov",
-            sync_interval_s=1.0, transport="tcp", **kw,
+            sync_interval_s=1.0, transport="tcp",
         )
         return clean, chaotic
 
@@ -407,9 +425,7 @@ class TestChaoticWireEquivalence:
         assert totals["crc_rejects"] + totals["dup_drops"] > 0
 
     def test_healed_partition_matches_clean_run(self):
-        clean, chaotic = self._clean_and_chaotic(
-            "partition:0-1@1", partition_heal_s=0.8
-        )
+        clean, chaotic = self._clean_and_chaotic("partition:0-1@1")
         assert chaotic.summary == clean.summary
         totals = chaotic.diagnostics["sharding"]["transport"]["totals"]
         assert totals["partitions_detected"] >= 1

@@ -1,10 +1,10 @@
-"""``sharding._recv`` timeouts, over a stub link and a patched clock.
+"""Shard liveness over a stub link and a patched clock.
 
-A worker that keeps sending heartbeats but never a data message must
-trip the total ``timeout_s`` on time: the polls a heartbeat ends count
-towards it.  A silent worker trips the shorter quiet timeout, and
-heartbeats keep a slow but live worker from tripping it.  Nothing
-sleeps: the stub link advances the fake clock by what a poll would wait.
+A worker is dead when its process exits or when nothing arrives within
+``timeout_s``: a silent worker trips that timeout on time, and a
+message a gather does not expect (a liveness beacon, say) is a protocol
+error rather than something to skip.  Nothing sleeps: the stub link
+advances the fake clock by what a poll would wait.
 """
 
 from types import SimpleNamespace
@@ -23,32 +23,23 @@ class FakeClock:
 
 
 class StubLink:
-    """A worker that beacons every ``hb_s`` and sends ``data_at`` once."""
+    """A worker that sends ``message`` once, at ``at`` (never when None)."""
 
-    def __init__(self, clock, hb_s=None, data_at=None):
+    def __init__(self, clock, at=None, message=("sync", "payload")):
         self.clock = clock
-        self.next_hb = hb_s
-        self.hb_s = hb_s
-        self.data_at = data_at
-
-    def _next_message(self):
-        due = [t for t in (self.next_hb, self.data_at) if t is not None]
-        return min(due) if due else None
+        self.at = at
+        self.message = message
 
     def poll(self, timeout):
-        due = self._next_message()
-        if due is not None and due <= self.clock.now + timeout:
-            self.clock.now = max(self.clock.now, due)
+        if self.at is not None and self.at <= self.clock.now + timeout:
+            self.clock.now = max(self.clock.now, self.at)
             return True
         self.clock.now += timeout
         return False
 
     def recv(self):
-        if self.data_at is not None and self.data_at <= self.clock.now:
-            self.data_at = None
-            return "sync", "payload"
-        self.next_hb += self.hb_s
-        return "hb", None
+        self.at = None
+        return self.message
 
 
 ALIVE = SimpleNamespace(is_alive=lambda: True, exitcode=None)
@@ -61,26 +52,17 @@ def clock(monkeypatch):
     return fake
 
 
-def test_heartbeats_do_not_stretch_the_total_timeout(clock):
-    # 0.5 s beacons end every third 0.2 s poll early; counting only the
-    # polls that timed out read 10 s of waiting at 12.5 s.
-    link = StubLink(clock, hb_s=0.5)
+def test_a_silent_worker_trips_the_timeout_on_time(clock):
     with pytest.raises(ShardError, match="no message within 10s"):
-        sharding._recv(link, ALIVE, 0, timeout_s=10.0, quiet_timeout_s=3.0)
+        sharding._recv(StubLink(clock), ALIVE, 0, timeout_s=10.0)
     assert 10.0 <= clock.now <= 10.2
 
 
-def test_a_silent_worker_trips_the_quiet_timeout(clock):
-    link = StubLink(clock)
-    with pytest.raises(ShardError, match="wedged"):
-        sharding._recv(link, ALIVE, 0, timeout_s=10.0, quiet_timeout_s=1.0)
-    assert 1.0 <= clock.now <= 1.2
-
-
-def test_heartbeats_hold_off_the_quiet_timeout(clock):
-    link = StubLink(clock, hb_s=0.5, data_at=6.0)
-    assert sharding._recv(link, ALIVE, 0, timeout_s=None, quiet_timeout_s=1.0) == (
-        "sync",
-        "payload",
-    )
-    assert clock.now == 6.0
+def test_a_beacon_is_a_protocol_error(clock):
+    task = sharding.ShardTask(entry="m:f", spec=None, shard=0, num_shards=1)
+    sup = sharding._Supervisor(None, [task], None, None, sharding.ShardRecovery())
+    sup.pipes[0] = StubLink(clock, at=0.5, message=("hb", None))
+    sup.procs[0] = ALIVE
+    with pytest.raises(ShardError, match="expected sync, got 'hb'"):
+        sup.gather(0, "sync", 0, timeout_s=10.0)
+    assert clock.now == 0.5
