@@ -65,7 +65,12 @@ Measures the hot paths the vectorized scheduling core owns:
   loop, decode, the distribution install, then the senders — which
   redraw only a short ready window after a preemption, not a
   ``lookahead`` of blocks), so this metric isolates the decode stage
-  the same way ``greedy_draws_*`` isolates the draw loop.
+  the same way ``greedy_draws_*`` isolates the draw loop; and
+* ``fleet_tick_kalman_decode_N32`` — the same decode-stage wall time
+  per tick for the ``fleet_tick_N32`` Kalman fleet: the stacked
+  truncated-Gaussian decode of every session's state, checks included.
+  A per-state Python decode costs several times that, which the 2x
+  gate catches.
 
 The emitted JSON carries a ``config`` section (the shard count) so
 any regression is
@@ -146,6 +151,8 @@ MARKOV_REQ_EVERY_S = 0.08
 MARKOV_PRIOR_WIDTH = 96
 MARKOV_PRIOR_COUNT = 3
 MARKOV_CACHE_BYTES = 3_200_000  # 64 blocks: keeps install cost modest
+#: Kalman-decode gate shape: the fleet_tick_N32 fleet.
+KALMAN_DECODE_SESSIONS = 32
 #: Sharded-fleet gate shape: a 1024-session population on a reduced
 #: grid, short traces + drain so one run is a handful of 150 ms ticks,
 #: and a sync cadence that fits a few CRDT delta rounds inside the
@@ -338,6 +345,7 @@ def _tick_cost(app, traces, env) -> float:
 
 def bench_fleet_tick() -> dict[str, float]:
     from repro.experiments.configs import DEFAULT_ENV, FleetEnvironment
+    from repro.experiments.runner import run_fleet
     from repro.fleet import ArrivalConfig
     from repro.workloads.image_app import ImageExplorationApp
     from repro.workloads.mouse import MouseTraceGenerator
@@ -353,6 +361,10 @@ def bench_fleet_tick() -> dict[str, float]:
         ]
         env = FleetEnvironment(num_sessions=num, env=DEFAULT_ENV)
         out[f"fleet_tick_N{num}"] = _tick_cost(app, traces, env) * 1e3
+        if num == KALMAN_DECODE_SESSIONS:
+            out[f"fleet_tick_kalman_decode_N{num}"] = _decode_ms_per_tick(
+                lambda: run_fleet(app, traces, env, predictor="kalman")
+            )
 
     # Churn gate: the same tick cost while sessions arrive and depart
     # (ROADMAP: the perf gate previously covered only static fleets).
@@ -421,26 +433,16 @@ def _markov_fleet_fixtures():
     return app, traces, make_prior
 
 
-def bench_fleet_markov() -> dict[str, float]:
-    """Predictor-decode work per tick for the shared-Markov fleet.
+def _decode_ms_per_tick(run) -> float:
+    """Milliseconds of predictor decode per tick, best of the repeats.
 
     Wraps ``decode_state`` and the service's stacked decode hook with
-    wall-clock accumulation: the metric is exactly the decode stage,
-    on a workload whose cohort overlap
-    and pre-warmed crowd rows resemble a long-lived fleet.
+    wall-clock accumulation around ``run()`` (a ``run_fleet`` call), so
+    the metric is exactly the decode stage.
     """
-    from dataclasses import replace
-
     from repro.core.server import KhameleonServer
-    from repro.experiments.configs import DEFAULT_ENV, FleetEnvironment
-    from repro.experiments.runner import run_fleet
     from repro.fleet.schedule_service import FleetScheduleService
 
-    app, traces, make_prior = _markov_fleet_fixtures()
-    env = FleetEnvironment(
-        num_sessions=MARKOV_SESSIONS,
-        env=replace(DEFAULT_ENV, cache_bytes=MARKOV_CACHE_BYTES),
-    )
     acc = {"t": 0.0}
     targets = [
         (KhameleonServer, "decode_state"),
@@ -463,19 +465,39 @@ def bench_fleet_markov() -> dict[str, float]:
         best = float("inf")
         for _ in range(max(1, REPEATS - 1)):
             acc["t"] = 0.0
-            result = run_fleet(
-                app,
-                traces,
-                env,
-                predictor="shared-markov",
-                shared_prior=make_prior(),
-            )
+            result = run()
             ticks = max(1, result.diagnostics["prediction"]["ticks"])
             best = min(best, acc["t"] / ticks)
     finally:
         for c, name, fn in saved:
             setattr(c, name, fn)
-    return {f"fleet_tick_markov_N{MARKOV_SESSIONS}": best * 1e3}
+    return best * 1e3
+
+
+def bench_fleet_markov() -> dict[str, float]:
+    """Predictor-decode work per tick for the shared-Markov fleet, on a
+    workload whose cohort overlap and pre-warmed crowd rows resemble a
+    long-lived fleet."""
+    from dataclasses import replace
+
+    from repro.experiments.configs import DEFAULT_ENV, FleetEnvironment
+    from repro.experiments.runner import run_fleet
+
+    app, traces, make_prior = _markov_fleet_fixtures()
+    env = FleetEnvironment(
+        num_sessions=MARKOV_SESSIONS,
+        env=replace(DEFAULT_ENV, cache_bytes=MARKOV_CACHE_BYTES),
+    )
+    ms = _decode_ms_per_tick(
+        lambda: run_fleet(
+            app,
+            traces,
+            env,
+            predictor="shared-markov",
+            shared_prior=make_prior(),
+        )
+    )
+    return {f"fleet_tick_markov_N{MARKOV_SESSIONS}": ms}
 
 
 def bench_fleet_sharded(num_shards: int) -> dict[str, float]:

@@ -5,7 +5,10 @@ the i-th block received from the server goes into slot ``i % C``.  The
 paper chooses FIFO deliberately — it is deterministic, so the server-
 side scheduler can mirror the client cache's contents exactly without
 any coordination (the sender feeds the same sequence into an identical
-ring buffer).
+ring buffer).  Each request's contiguous-prefix length — what
+rendering quality and the scheduler's next block index read — is kept
+current on every put, eviction and clear, so reading it is a dict
+lookup rather than a walk over the request's block indices.
 
 :class:`LRUCache` is the byte-budgeted LRU used by the traditional
 prefetching baselines (§6.1), which cache whole responses.
@@ -37,6 +40,9 @@ class RingBufferCache:
         self._counter = 0
         # request id -> {block index -> slot} for O(1) lookups.
         self._index: dict[int, dict[int, int]] = {}
+        # request id -> contiguous-prefix length, kept current by put,
+        # eviction and clear so prefix_len is a dict read.
+        self._prefix: dict[int, int] = {}
         # Called with the affected request id when a *live* block copy
         # is unlinked by FIFO replacement (its prefix may have shrunk),
         # or with None when the whole cache is cleared.  The scheduler's
@@ -68,9 +74,17 @@ class RingBufferCache:
                 del by_index[evicted.index]
                 if not by_index:
                     del self._index[evicted.request]
+                if evicted.index < self._prefix.get(evicted.request, 0):
+                    self._prefix[evicted.request] = evicted.index
                 unlinked = evicted.request
         self._slots[slot] = block
-        self._index.setdefault(block.request, {})[block.index] = slot
+        by_index = self._index.setdefault(block.request, {})
+        by_index[block.index] = slot
+        k = self._prefix.get(block.request, 0)
+        if block.index == k:
+            while k in by_index:
+                k += 1
+            self._prefix[block.request] = k
         if unlinked is not None:
             for listener in self._evict_listeners:
                 listener(unlinked)
@@ -79,6 +93,7 @@ class RingBufferCache:
     def clear(self) -> None:
         self._slots = [None] * self.capacity_blocks
         self._index.clear()
+        self._prefix.clear()
         self._counter = 0
         for listener in self._evict_listeners:
             listener(None)
@@ -107,15 +122,10 @@ class RingBufferCache:
 
         Rendering quality is defined over prefixes (§3.3): block 3
         without blocks 0–2 cannot be decoded, so utility is computed
-        from the prefix, not the raw count.
+        from the prefix, not the raw count.  Maintained on every
+        mutation, so reading it is O(1).
         """
-        by_index = self._index.get(request)
-        if not by_index:
-            return 0
-        k = 0
-        while k in by_index:
-            k += 1
-        return k
+        return self._prefix.get(request, 0)
 
     def get(self, request: int, index: int) -> Optional[Block]:
         slot = self._index.get(request, {}).get(index)

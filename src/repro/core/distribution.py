@@ -63,7 +63,7 @@ class RequestDistribution:
             raise ValueError("n must be >= 1")
         if deltas.ndim != 1 or len(deltas) < 1:
             raise ValueError("need at least one horizon")
-        if (np.diff(deltas) <= 0).any():
+        if (deltas[1:] - deltas[:-1] <= 0).any():  # np.diff without its wrapper
             raise ValueError("horizons must be strictly increasing")
         if probs.shape != (len(deltas), len(ids)):
             raise ValueError(
@@ -71,14 +71,23 @@ class RequestDistribution:
             )
         if residual.shape != (len(deltas),):
             raise ValueError("residual must have one entry per horizon")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("explicit ids must be unique")
-        if len(ids) and (ids.min() < 0 or ids.max() >= self.n):
-            raise ValueError("explicit ids out of range")
+        if len(ids):
+            # Strictly increasing ids (every decoder's) are unique, with
+            # their extremes at the ends; any other order pays np.unique.
+            if (ids[1:] > ids[:-1]).all():
+                first, last = ids[0], ids[-1]
+            elif len(np.unique(ids)) != len(ids):
+                raise ValueError("explicit ids must be unique")
+            else:
+                first, last = ids.min(), ids.max()
+            if first < 0 or last >= self.n:
+                raise ValueError("explicit ids out of range")
         if (probs < -_EPS).any() or (residual < -_EPS).any():
             raise ValueError("probabilities must be non-negative")
         totals = probs.sum(axis=1) + residual
-        if not np.allclose(totals, 1.0, atol=1e-6):
+        # np.allclose(totals, 1, atol=1e-6) without its overhead; NaN
+        # and inf fail the comparison just the same.
+        if not all(abs(t - 1.0) <= 1e-6 + 1e-5 for t in totals.tolist()):
             raise ValueError(f"each horizon must sum to 1 (got {totals})")
         if len(ids) >= self.n and (residual > _EPS).any():
             raise ValueError("residual mass with no non-explicit requests")
@@ -190,60 +199,31 @@ class RequestDistribution:
         residual = (1 - w) * self.residual[lo] + w * self.residual[hi]
         return self.explicit_ids, probs, float(residual)
 
-    def interp_weights_vec(
-        self, deltas_s: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_interp_weights`: ``(lo, hi, w)`` arrays.
-
-        Same clamping semantics as the scalar helper, and the same IEEE
-        arithmetic for ``w``, so downstream blends are bit-identical to
-        per-horizon :meth:`explicit_at` calls.
-        """
-        qs = np.asarray(deltas_s, dtype=float)
-        deltas = self.deltas_s
-        last = len(deltas) - 1
-        lo = np.zeros(len(qs), dtype=np.intp)
-        hi = np.zeros(len(qs), dtype=np.intp)
-        w = np.zeros(len(qs))
-        above = qs >= deltas[-1]
-        lo[above] = last
-        hi[above] = last
-        mid = ~(qs <= deltas[0]) & ~above
-        if mid.any():
-            hi_mid = np.searchsorted(deltas, qs[mid], side="right")
-            lo_mid = hi_mid - 1
-            lo[mid] = lo_mid
-            hi[mid] = hi_mid
-            w[mid] = (qs[mid] - deltas[lo_mid]) / (deltas[hi_mid] - deltas[lo_mid])
-        return lo, hi, w
-
     def explicit_matrix(self, deltas_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`explicit_at` over many horizons.
 
         Returns ``(probs, residual)`` with shapes ``(len(deltas_s), m)``
         and ``(len(deltas_s),)``.  Used by the scheduler to blend the
         probability rows before the last horizon in one shot, and by
-        ``expected_utility``.  One blend over all horizons instead of a
-        Python loop calling :meth:`explicit_at` per row; rows clamped
-        outside the horizon range (``lo == hi``) are plain row copies —
-        what :meth:`explicit_at` returns there.
+        ``expected_utility``.  One ``searchsorted`` brackets every
+        horizon and one formula, ``(1 − w)·P[lo] + w·P[hi]``, blends
+        every row: ``w`` is :meth:`_interp_weights`' float, and a row
+        clamped outside the horizon range (or sitting on the first
+        horizon) has ``w = 0``, which yields an exact copy of the row
+        :meth:`explicit_at` returns there.
         """
-        lo, hi, w = self.interp_weights_vec(deltas_s)
-        out = np.empty((len(lo), len(self.explicit_ids)))
-        res = np.empty(len(lo))
+        qs = np.asarray(deltas_s, dtype=float)
+        deltas = self.deltas_s
+        right = deltas.searchsorted(qs, side="right")
+        lo = np.maximum(right - 1, 0)
+        hi = np.minimum(right, len(deltas) - 1)
         clamped = lo == hi
-        if clamped.any():
-            out[clamped] = self.explicit_probs[lo[clamped]]
-            res[clamped] = self.residual[lo[clamped]]
-        interior = ~clamped
-        if interior.any():
-            li, hi_i, wi = lo[interior], hi[interior], w[interior]
-            wc = wi[:, None]
-            out[interior] = (
-                (1 - wc) * self.explicit_probs[li] + wc * self.explicit_probs[hi_i]
-            )
-            res[interior] = (1 - wi) * self.residual[li] + wi * self.residual[hi_i]
-        return out, res
+        w = (qs - deltas[lo]) / np.where(clamped, 1.0, deltas[hi] - deltas[lo])
+        w[clamped] = 0.0
+        wc = w[:, None]
+        probs = (1 - wc) * self.explicit_probs[lo] + wc * self.explicit_probs[hi]
+        residual = (1 - w) * self.residual[lo] + w * self.residual[hi]
+        return probs, residual
 
     def dense_at(self, delta_s: float) -> np.ndarray:
         """Full length-``n`` probability vector at ``delta_s`` (small n only)."""

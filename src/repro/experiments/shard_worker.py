@@ -184,25 +184,18 @@ class ShardWorker:
                     prior.merge_delta(offer.delta)
 
     def _resume(self, path: str) -> None:
-        """``--checkpoint-in``: count our checkpointed sessions as resumed
-        and pre-merge the *other* shards' stored prior contributions.
+        """``--checkpoint-in``: count our checkpointed sessions as resumed.
 
-        Our own is not merged — the deterministic replay re-observes it —
-        and the CRDT's per-origin mass tracking makes the peers' later
-        re-broadcasts of pre-drain state apply as exact diffs.  A
-        replacement worker merges them too, as its predecessor did.
+        A resume is a re-run: every worker boots at round 0 and replays
+        the run with live peers, whose barrier deltas arrive when the
+        clean run had them.  Nothing from the bundle's stored prior
+        contributions is merged — the peers' drain-time deltas hold rows
+        they learn only later, and merging them at t = 0 changed the
+        run under ``shared-markov``.
         """
-        bundle = FleetCheckpoint.load(path, n=self.n)
-        own = bundle.shards.get(self.spec.shard)
+        own = FleetCheckpoint.load(path, n=self.n).shards.get(self.spec.shard)
         if own is not None:
             self.resumed_sessions = len(own.sessions)
-        if self.prior is not None:
-            for shard, ckpt in bundle.shards.items():
-                if shard == self.spec.shard:
-                    continue
-                delta = ckpt.prior_delta_object()
-                if delta is not None:
-                    self.prior.merge_delta(delta)
 
     def _replay_predecessor(self) -> None:
         """Redo what this shard's earlier worker did at the barriers

@@ -147,8 +147,7 @@ class ShardFleetSpec:
     restore: Optional[ShardCheckpoint] = None
     #: Path to a :class:`~repro.fleet.checkpoint.FleetCheckpoint` bundle
     #: (``--checkpoint-in``): the worker counts its own checkpointed
-    #: sessions as resumed and pre-merges *other* shards' prior deltas,
-    #: so re-broadcasts of pre-drain state dedup exactly.
+    #: sessions as resumed and re-runs its slice from round 0.
     resume_from: Optional[str] = None
     #: Stop cleanly after completing this global sync round (graceful
     #: drain): skip the rest of the run, ship partial results plus a
@@ -411,12 +410,10 @@ class ShardCoordinator:
             "cpu_run_s": [s["timing"]["cpu_run_s"] for s in survivors],
             "wall_run_s": [s["timing"]["wall_run_s"] for s in survivors],
             # Supervision: shards that died and came back, shards dropped
-            # past the restart budget (after re-absorption), and the
-            # planned sessions that loss cost the pooled report.
-            "shards_recovered": len(recovery.recovered_shards),
-            "shards_lost": len(lost),
+            # past the restart budget (after re-absorption), restarts,
+            # and the planned sessions that loss cost the pooled report.
+            **recovery.snapshot(self.reabsorbed),
             "sessions_lost": sum(len(self._owned(k)) for k in lost),
-            "restarts": len(recovery.restarts),
             "restarts_by_shard": [
                 sum(1 for s, _, _ in recovery.restarts if s == k)
                 for k in range(self.num_shards)

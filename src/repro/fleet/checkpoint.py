@@ -64,10 +64,14 @@ FORMAT_VERSION = 1
 MAGIC = "khameleon-fleet-checkpoint"
 
 
+#: The canonical JSON form digests hash; one encoder, built once (it is
+#: what ``json.dumps`` with these arguments builds on every call).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload: object) -> int:
     """crc32 over the canonical JSON form of ``payload``."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(blob.encode("utf-8"))
+    return zlib.crc32(_CANONICAL.encode(payload).encode("utf-8"))
 
 
 def _require_int(payload: dict, key: str, minimum: int = 0) -> int:

@@ -22,10 +22,19 @@ scheduling cost (the ROADMAP's "scheduler-side scaling" item).
   :meth:`~repro.core.server.KhameleonServer.apply_distribution` the
   per-session uplink path ends in.
 
+The Kalman family's stacked pass is the layout's only decode path (a
+single session's decode is its batch of one), and it costs a constant
+number of array operations per group plus the construction of each
+session's distribution.
+
 Nothing is stacked on the scheduler side either: installing a
 distribution blends only the handful of probability rows before the
-predictor's last horizon (:mod:`repro.core.greedy`), which is less work
-per session than padding it into a fleet-wide array was.
+predictor's last horizon with one formula
+(:meth:`~repro.core.distribution.RequestDistribution.explicit_matrix`),
+and reads each materialized request's cached prefix from the mirror's
+maintained prefix lengths (:mod:`repro.core.cache`), so an install is a
+few array operations per session — less work than padding it into a
+fleet-wide array was.
 
 Timing semantics vs the per-session path: states are still collected
 on the prediction interval and applied one uplink latency later, so a

@@ -73,7 +73,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .ring import HashRing
 from .transport import PipeTransport
@@ -219,10 +219,12 @@ class ShardRecovery:
             {s for s, _, _ in self.restarts} - set(self.lost_shards)
         )
 
-    def snapshot(self) -> dict:
+    def snapshot(self, reabsorbed: Sequence[int] = ()) -> dict:
+        """The report's supervision counts; shards in ``reabsorbed`` were
+        lost but replayed to completion afterwards, so they are not lost."""
         return {
             "shards_recovered": len(self.recovered_shards),
-            "shards_lost": len(self.lost_shards),
+            "shards_lost": sum(1 for k in self.lost_shards if k not in reabsorbed),
             "restarts": len(self.restarts),
         }
 

@@ -10,8 +10,12 @@ in the paper's custom predictor.
 :class:`GridLayout` handles the gallery's regular grid analytically
 (per-cell Gaussian mass via axis-aligned CDF products, touching only
 cells within a few standard deviations of the mean — essential with
-10,000 thumbnails).  :class:`ChartLayout` handles a small number of
-irregular widgets by integrating per widget.
+10,000 thumbnails).  It has one decode path: a stacked pass over every
+state × horizon of a group
+(:meth:`GridLayout.gaussian_distribution_batch`), whose cost is a
+constant number of array operations plus O(window cells) work;
+decoding one state is the batch of one.  :class:`ChartLayout` handles
+a small number of irregular widgets by integrating per widget.
 """
 
 from __future__ import annotations
@@ -29,50 +33,12 @@ __all__ = ["GridLayout", "ChartLayout", "BoundingBox"]
 _SQRT2 = math.sqrt(2.0)
 
 
-def _erf_many(values: np.ndarray) -> np.ndarray:
-    """``math.erf`` over a flat array.
-
-    ``math.erf`` (not scipy's Cephes port) keeps every value
-    bit-identical to the scalar :func:`_mass_1d` calls, which is what
-    lets the factorized and batched decode paths promise byte-identical
-    distributions.  One list-comprehension pass; the factorization
-    already cut the call count from O(cells) to O(rows + cols).
-    """
-    return np.array([math.erf(v) for v in values.tolist()], dtype=float)
-
-
-def _segment_masses(
-    segments: Sequence[tuple[np.ndarray, np.ndarray, float, float]]
-) -> list[np.ndarray]:
-    """Per-cell 1-D Gaussian masses for many ``(lo, hi, mean, std)`` axes.
-
-    Each segment's cell ``i`` gets the mass of ``N(mean, std)`` inside
-    ``[lo[i], hi[i])`` — exactly :func:`_mass_1d` per cell (``lo``/``hi``
-    are the same floats :meth:`GridLayout.bbox` produces, so the result
-    is byte-identical to integrating each
-    :meth:`BoundingBox.gaussian_mass`), with every boundary of every
-    segment evaluated in one flattened erf pass.  This is the
-    truncated-Gaussian kernel behind both the single-state and the
-    fleet-batched decode.
-    """
-    zs = [
-        (np.concatenate([lo, hi]) - mean) / std / _SQRT2
-        for lo, hi, mean, std in segments
-        if std > 0
-    ]
-    table = _erf_many(np.concatenate(zs)) if zs else np.empty(0)
-    out: list[np.ndarray] = []
-    k = 0
-    for lo, hi, mean, std in segments:
-        if std > 0:
-            cells = len(lo)
-            t = table[k : k + 2 * cells]
-            k += 2 * cells
-            out.append(0.5 * (t[cells:] - t[:cells]))
-        else:
-            # Degenerate: all mass at the mean (matches _mass_1d).
-            out.append(((lo <= mean) & (mean < hi)).astype(float))
-    return out
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` for every pair."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - (ends - counts), counts
+    )
 
 
 @dataclass(frozen=True)
@@ -183,23 +149,12 @@ class GridLayout:
         Only cells within ``truncate_sigmas`` standard deviations of a
         mean get explicit probabilities; everything else pools into the
         residual.  Rows flagged in ``uniform_rows`` are fully uniform
-        (the paper's 500 ms horizon).
-
-        A cell's mass under a diagonal Gaussian factors into a
-        per-column x-mass times a per-row y-mass, so the window costs
-        O(rows + cols) erf evaluations instead of O(rows x cols) —
-        byte-identical to integrating each
-        :meth:`BoundingBox.gaussian_mass` (the segments carry the exact
-        per-cell ``lo``/``hi`` floats :meth:`bbox` produces, and the
-        x·y product is the same multiply).
-        :meth:`gaussian_distribution_batch` stacks the same kernel
-        across many states.
+        (the paper's 500 ms horizon).  This is the batch of one of
+        :meth:`gaussian_distribution_batch`.
         """
-        if len(means) != len(deltas_s) or len(stds) != len(deltas_s):
-            raise ValueError("need one (mean, std) pair per horizon")
-        windows, segments = self._row_plan(means, stds, truncate_sigmas, uniform_rows)
-        masses = _segment_masses(segments)
-        return self._assemble(windows, masses, deltas_s, uniform_rows)
+        return self.gaussian_distribution_batch(
+            [(means, stds, uniform_rows)], deltas_s, truncate_sigmas
+        )[0]
 
     def gaussian_distribution_batch(
         self,
@@ -214,138 +169,153 @@ class GridLayout:
         truncate_sigmas: float = 3.0,
     ) -> list[RequestDistribution]:
         """:meth:`gaussian_distribution` for many ``(means, stds,
-        uniform_rows)`` states with one flattened truncated-Gaussian
-        pass over every axis boundary of every state.  Byte-identical
-        per state to the single-state method (shared kernels)."""
-        plans = []
-        all_segments: list[tuple[np.ndarray, float, float]] = []
-        for means, stds, uniform_rows in states:
-            if len(means) != len(deltas_s) or len(stds) != len(deltas_s):
-                raise ValueError("need one (mean, std) pair per horizon")
-            windows, segments = self._row_plan(
-                means, stds, truncate_sigmas, uniform_rows
-            )
-            plans.append((windows, len(segments), uniform_rows))
-            all_segments.extend(segments)
-        all_masses = _segment_masses(all_segments)
-        out = []
-        k = 0
-        for windows, count, uniform_rows in plans:
-            out.append(
-                self._assemble(
-                    windows, all_masses[k : k + count], deltas_s, uniform_rows
-                )
-            )
-            k += count
-        return out
+        uniform_rows)`` states in one stacked pass.
 
-    def _row_plan(
-        self,
-        means: Sequence[tuple[float, float]],
-        stds: Sequence[tuple[float, float]],
-        truncate_sigmas: float,
-        uniform_rows: Sequence[bool],
-    ) -> tuple[list, list[tuple[np.ndarray, np.ndarray, float, float]]]:
-        """Per-horizon cell windows plus their axis-mass segments.
-
-        ``windows[j]`` is ``(r0, r1, c0, c1)`` or ``None`` for uniform
-        horizons; each non-uniform horizon contributes an x then a y
-        segment (in that order) to ``segments``.
+        A cell's mass under a diagonal Gaussian factors into a
+        per-column x-mass times a per-row y-mass, so a horizon's window
+        costs O(rows + cols) erf evaluations, all of the group's in one
+        list pass, and the masses cost O(window cells).  Each state's
+        window products are scattered into a box spanning its windows,
+        and its ``(k, m)`` probabilities are one C-ordered gather of the
+        box's covered cells.  Every float is the one integrating each
+        :meth:`BoundingBox.gaussian_mass` gives: an interval carries the
+        ``lo``/``hi`` floats :meth:`bbox` produces, the x·y product is
+        the same multiply, and row sums run over the same C-ordered rows
+        (a column gather is F-ordered, and its sums differ by an ULP).
         """
-        windows: list = []
-        segments: list[tuple[np.ndarray, np.ndarray, float, float]] = []
-        for j, ((mx, my), (sx, sy)) in enumerate(zip(means, stds)):
-            if uniform_rows and uniform_rows[j]:
-                windows.append(None)
-                continue
-            window = self._window_near(mx, my, sx, sy, truncate_sigmas)
-            windows.append(window)
-            r0, r1, c0, c1 = window
-            # lo is bbox()'s x0/y0 expression verbatim and hi is lo +
-            # cell size, so each cell's interval carries the exact
-            # floats the per-cell gaussian_mass path integrates (for
-            # fractional cell sizes, origin + (c+1)*w can differ from
-            # (origin + c*w) + w by one ULP).
-            x_lo = self.origin_x + np.arange(c0, c1 + 1) * self.cell_width
-            y_lo = self.origin_y + np.arange(r0, r1 + 1) * self.cell_height
-            segments.append((x_lo, x_lo + self.cell_width, mx, sx))
-            segments.append((y_lo, y_lo + self.cell_height, my, sy))
-        return windows, segments
-
-    def _assemble(
-        self,
-        windows: list,
-        masses: list[np.ndarray],
-        deltas_s: Sequence[float],
-        uniform_rows: Sequence[bool],
-    ) -> RequestDistribution:
-        """Fold per-axis masses into the sparse distribution."""
-        explicit: set[int] = set()
-        for window in windows:
-            if window is not None:
-                r0, r1, c0, c1 = window
-                explicit.update(
-                    r * self.cols + c
-                    for r in range(r0, r1 + 1)
-                    for c in range(c0, c1 + 1)
-                )
-        ids = np.array(sorted(explicit), dtype=np.int64)
         k = len(deltas_s)
-        n = self.num_requests
-        probs = np.zeros((k, len(ids)))
-        residual = np.ones(k)
-        seg = 0
-        for j, window in enumerate(windows):
-            if window is None:
-                # Truly uniform: explicit ids get 1/n like everyone else.
-                probs[j] = 1.0 / n
-                residual[j] = (n - len(ids)) / n
-                continue
-            r0, r1, c0, c1 = window
-            px = masses[seg]
-            py = masses[seg + 1]
-            seg += 2
-            cell_ids = (
-                np.arange(r0, r1 + 1)[:, None] * self.cols
-                + np.arange(c0, c1 + 1)[None, :]
-            ).ravel()
-            cols = np.searchsorted(ids, cell_ids)
-            probs[j, cols] = np.outer(py, px).ravel()
-            row_sum = probs[j].sum()
-            if row_sum > 1.0:
-                probs[j] /= row_sum
-                row_sum = 1.0
-            residual[j] = 1.0 - row_sum
-        if len(ids) == self.num_requests:
-            # No pool left to carry a residual: renormalize over the
-            # cells.  A horizon whose mass lies wholly off the layout
-            # carries no information — uniform, like an empty window.
-            probs[probs.sum(axis=1) == 0] = 1.0 / n
-            probs = probs / probs.sum(axis=1, keepdims=True)
-            residual = np.zeros(k)
-        return RequestDistribution(
-            n=self.num_requests,
-            deltas_s=np.asarray(deltas_s, dtype=float),
-            explicit_ids=ids,
-            explicit_probs=probs,
-            residual=residual,
+        for means, stds, _uniform in states:
+            if len(means) != k or len(stds) != k:
+                raise ValueError("need one (mean, std) pair per horizon")
+        num = len(states)
+        if not num:
+            return []
+        n, rows, cols = self.num_requests, self.rows, self.cols
+        windows = num * k
+        # Per window, column (x) then row (y): mean, std, and the cells.
+        centre = np.array([s[0] for s in states], dtype=float).reshape(windows, 2)
+        spread = np.array([s[1] for s in states], dtype=float).reshape(windows, 2)
+        uniform = np.array(
+            [tuple(s[2]) or (False,) * k for s in states], dtype=bool
+        ).reshape(num, k)
+        size = np.array([self.cell_width, self.cell_height])
+        origin = np.array([self.origin_x, self.origin_y])
+        limit = np.array([cols, rows])
+
+        # Windows meeting mean ± sigmas·std, and at least the cell under
+        # the mean; floor_divide is Python's //.  Clamping to one cell
+        # past the grid keeps far-off means in int64 and leaves a window
+        # empty (first > last) exactly when the unbounded clamp would.
+        half = np.maximum(spread * truncate_sigmas, size)
+        first = np.floor_divide(centre - half - origin, size)
+        last = np.floor_divide(centre + half - origin, size)
+        first = np.minimum(np.maximum(first, 0), limit).astype(np.int64)
+        last = np.minimum(np.maximum(last, -1), limit - 1).astype(np.int64)
+        live = ~uniform.ravel() & (first <= last).all(axis=1)
+        count = np.where(live[:, None], last - first + 1, 0)
+
+        # Axis masses: a cell's interval is [lo, lo + size) with lo
+        # bbox()'s x0/y0 expression verbatim (for fractional sizes,
+        # origin + (c+1)*w can differ from it by one ULP), integrated as
+        # _mass_1d does.  math.erf, not scipy's port, keeps them equal.
+        per_axis = count.ravel()
+        axis = np.repeat(np.arange(2 * windows) & 1, per_axis)
+        lo = origin[axis] + _ranges(first.ravel(), per_axis) * size[axis]
+        hi = lo + size[axis]
+        mean = np.repeat(centre.ravel(), per_axis)
+        std = np.repeat(spread.ravel(), per_axis)
+        spreads = std > 0
+        scale = np.where(spreads, std, 1.0)
+        z_lo = (lo - mean) / scale / _SQRT2
+        z_hi = (hi - mean) / scale / _SQRT2
+        # A cell's upper bound is usually its neighbour's lower one: one
+        # erf per distinct boundary, in one list pass.
+        fresh = np.ones(len(lo), dtype=bool)
+        fresh[:-1] = z_hi[:-1] != z_lo[1:]
+        erf = [math.erf(v) for v in z_lo.tolist() + z_hi[fresh].tolist()]
+        erf_lo = np.array(erf[: len(lo)])
+        erf_hi = np.empty(len(lo))
+        erf_hi[:-1] = erf_lo[1:]
+        erf_hi[fresh] = erf[len(lo) :]
+        mass = np.where(
+            spreads,
+            0.5 * (erf_hi - erf_lo),
+            (lo <= mean) & (mean < hi),  # all mass at the mean
+        )
+        axis_start = (np.cumsum(per_axis) - per_axis).reshape(windows, 2)
+
+        # Each state's box spans its windows; scatter py[r]·px[c] there.
+        far = max(rows, cols)
+        box_first = np.where(live[:, None], first, far).reshape(num, k, 2)
+        box_first = box_first.min(axis=1, initial=far)
+        box_last = np.where(live[:, None], last, -1).reshape(num, k, 2)
+        box_last = box_last.max(axis=1, initial=-1)
+        extent = np.maximum(box_last - box_first + 1, 0)
+        box_w = extent[:, 0]
+        area = box_w * extent[:, 1]
+        cells = count[:, 0] * count[:, 1]
+        window = np.repeat(np.arange(windows), cells)
+        dr, dc = np.divmod(_ranges(np.zeros_like(cells), cells), count[window, 0])
+        owner, horizon = np.divmod(window, k)
+        value = mass[axis_start[window, 1] + dr] * mass[axis_start[window, 0] + dc]
+        corner = first[window] - box_first[owner]
+        at = (corner[:, 1] + dr) * box_w[owner] + corner[:, 0] + dc
+        box_start = k * (np.cumsum(area) - area)
+        box = np.zeros(k * int(area.sum()))
+        box[box_start[owner] + horizon * area[owner] + at] = value
+        cover_start = np.cumsum(area) - area
+        covered = np.zeros(int(area.sum()), dtype=bool)
+        covered[cover_start[owner] + at] = True
+
+        # Covered cells, row-major per box, are each state's sorted ids.
+        cell = np.flatnonzero(covered)
+        owner = np.searchsorted(cover_start, cell, side="right") - 1
+        local = cell - cover_start[owner]
+        box_row, box_col = np.divmod(local, box_w[owner])
+        ids = (box_first[owner, 1] + box_row) * cols + box_first[owner, 0] + box_col
+        m = np.bincount(owner, minlength=num)
+        id_start = np.cumsum(m) - m
+        horizons = np.arange(k)[:, None]
+        flat = np.empty(k * len(cell))
+        # Truly uniform rows: explicit ids get 1/n like everyone else.
+        gathered = box[box_start[owner] + local + horizons * area[owner]]
+        flat[(k - 1) * id_start[owner] + np.arange(len(cell)) + horizons * m[owner]] = (
+            np.where(uniform[owner].T, 1.0 / n, gathered)
         )
 
-    def _window_near(
-        self, mx: float, my: float, sx: float, sy: float, sigmas: float
-    ) -> tuple[int, int, int, int]:
-        """Cell window ``(r0, r1, c0, c1)`` intersecting mean ± sigmas·std."""
-        # Guarantee at least the cell under the mean is covered even
-        # with tiny variance.
-        half_w = max(sx * sigmas, self.cell_width)
-        half_h = max(sy * sigmas, self.cell_height)
-        c0 = int((mx - half_w - self.origin_x) // self.cell_width)
-        c1 = int((mx + half_w - self.origin_x) // self.cell_width)
-        r0 = int((my - half_h - self.origin_y) // self.cell_height)
-        r1 = int((my + half_h - self.origin_y) // self.cell_height)
-        c0, c1 = max(c0, 0), min(c1, self.cols - 1)
-        r0, r1 = max(r0, 0), min(r1, self.rows - 1)
-        return r0, r1, c0, c1
+        probs = []
+        totals = np.empty((num, k))
+        for s, (start, width) in enumerate(zip(id_start.tolist(), m.tolist())):
+            block = flat[k * start : k * (start + width)].reshape(k, width)
+            probs.append(block)
+            totals[s] = block.sum(axis=1)
+        residual = 1.0 - totals
+        over = (totals > 1.0) & ~uniform
+        for s, j in zip(*np.nonzero(over)):
+            probs[s][j] /= totals[s, j]
+        residual[over] = 0.0
+        residual[uniform] = ((n - m) / n)[np.nonzero(uniform)[0]]
+        deltas = np.asarray(deltas_s, dtype=float)
+        out = []
+        for s, (start, width) in enumerate(zip(id_start.tolist(), m.tolist())):
+            block = probs[s]
+            if width == n:
+                # No pool left to carry a residual: renormalize over the
+                # cells.  A horizon whose mass lies wholly off the layout
+                # carries no information — uniform, like an empty window.
+                block[block.sum(axis=1) == 0] = 1.0 / n
+                block = block / block.sum(axis=1, keepdims=True)
+                residual[s] = 0.0
+            out.append(
+                RequestDistribution(
+                    n=n,
+                    deltas_s=deltas,
+                    explicit_ids=ids[start : start + width],
+                    explicit_probs=block,
+                    residual=residual[s],
+                )
+            )
+        return out
 
 
 class ChartLayout:

@@ -17,7 +17,9 @@ packet-level approximation of GPS):
   finish time ``max(V, last_tag) + size / weight``;
 * whenever the physical link's serializer is free, the arbiter
   dispatches the backlogged payload with the smallest tag and advances
-  the virtual clock ``V`` to it.
+  the virtual clock ``V`` to it.  The backlogged ports' head tags sit
+  in a heap, so a dispatch costs O(log P) rather than a scan of all P
+  ports.
 
 Over any interval where a set of ports stays backlogged, each receives
 capacity proportional to its weight, regardless of how deep the other
@@ -35,6 +37,7 @@ stall the virtual clock or strand capacity.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -64,12 +67,17 @@ class FairSharePort:
     the arbiter.
     """
 
-    def __init__(self, shared: "SharedDownlink", weight: float, label: str) -> None:
+    def __init__(
+        self, shared: "SharedDownlink", weight: float, label: str, order: int
+    ) -> None:
         if weight <= 0:
             raise ValueError("port weight must be positive")
         self.shared = shared
         self.weight = weight
         self.label = label
+        # Open order: breaks finish-tag ties the way a scan of
+        # ``shared.ports`` (kept in open order) would.
+        self.order = order
         self._queue: deque[_QueuedPayload] = deque()
         self._queued_bytes = 0
         self._last_tag = 0.0
@@ -167,6 +175,9 @@ class SharedDownlink:
         self.ports: list[FairSharePort] = []
         self._vtime = 0.0
         self._wire_wait = None  # pending dispatch event, if any
+        # One (head finish tag, open order, port) entry per backlogged
+        # port; a closed port's entry is dropped when it surfaces.
+        self._heads: list[tuple[float, int, FairSharePort]] = []
         self._observed_rate: Optional[float] = None
         # Total weight of the backlogged ports, or None when a port's
         # backlog has crossed zero (or the port set changed) since it
@@ -179,7 +190,9 @@ class SharedDownlink:
 
     def port(self, weight: float = 1.0, label: Optional[str] = None) -> FairSharePort:
         """Create a new session port with the given fair-share weight."""
-        port = FairSharePort(self, weight, label or f"port{self.ports_opened}")
+        port = FairSharePort(
+            self, weight, label or f"port{self.ports_opened}", self.ports_opened
+        )
         self.ports.append(port)
         self._backlogged_total = None
         self.ports_opened += 1
@@ -225,17 +238,25 @@ class SharedDownlink:
         tag = max(self._vtime, port._last_tag) + nbytes / port.weight
         port._last_tag = tag
         port._queue.append(_QueuedPayload(nbytes, deliver, payload, tag))
+        if len(port._queue) == 1:
+            heapq.heappush(self._heads, (tag, port.order, port))
         if port._queued_bytes == 0:
             self._backlogged_total = None
         port._queued_bytes += nbytes
         self._dispatch()
 
     def _dispatch(self) -> None:
-        """Put the smallest-tag head payload on the wire, if it is free."""
+        """Put the smallest-tag head payload on the wire, if it is free.
+
+        Ties go to the earliest-opened port, so popping the heap picks
+        exactly the first minimum of a scan over ``self.ports``.
+        """
         if self._wire_wait is not None:
             return
-        candidates = [p for p in self.ports if p._queue]
-        if not candidates:
+        heads = self._heads
+        while heads and heads[0][2].closed:
+            heapq.heappop(heads)
+        if not heads:
             return
         now = self.sim.now
         if self.link.busy_until > now + 1e-12:
@@ -244,8 +265,10 @@ class SharedDownlink:
                 self.link.busy_until, self._on_wire_free
             )
             return
-        port = min(candidates, key=lambda p: p._queue[0].finish_tag)
+        port = heapq.heappop(heads)[2]
         item = port._queue.popleft()
+        if port._queue:
+            heapq.heappush(heads, (port._queue[0].finish_tag, port.order, port))
         port._queued_bytes -= item.nbytes
         if port._queued_bytes == 0:
             self._backlogged_total = None

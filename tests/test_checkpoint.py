@@ -460,6 +460,35 @@ class TestDrainRestoreLifecycle:
             == clean.diagnostics["shared_prior"]
         )
 
+    @pytest.mark.parametrize("predictor", ["shared-markov", "kalman"])
+    def test_resume_after_late_drain_is_the_clean_run(self, tmp_path, predictor):
+        """A resume re-runs the fleet from round 0 with live peers, so
+        after a drain at round 3 it reproduces the un-drained run —
+        under the crowd prior too, whose peer rows must arrive at the
+        barriers where the clean run learnt them, not all at t = 0."""
+        path = str(tmp_path / "fleet.ckpt.json")
+        run = dict(
+            num_shards=2, predictor=predictor, sync_interval_s=0.5, timeout_s=120.0
+        )
+        app, traces, fleet_env = small_fleet(
+            chaos=ChaosConfig.parse("drain:3"),
+            checkpoint=CheckpointConfig(cadence_rounds=1, out_path=path),
+        )
+        drained = run_fleet_sharded(app, traces, fleet_env, **run)
+        assert drained.diagnostics["sharding"]["drained_at_round"] == 3
+
+        app, traces, fleet_env = small_fleet(
+            checkpoint=CheckpointConfig(cadence_rounds=1, in_path=path),
+        )
+        resumed = run_fleet_sharded(app, traces, fleet_env, **run)
+        assert resumed.diagnostics["sharding"]["sessions_resumed"] == 6
+
+        app, traces, fleet_env = small_fleet()
+        clean = run_fleet_sharded(app, traces, fleet_env, **run)
+        assert resumed.summary == clean.summary
+        assert resumed.session_labels == clean.session_labels
+        assert strip_sharding(resumed).diagnostics == strip_sharding(clean).diagnostics
+
     def test_resume_wrong_shard_count_rejected(self, tmp_path):
         path = str(tmp_path / "fleet.ckpt.json")
         FleetCheckpoint(n=64, num_shards=4, sync_interval_s=1.0).save(path)

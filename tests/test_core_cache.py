@@ -1,7 +1,7 @@
 """Tests for the ring-buffer and LRU caches."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import Block
@@ -194,3 +194,44 @@ def test_property_lru_bytes_accounting(ops):
         else:
             cache.get(key)
         assert 0 <= cache.used_bytes <= 100
+
+
+# Few requests and indices and a small ring: duplicates, gaps and
+# evictions of a prefix block are common; a clear is one op in ten.
+prefix_ops = st.lists(
+    st.one_of(
+        *[st.tuples(st.integers(0, 3), st.integers(0, 4))] * 9, st.just("clear")
+    ),
+    min_size=4,
+    max_size=200,
+)
+
+
+@given(ops=prefix_ops, capacity=st.integers(min_value=1, max_value=8))
+@settings(max_examples=300)
+def test_property_prefix_len_is_the_walk(ops, capacity):
+    """The maintained prefix length equals walking 0, 1, 2, ... over
+    the live indices, after puts with duplicates and gaps, wrap-around
+    evictions and clears, and evict listeners already see it."""
+    cache = RingBufferCache(capacity)
+
+    def walk(request):
+        k = 0
+        while k in cache.block_indices(request):
+            k += 1
+        return k
+
+    seen = []
+    cache.add_evict_listener(
+        lambda request: seen.append(
+            None if request is None else (cache.prefix_len(request), walk(request))
+        )
+    )
+    for op in ops:
+        if op == "clear":
+            cache.clear()
+        else:
+            cache.put(blk(*op))
+        for request in range(4):
+            assert cache.prefix_len(request) == walk(request)
+    assert all(entry is None or entry[0] == entry[1] for entry in seen)

@@ -89,6 +89,72 @@ class TestValidation:
                 residual=np.array([0.5]),
             )
 
+    def make(self, ids, probs, residual, n=8):
+        return RequestDistribution(
+            n=n,
+            deltas_s=np.array([0.05]),
+            explicit_ids=np.array(ids),
+            explicit_probs=np.array([probs]),
+            residual=np.array([residual]),
+        )
+
+    def test_accepts_unsorted_unique_ids(self):
+        d = self.make([5, 2, 7], [0.2, 0.3, 0.1], 0.4)
+        assert d.explicit_ids.tolist() == [5, 2, 7]
+        assert d.prob_of(2, 0.05) == pytest.approx(0.3)
+
+    def test_rejects_unsorted_duplicate_ids(self):
+        with pytest.raises(ValueError, match="unique"):
+            self.make([5, 2, 5], [0.2, 0.3, 0.1], 0.4)
+
+    @pytest.mark.parametrize("ids", [[2, 8], [8, 2], [-1, 3], [3, -1]])
+    def test_rejects_out_of_range_ids_sorted_or_not(self, ids):
+        with pytest.raises(ValueError, match="out of range"):
+            self.make(ids, [0.25, 0.25], 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_totals(self, bad):
+        with pytest.raises(ValueError):
+            self.make([1, 2], [0.5, bad], 0.0)
+        with pytest.raises(ValueError):
+            self.make([1, 2], [0.5, 0.5], bad)
+
+    def test_total_tolerance_is_allclose(self):
+        """|total − 1| ≤ 1e-6 + 1e-5, np.allclose's own inequality."""
+        for total in (1.0 + 1e-5, 1.0 - 1e-5, 1.0 + 1.05e-5):
+            self.make([1], [total], 0.0)
+            assert np.allclose([total], 1.0, atol=1e-6)
+        for total in (1.0 + 1.2e-5, 1.0 - 1.2e-5, 0.5):
+            with pytest.raises(ValueError, match="sum to 1"):
+                self.make([1], [total], 0.0)
+            assert not np.allclose([total], 1.0, atol=1e-6)
+
+    def test_rejects_negative_probability(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.make([1, 2], [1.5, -0.5], 0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.make([1], [1.5], -0.5)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            self.make([1, 2], [1.0], 0.0)
+        with pytest.raises(ValueError, match="one entry per horizon"):
+            RequestDistribution(
+                n=4,
+                deltas_s=np.array([0.05]),
+                explicit_ids=np.array([0]),
+                explicit_probs=np.array([[1.0]]),
+                residual=np.array([0.0, 0.0]),
+            )
+        with pytest.raises(ValueError, match="at least one horizon"):
+            RequestDistribution.uniform(4, deltas_s=[])
+        with pytest.raises(ValueError, match="n must be"):
+            RequestDistribution.uniform(0)
+
+    def test_rejects_repeated_horizon(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RequestDistribution.uniform(4, deltas_s=[0.05, 0.05])
+
 
 class TestInterpolation:
     def make(self):

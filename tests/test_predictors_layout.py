@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictors.layout import BoundingBox, ChartLayout, GridLayout
@@ -204,3 +204,134 @@ def test_property_grid_gaussian_always_normalized(mean_x, mean_y, std):
     dense = dist.dense_at(0.05)
     assert dense.sum() == pytest.approx(1.0, abs=1e-5)
     assert (dense >= -1e-12).all()
+
+
+# -- the stacked decode against its per-cell definition ----------------
+
+
+def per_cell_reference(grid, means, stds, deltas, sigmas=3.0, uniform_rows=()):
+    """What the stacked decode must reproduce byte for byte: each cell
+    within a window integrated alone by ``BoundingBox.gaussian_mass``,
+    rows summed over the explicit ids, uniform rows at 1/n."""
+    n, k = grid.num_requests, len(deltas)
+    windows = []
+    for j, ((mx, my), (sx, sy)) in enumerate(zip(means, stds)):
+        if uniform_rows and uniform_rows[j]:
+            windows.append(None)
+            continue
+        half_w = max(sx * sigmas, grid.cell_width)
+        half_h = max(sy * sigmas, grid.cell_height)
+        c0 = max(int((mx - half_w - grid.origin_x) // grid.cell_width), 0)
+        c1 = min(int((mx + half_w - grid.origin_x) // grid.cell_width), grid.cols - 1)
+        r0 = max(int((my - half_h - grid.origin_y) // grid.cell_height), 0)
+        r1 = min(int((my + half_h - grid.origin_y) // grid.cell_height), grid.rows - 1)
+        windows.append(
+            [r * grid.cols + c for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)]
+        )
+    ids = sorted({cell for window in windows if window for cell in window})
+    column = {cell: i for i, cell in enumerate(ids)}
+    probs = np.zeros((k, len(ids)))
+    residual = np.ones(k)
+    for j, window in enumerate(windows):
+        if window is None:
+            probs[j] = 1.0 / n
+            residual[j] = (n - len(ids)) / n
+            continue
+        (mx, my), (sx, sy) = means[j], stds[j]
+        for cell in window:
+            probs[j, column[cell]] = grid.bbox(cell).gaussian_mass(mx, my, sx, sy)
+        row_sum = probs[j].sum()
+        if row_sum > 1.0:
+            probs[j] /= row_sum
+            row_sum = 1.0
+        residual[j] = 1.0 - row_sum
+    if len(ids) == n:
+        probs[probs.sum(axis=1) == 0] = 1.0 / n
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        residual = np.zeros(k)
+    return np.array(ids, dtype=np.int64), probs, residual
+
+
+def assert_same_bytes(dist, ids, probs, residual):
+    assert dist.explicit_ids.tolist() == ids.tolist()
+    assert dist.explicit_probs.shape == probs.shape
+    assert dist.explicit_probs.tobytes() == probs.tobytes()
+    assert dist.residual.tobytes() == residual.tobytes()
+
+
+# Grids: the fleet's 12x12, the paper's 100x100 mosaic, fractional cell
+# sizes off a fractional origin, and grids small enough for one window
+# to cover every cell (m = n).
+GRIDS = [
+    (12, 12, 20.0, 20.0, 0.0, 0.0),
+    (100, 100, 5.0, 5.0, 0.0, 0.0),
+    (7, 9, 0.3, 1 / 3, 0.1, -2.7),
+    (3, 4, 2.5, 7.3, 3.3, 1.1),
+    (1, 1, 4.0, 4.0, 0.0, 0.0),
+]
+
+
+@st.composite
+def decode_cases(draw, max_states=4):
+    rows, cols, cw, ch, ox, oy = draw(st.sampled_from(GRIDS))
+    grid = GridLayout(rows, cols, cw, ch, ox, oy)
+    k = draw(st.integers(1, 4))
+    deltas = [0.05 * (j + 1) for j in range(k)]
+    # Means anywhere from far off every side to inside; stds from 0
+    # (a point mass) to wider than the grid (tiny grids only: the
+    # oracle walks every cell of a window).
+    max_std = 3 * max(grid.width, grid.height) if rows * cols < 100 else 40.0
+    coord_x = st.floats(-3 * grid.width, 4 * grid.width, allow_nan=False)
+    coord_y = st.floats(-3 * grid.height, 4 * grid.height, allow_nan=False)
+    spread = st.one_of(st.just(0.0), st.floats(1e-3, max_std))
+    states = []
+    for _ in range(draw(st.integers(1, max_states))):
+        means = [(draw(coord_x), draw(coord_y)) for _ in range(k)]
+        stds = [(draw(spread), draw(spread)) for _ in range(k)]
+        uniform = draw(st.one_of(st.just(()), st.lists(st.booleans(), min_size=k, max_size=k)))
+        states.append((means, stds, tuple(uniform)))
+    sigmas = draw(st.sampled_from([3.0, 1.0, 2.5]))
+    return grid, states, deltas, sigmas
+
+
+@given(case=decode_cases())
+@settings(max_examples=150, deadline=None)
+def test_stacked_decode_is_per_cell_gaussian_mass_bytewise(case):
+    grid, states, deltas, sigmas = case
+    batch = grid.gaussian_distribution_batch(states, deltas, truncate_sigmas=sigmas)
+    for dist, (means, stds, uniform) in zip(batch, states):
+        assert_same_bytes(
+            dist, *per_cell_reference(grid, means, stds, deltas, sigmas, uniform)
+        )
+
+
+@given(case=decode_cases(max_states=6), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_batch_is_batches_of_one_in_any_order(case, data):
+    grid, states, deltas, sigmas = case
+    order = data.draw(st.permutations(range(len(states))))
+    batch = grid.gaussian_distribution_batch(
+        [states[i] for i in order], deltas, truncate_sigmas=sigmas
+    )
+    for dist, i in zip(batch, order):
+        means, stds, uniform = states[i]
+        alone = grid.gaussian_distribution(
+            means, stds, deltas, truncate_sigmas=sigmas, uniform_rows=uniform
+        )
+        assert_same_bytes(
+            dist, alone.explicit_ids, alone.explicit_probs, alone.residual
+        )
+
+
+@pytest.mark.parametrize(
+    "mean",
+    [(-500.0, 60.0), (900.0, 60.0), (60.0, -500.0), (60.0, 900.0), (-500.0, -500.0)],
+)
+def test_off_grid_means_give_empty_windows(mean):
+    """A mean past any edge leaves its window empty (r0 > r1 or
+    c0 > c1, a negative r1/c1 included) beside a live horizon."""
+    grid = GridLayout(12, 12, 20.0, 20.0)
+    means, stds, deltas = [(60.0, 60.0), mean], [(5.0, 5.0), (5.0, 5.0)], [0.05, 0.15]
+    dist = grid.gaussian_distribution(means, stds, deltas)
+    assert_same_bytes(dist, *per_cell_reference(grid, means, stds, deltas))
+    assert dist.explicit_probs[1].sum() == 0.0 and dist.residual[1] == 1.0

@@ -1,6 +1,8 @@
 """Tests for the weighted fair-shared downlink."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import FixedRateLink, SharedDownlink, Simulator
 from repro.sim.traces import MahimahiTrace
@@ -256,3 +258,62 @@ class TestValidation:
         port = shared.port()
         with pytest.raises(ValueError):
             port.send(-1, lambda p: None)
+
+
+# Payload sizes and weights from small sets, so finish tags tie often.
+arbiter_ops = st.lists(
+    st.tuples(
+        st.integers(0, 12),  # time, in 10 ms steps (one 100-byte payload)
+        st.sampled_from(["open", "send", "send", "send", "close"]),
+        st.integers(0, 7),  # port, among those opened so far
+        st.sampled_from([0, 100, 200]),
+        st.sampled_from([1.0, 2.0]),  # weight of an opened port
+        st.integers(1, 3),  # payloads per send
+    ),
+    min_size=4,
+    max_size=80,
+)
+
+
+@given(ops=arbiter_ops)
+@settings(max_examples=300, deadline=None)
+def test_heap_dispatch_is_the_first_minimum_of_a_port_scan(ops):
+    """Whatever the enqueues, closes and retirements, and however tags
+    tie, the heap dispatches the port a scan of ``shared.ports`` would:
+    the first with the smallest head finish tag."""
+    sim, shared = make_shared(bw=10_000)
+    link = shared.link
+    ports = []
+    scanned, dispatched = [], []
+    link_send, arbiter_dispatch = link.send, shared._dispatch
+
+    def send(nbytes, deliver, handoff):
+        dispatched.append(handoff[0].label)
+        return link_send(nbytes, deliver, handoff)
+
+    def dispatch():
+        if shared._wire_wait is None and link.busy_until <= sim.now + 1e-12:
+            backlogged = [p for p in shared.ports if p._queue]
+            if backlogged:
+                first = min(backlogged, key=lambda p: p._queue[0].finish_tag)
+                scanned.append(first.label)
+        arbiter_dispatch()
+
+    link.send, shared._dispatch = send, dispatch
+
+    def act(action, which, nbytes, weight, count):
+        if action == "open" or not ports:
+            ports.append(shared.port(weight=weight, label=f"p{len(ports)}"))
+            return
+        port = ports[which % len(ports)]
+        if action == "close":
+            port.close()
+        elif not port.closed:
+            for _ in range(count):
+                port.send(nbytes, lambda _p: None)
+
+    for step, *op in ops:
+        sim.schedule_at(step * 0.01, act, *op)
+    sim.run()
+    assert dispatched == scanned
+    assert all(not p._queue for p in shared.ports)
