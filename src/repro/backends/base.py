@@ -135,10 +135,16 @@ class Backend:
         self._inflight[request] = [on_complete]
         self.stats.fetches_started += 1
         self.stats.peak_concurrency = max(self.stats.peak_concurrency, len(self._inflight))
+        self._start(request)
+
+    def _start(self, request: int) -> None:
+        """Begin producing ``request``'s response, ending in one
+        :meth:`_complete`: by default one delay, then :meth:`_produce`."""
         self.sim.schedule(self._delay_s(request), self._complete, request)
 
-    def _complete(self, request: int) -> None:
-        response = self._produce(request)
+    def _complete(self, request: int, response: Optional[ProgressiveResponse] = None) -> None:
+        if response is None:
+            response = self._produce(request)
         self._cache[request] = response
         callbacks = self._inflight.pop(request, [])
         self.stats.fetches_completed += 1

@@ -3,7 +3,7 @@
 The sender reads the scheduler's block sequence, retrieves blocks from
 the backend, and places them onto the network at a rate matched to the
 bandwidth estimate ("aims to saturate the link" without congesting
-it).  Three coordination concerns from the paper:
+it).  Its coordination concerns, from the paper:
 
 * **Pacing** — the sender keeps the link *backlogged but bounded*: it
   transmits whenever the link's queueing delay is below
@@ -35,6 +35,16 @@ it).  Three coordination concerns from the paper:
   :class:`~repro.core.throttle.BackendThrottle` caps how many
   *distinct new* requests the pipeline may fetch at once; excess blocks
   are deferred back to the scheduler at the next refresh.
+* **Idle** — an empty fill that did not defer means the scheduler is
+  exhausted, and its answer changes only with its state.  Every such
+  change already re-pumps the sender: a new distribution
+  (:meth:`resume`), a rollback (its caller resumes or keeps filling),
+  the sender's own send, and a mirror ``clear()``, which the sender's
+  evict listener turns into a :meth:`resume`.  Per-request evictions
+  fire mid-:meth:`_transmit`, before ``on_sent``, where a pump would
+  count the block twice, so the listener ignores them.  A §5.4
+  deferral is not exhaustion (a re-draw may land on a response that
+  needs no new slot), so it re-draws every :data:`DEFER_RETRY_S`.
 """
 
 from __future__ import annotations
@@ -60,6 +70,10 @@ __all__ = ["Sender", "READY_WINDOW"]
 #: the sends between two pumps; ``lookahead`` below it still caps.
 READY_WINDOW = 4
 
+#: Re-draw period after a §5.4 deferral that left the pipeline empty
+#: (the one idle state that time, not an event, resolves).
+DEFER_RETRY_S = 0.005
+
 
 class Sender:
     """Paced, pipelined block pusher.
@@ -79,13 +93,10 @@ class Sender:
         mirror: Optional[RingBufferCache] = None,
         throttle: Optional[BackendThrottle] = None,
         lookahead: int = 32,
-        idle_retry_s: float = 0.005,
         max_backlog_s: float = 0.020,
     ) -> None:
         if lookahead < 1:
             raise ValueError("lookahead must be >= 1")
-        if idle_retry_s <= 0:
-            raise ValueError("idle retry must be positive")
         if max_backlog_s <= 0:
             raise ValueError("max backlog must be positive")
         self.sim = sim
@@ -97,7 +108,6 @@ class Sender:
         self.mirror = mirror
         self.throttle = throttle
         self.lookahead = lookahead
-        self.idle_retry_s = idle_retry_s
         self.max_backlog_s = max_backlog_s
 
         self._pipeline: deque[ScheduledBlock] = deque()
@@ -115,6 +125,8 @@ class Sender:
         self._send_scheduled = False
         self._idle_timer = None
         self._started = False
+        if mirror is not None:  # after the scheduler's: it rebuilds first
+            mirror.add_evict_listener(self._on_mirror_evict)
 
         self.blocks_sent = 0
         self.bytes_sent = 0
@@ -171,7 +183,7 @@ class Sender:
 
     # -- pipeline ------------------------------------------------------
 
-    def _fill_pipeline(self) -> None:
+    def _fill_pipeline(self) -> bool:
         """Top the pipeline up to the depth the backend's state calls for.
 
         The target is ``lookahead`` while a queued request still awaits
@@ -185,13 +197,14 @@ class Sender:
         is only admitted while backend slots remain; otherwise it — and
         the rest of the freshly drawn window — is rolled back for
         rescheduling and the fill stops (the schedule is ordered —
-        skipping ahead would reorder the stream).
+        skipping ahead would reorder the stream).  Returns whether it
+        deferred.
         """
         while True:
             depth = self.lookahead if self._awaiting else self._ready_depth
             want = depth - len(self._pipeline)
             if want <= 0:
-                break
+                return False
             if self.throttle is not None:
                 # A deferral rolls the window's tail back, and rollback
                 # cannot cross a batch reset (the reset clears the
@@ -202,19 +215,15 @@ class Sender:
                     want, max(1, self.scheduler.C - self.scheduler.position)
                 )
             blocks = self.scheduler.schedule_batch(want)
-            if not blocks:
-                break
-            deferred = False
             for i, block in enumerate(blocks):
                 if self.throttle is not None and not self._admit(block):
                     self.scheduler.rollback(blocks[i:])
                     self.blocks_deferred += 1
-                    deferred = True
-                    break
+                    return True
                 self._append_pipeline(block)
                 self._ensure_fetch(block.request)
-            if deferred or len(blocks) < want:
-                break
+            if len(blocks) < want:
+                return False
 
     def _append_pipeline(self, block: ScheduledBlock) -> None:
         self._pipeline.append(block)
@@ -261,10 +270,11 @@ class Sender:
         """Advance: fill the window, then send the head when ready."""
         if not self._started:
             return
-        self._fill_pipeline()
+        deferred = self._fill_pipeline()
         if not self._pipeline:
-            self._arm_idle_retry()
-            return
+            if deferred:
+                self._arm_defer_retry()
+            return  # exhausted: sleep until a state change re-pumps
         head = self._pipeline[0]
         response = self.backend.cached(head.request)
         if response is None:
@@ -330,10 +340,14 @@ class Sender:
     def _on_delivered(self, block: Block) -> None:
         self.deliver(block)
 
-    def _arm_idle_retry(self) -> None:
+    def _on_mirror_evict(self, request: Optional[int]) -> None:
+        if request is None:  # a clear: requests may be incomplete again
+            self.resume()
+
+    def _arm_defer_retry(self) -> None:
         if self._idle_timer is not None and not self._idle_timer.cancelled:
             return
-        self._idle_timer = self.sim.schedule(self.idle_retry_s, self._idle_tick)
+        self._idle_timer = self.sim.schedule(DEFER_RETRY_S, self._idle_tick)
 
     def _idle_tick(self) -> None:
         self._idle_timer = None

@@ -225,7 +225,7 @@ class ShardCoordinator:
             self.drained_at_round = min(chaos.drain_round, len(sync_points) - 1)
             sync_points = sync_points[: self.drained_at_round + 1]
         self.sync_points = sync_points
-        resume_from, bundle = None, None
+        resume_from = None
         if self.checkpoint is not None and self.checkpoint.in_path is not None:
             resume_from = os.fspath(self.checkpoint.in_path)
             bundle = FleetCheckpoint.load(resume_from, n=self.n)
@@ -274,13 +274,6 @@ class ShardCoordinator:
         self.recovery = ShardRecovery()
         self.attempts = [0] * self.num_shards
         self.reabsorbed: list[int] = []
-        # Resuming: the pooled prior starts from every shard's stored
-        # contribution.
-        if bundle is not None:
-            for ckpt in bundle.shards.values():
-                delta = ckpt.prior_delta_object()
-                if delta is not None:
-                    self._merge(delta)
 
     # -- tasks -----------------------------------------------------------
 

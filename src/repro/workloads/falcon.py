@@ -35,7 +35,7 @@ from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
-from repro.backends.base import Backend, OnComplete
+from repro.backends.base import Backend
 from repro.backends.database import (
     ColumnTable,
     HistogramQuery,
@@ -285,35 +285,13 @@ class FalconBackend(Backend):
         self.db = db
         self.encoder = RowSampleEncoder(app.blocks_per_response)
 
-    # Base-class hooks are unused: fetch() is fully overridden because
-    # completion is driven by the slowest of five concurrent queries,
-    # not a single scheduled delay.
-
-    def _produce(self, request: int) -> ProgressiveResponse:  # pragma: no cover
-        raise AssertionError("FalconBackend.fetch computes responses itself")
-
-    def _delay_s(self, request: int) -> float:  # pragma: no cover
-        raise AssertionError("FalconBackend.fetch computes responses itself")
-
     @property
     def scalable_concurrency(self) -> Optional[int]:
         return self.app.max_concurrent_requests
 
-    def fetch(self, request: int, on_complete: OnComplete) -> None:
-        hit = self._cache.get(request)
-        if hit is not None:
-            self.stats.cache_hits += 1
-            self.sim.schedule(0.0, on_complete, hit)
-            return
-        waiting = self._inflight.get(request)
-        if waiting is not None:
-            waiting.append(on_complete)
-            return
-        self._inflight[request] = [on_complete]
-        self.stats.fetches_started += 1
-        self.stats.peak_concurrency = max(
-            self.stats.peak_concurrency, len(self._inflight)
-        )
+    def _start(self, request: int) -> None:
+        """Run the five queries concurrently; the slowest completes the
+        fetch with the combined, encoded rows."""
         queries = self.app.queries_for(request)
         targets = [t for t in range(self.app.num_requests) if t != request]
         results: dict[int, np.ndarray] = {}
@@ -321,12 +299,14 @@ class FalconBackend(Backend):
         def on_query(target: int, rows: np.ndarray) -> None:
             results[target] = rows
             if len(results) == len(queries):
-                self._finish(request, results)
+                self._complete(request, self._encode(request, results))
 
         for target, query in zip(targets, queries):
             self.db.execute(query, lambda rows, t=target: on_query(t, rows))
 
-    def _finish(self, request: int, results: dict[int, np.ndarray]) -> None:
+    def _encode(
+        self, request: int, results: dict[int, np.ndarray]
+    ) -> ProgressiveResponse:
         parts = []
         for target in sorted(results):
             rows = results[target]
@@ -334,13 +314,7 @@ class FalconBackend(Backend):
                 [rows, np.full(len(rows), target, dtype=rows.dtype)]
             )
             parts.append(tagged)
-        combined = np.vstack(parts)
-        response = self.encoder.encode(request, combined)
-        self._cache[request] = response
-        callbacks = self._inflight.pop(request, [])
-        self.stats.fetches_completed += 1
-        for cb in callbacks:
-            cb(response)
+        return self.encoder.encode(request, np.vstack(parts))
 
     def invalidate(self) -> None:
         """Selections changed: every cached slice is stale."""

@@ -480,14 +480,20 @@ class TestDrainRestoreLifecycle:
         app, traces, fleet_env = small_fleet(
             checkpoint=CheckpointConfig(cadence_rounds=1, in_path=path),
         )
-        resumed = run_fleet_sharded(app, traces, fleet_env, **run)
+        resumed_prior = tmp_path / "resumed.npz"
+        resumed = run_fleet_sharded(
+            app, traces, fleet_env, prior_out=resumed_prior, **run
+        )
         assert resumed.diagnostics["sharding"]["sessions_resumed"] == 6
 
         app, traces, fleet_env = small_fleet()
-        clean = run_fleet_sharded(app, traces, fleet_env, **run)
+        clean_prior = tmp_path / "clean.npz"
+        clean = run_fleet_sharded(app, traces, fleet_env, prior_out=clean_prior, **run)
         assert resumed.summary == clean.summary
         assert resumed.session_labels == clean.session_labels
         assert strip_sharding(resumed).diagnostics == strip_sharding(clean).diagnostics
+        if predictor == "shared-markov":  # the pooled counts, not just their totals
+            assert resumed_prior.read_bytes() == clean_prior.read_bytes()
 
     def test_resume_wrong_shard_count_rejected(self, tmp_path):
         path = str(tmp_path / "fleet.ckpt.json")

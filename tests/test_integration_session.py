@@ -165,9 +165,10 @@ class TestPushPipeline:
         session.start()
         sim.run(until=0.5)
         session.stop()
-        before = sim.events_processed
-        sim.run(until=0.6)
-        # Sender idle-retry may still tick, but predictor/rate tasks are gone.
+        sim.run(until=1.0)  # in-flight fetches, states and blocks land
+        landed = sim.events_processed
+        sim.run(until=5.0)
+        assert sim.events_processed == landed
         assert session.predictor_manager._task.cancelled
 
 

@@ -95,6 +95,19 @@ class TestFalconBackend:
         assert len(got) == 2
         assert db.queries_executed == 5
 
+    def test_piggyback_is_counted(self, app):
+        """Falcon fetches go through the base bookkeeping, so a joined
+        in-flight fetch counts as a shared hit like any backend's."""
+        sim = Simulator()
+        backend = app.make_backend(sim, app.make_db(sim, scale="small"))
+        backend.fetch(3, lambda r: None)
+        backend.fetch(3, lambda r: None)
+        sim.run()
+        stats = backend.stats.snapshot()
+        assert stats["fetches_started"] == stats["fetches_completed"] == 1
+        assert stats["piggybacked"] == 1
+        assert backend.stats.shared_hits == 1
+
     def test_cached_fetch_is_free(self, app):
         sim = Simulator()
         db = app.make_db(sim, scale="small")
